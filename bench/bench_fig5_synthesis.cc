@@ -251,8 +251,8 @@ main(int argc, char **argv)
                 noinp_same ? "identical" : "DIFFERENT (BUG)");
 
     // Proof-engine comparison: plain incremental BMC vs. the default
-    // race (PDR + k-induction challengers). Verdicts and the model
-    // must be identical; the race additionally closes frame-local
+    // race mode (a PDR pre-pass ahead of BMC). Verdicts and the model
+    // must be identical; the pre-pass additionally closes frame-local
     // proofs as *unbounded* — generality no bound of plain BMC has.
     rtl2uspec::SynthesisOptions bmc_opts = synth_opts;
     bmc_opts.engine = bmc::EngineChoice::Bmc;

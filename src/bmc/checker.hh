@@ -60,9 +60,8 @@ enum class VerdictSource : uint8_t {
      */
     Portfolio,
     /**
-     * Definite verdict produced by a proof-engine racer (IC3/PDR or
-     * k-induction) that beat the incumbent BMC solve (see
-     * EngineChoice::Race).
+     * Definite verdict produced by the IC3/PDR pre-pass ahead of the
+     * BMC solve (see EngineChoice::Race).
      */
     Race,
 };
@@ -93,9 +92,9 @@ struct SolveLimits
     /**
      * Optional solver configuration (restart policy, reduction
      * ranking, inprocessing cadence) applied before the solve. The
-     * engine routes its base config through here so the fresh jobs=1
-     * path and quarantine re-solves search identically to the
-     * incremental contexts. nullptr keeps the solver's current config.
+     * engine routes its base config through here so quarantine and
+     * proof re-check solves search identically to the incremental
+     * contexts. nullptr keeps the solver's current config.
      */
     const sat::SolverConfig *config = nullptr;
 };
@@ -272,8 +271,8 @@ struct CheckResult
     size_t coiMems = 0;
     Trace trace; ///< populated when Refuted
 
-    // --- proof-engine attribution (bmc::Engine race) ---
-    /** This query raced PDR/k-induction against the BMC solve. */
+    // --- proof-engine attribution (bmc::Engine) ---
+    /** This query ran the PDR pre-pass (EngineChoice::Race). */
     bool engineRaced = false;
     /** Algorithm that produced this verdict. */
     EngineKind engine = EngineKind::Bmc;
@@ -405,7 +404,7 @@ struct InductiveResult
     /**
      * True iff the base-case BMC solve at base_bound came back Unsat —
      * i.e. the property holds at that bound even when the induction
-     * step failed. The engine's race maps this onto a bounded Proven
+     * step failed. --engine kind maps this onto a bounded Proven
      * verdict; InductiveResult::verdict itself stays Unknown when the
      * property is not k-inductive, for backward compatibility.
      */
@@ -435,7 +434,7 @@ InductiveResult checkInductive(
 
 /**
  * k-induction under full solve limits (budgets, deadline, shared
- * cancellation flag), the overload the engine's proof race uses. The
+ * cancellation flag), the overload --engine kind uses. The
  * budgets are totals across both the base case and the induction
  * step.
  */

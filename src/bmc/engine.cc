@@ -62,9 +62,9 @@ resolveJobs(unsigned requested)
 }
 
 /**
- * Per-worker state: one incremental context per unroll bound. Only
- * the owning worker thread touches a Worker after construction, so no
- * locking is needed here.
+ * Per-worker state: one incremental context per unroll bound, for one
+ * drain(). Only the owning worker thread touches a Worker after
+ * construction, so no locking is needed here.
  */
 struct Engine::Worker
 {
@@ -84,10 +84,15 @@ struct Engine::Worker
         auto ctx = std::make_unique<PropCtx>(
             engine.nl_, engine.signals_, engine.options_, bound);
         // Warm start: the first worker to get here becomes the seed
-        // builder and bit-blasts from the netlist; everyone else
+        // builder and bit-blasts from the netlist; everyone else —
+        // siblings in this batch and every worker of later batches —
         // waits for its snapshot and clones it, which is far cheaper
         // than encoding the transition relation again. A builder that
-        // dies before publishing hands the role to a waiter.
+        // dies before publishing hands the role to a waiter. A lone
+        // worker has no sibling to serve, so jobs 1 encodes each
+        // batch's context from the netlist: on the formal V-scale
+        // (4-CPU host) a snapshot held next to its context raised
+        // peak RSS from 53 to 75 MB for a run about 12% faster.
         if (engine.jobs_ > 1) {
             std::unique_lock<std::mutex> lk(engine.seed_mu_);
             SeedSlot &slot = engine.seeds_[bound];
@@ -265,225 +270,7 @@ refineSource(CheckResult &result, bool total_binding)
     }
 }
 
-/**
- * Proof-engine race: IC3/PDR and k-induction challengers running
- * alongside the incumbent BMC solve of one frame-local query.
- *
- * Challengers claim the race ONLY with Proven-class verdicts (a PDR
- * fixpoint or cleared bound, an induction step that closed, or a
- * k-induction base case that closed at the bound). Refutations are
- * never claimed: BMC finds Sat answers fast and owns trace fidelity,
- * so a challenger refutation just lets the incumbent finish. Verdict
- * semantics of both challengers are aligned with BMC at the query's
- * bound, so whoever wins, the verdict — and therefore the synthesized
- * model — is identical; the race only changes wall-clock and proof
- * *generality* (unbounded vs bounded Proven).
- *
- * The winner interrupts the incumbent solver (when one is wired up;
- * the jobs=1 fresh path has none and merely skips its retries).
- * finish() must be called before the incumbent's solver is reused,
- * and the caller must clearInterrupt() afterwards — a challenger's
- * interrupt poke is sticky.
- */
-class ProofRace
-{
-  public:
-    static constexpr int kPdr = 1;
-    static constexpr int kKind = 2;
-
-    ProofRace(const nl::Netlist &nl,
-              const std::unordered_map<std::string, nl::CellId> &signals,
-              const Unroller::Options &options, const Query &query,
-              const SolveLimits &limits,
-              const std::atomic<bool> *engine_cancel,
-              sat::Solver *incumbent)
-        : nl_(nl), signals_(signals), options_(options), query_(query),
-          limits_(limits), engine_cancel_(engine_cancel),
-          incumbent_(incumbent)
-    {
-    }
-
-    ~ProofRace() { finish(); }
-
-    void
-    start()
-    {
-        pdr_thread_ = std::thread([this] {
-            PdrOptions popts;
-            popts.bound = query_.bound;
-            popts.limits = limits_;
-            popts.limits.cancel = &stop_;
-            popts.cancel2 = engine_cancel_;
-            pdr_ = checkPdr(nl_, signals_, options_, query_.seeds,
-                            query_.frameProp, popts);
-            if (pdr_.verdict == Verdict::Proven)
-                claim(kPdr);
-        });
-        kind_thread_ = std::thread([this] {
-            SolveLimits kl = limits_;
-            kl.cancel = &stop_;
-            kind_ = checkInductive(nl_, signals_, options_,
-                                   query_.bound, query_.bound,
-                                   query_.frameProp, kl);
-            if (kind_.verdict == Verdict::Proven || kind_.baseProven)
-                claim(kKind);
-        });
-    }
-
-    /** Has a challenger already claimed the race? (loop early-out) */
-    bool
-    decided() const
-    {
-        return winner_.load(std::memory_order_relaxed) != 0;
-    }
-
-    /** Stop both challengers and wait them out. Idempotent. */
-    void
-    finish()
-    {
-        stop_.store(true, std::memory_order_relaxed);
-        if (pdr_thread_.joinable())
-            pdr_thread_.join();
-        if (kind_thread_.joinable())
-            kind_thread_.join();
-    }
-
-    /**
-     * After finish(): fold the race outcome into the incumbent's
-     * result. A winning challenger replaces the verdict, source,
-     * engine attribution, and solver-work counters (winner-only
-     * attribution — the interrupted incumbent's partial work is not
-     * charged to this query's record). Returns true when a challenger
-     * verdict replaced the incumbent's.
-     */
-    bool
-    merge(CheckResult &result)
-    {
-        result.engineRaced = true;
-        // Incumbent refutations always stand: the challengers never
-        // carry traces, and a concrete counterexample (which replay
-        // will independently validate) outranks a proof claim.
-        if (result.verdict == Verdict::Refuted) {
-            if (decided())
-                warn("engine race: a challenger proved '%s' but BMC "
-                     "refuted it — keeping the counterexample for "
-                     "validation to arbitrate",
-                     query_.name.c_str());
-            return false;
-        }
-        int win = winner_.load(std::memory_order_relaxed);
-        if (win == kPdr) {
-            result.verdict = Verdict::Proven;
-            result.source = VerdictSource::Race;
-            result.engine = EngineKind::Pdr;
-            result.unbounded = pdr_.unbounded;
-            result.pdrFrames = pdr_.frames;
-            result.pdrObligations = pdr_.obligations;
-            result.conflicts = pdr_.conflicts;
-            result.propagations = pdr_.propagations;
-            return true;
-        }
-        if (win == kKind) {
-            result.verdict = Verdict::Proven;
-            result.source = VerdictSource::Race;
-            result.engine = EngineKind::KInduction;
-            result.unbounded = kind_.inductive;
-            result.conflicts = kind_.conflicts;
-            result.propagations = kind_.propagations;
-            return true;
-        }
-        // Nobody claimed. If the incumbent proved at the bound and a
-        // challenger that ran to completion holds an unbounded proof
-        // of the same property, record the stronger generality (the
-        // verdict itself is unchanged).
-        if (result.verdict == Verdict::Proven &&
-            ((pdr_.verdict == Verdict::Proven && pdr_.unbounded) ||
-             kind_.inductive))
-            result.unbounded = true;
-        return false;
-    }
-
-  private:
-    void
-    claim(int who)
-    {
-        int expected = 0;
-        if (winner_.compare_exchange_strong(expected, who)) {
-            stop_.store(true, std::memory_order_relaxed);
-            if (incumbent_)
-                incumbent_->interrupt();
-        }
-    }
-
-    const nl::Netlist &nl_;
-    const std::unordered_map<std::string, nl::CellId> &signals_;
-    const Unroller::Options &options_;
-    const Query &query_;
-    SolveLimits limits_;
-    const std::atomic<bool> *engine_cancel_;
-    sat::Solver *incumbent_;
-
-    std::atomic<bool> stop_{false};
-    std::atomic<int> winner_{0};
-    std::thread pdr_thread_;
-    std::thread kind_thread_;
-    // Written by the challenger threads, read only after finish()'s
-    // joins (which provide the happens-before edge).
-    PdrResult pdr_;
-    InductiveResult kind_;
-};
-
 } // namespace
-
-CheckResult
-Engine::runFresh(const Query &query)
-{
-    CheckResult result;
-    // Race mode: the proof challengers run alongside the fresh BMC
-    // attempts. There is no incumbent solver to interrupt on this path
-    // (checkProperty owns its own); a challenger win just short-cuts
-    // the retry ladder and upgrades the verdict in merge().
-    std::unique_ptr<ProofRace> proof_race;
-    unsigned attempt = 0;
-    while (true) {
-        SolveLimits limits;
-        bool total_binding = false;
-        if (!attemptLimits(query, attempt, limits, total_binding)) {
-            if (attempt == 0)
-                result = cancelledResult(query.bound);
-            // else: keep the last attempt's honest Unknown.
-            break;
-        }
-        if (!proof_race && query.frameProp &&
-            eopts_.engine == EngineChoice::Race) {
-            proof_race = std::make_unique<ProofRace>(
-                nl_, signals_, options_, query, limits, &cancel_,
-                nullptr);
-            proof_race->start();
-        }
-        CheckResult r = checkProperty(nl_, signals_, options_,
-                                      query.bound, query.prop, limits);
-        if (attempt > 0) {
-            r.seconds += result.seconds;
-            r.conflicts += result.conflicts;
-            r.propagations += result.propagations;
-        }
-        result = std::move(r);
-        result.retries = attempt;
-        refineSource(result, total_binding);
-        if (proof_race && proof_race->decided())
-            break; // a challenger's proof supersedes further retries
-        if (!shouldRetry(result, attempt))
-            break;
-        attempt++;
-    }
-    if (proof_race) {
-        proof_race->finish();
-        proof_race->merge(result);
-    }
-    fillCoiStats(query, result);
-    return result;
-}
 
 CheckResult
 Engine::runProofEngine(const Query &query)
@@ -1142,18 +929,64 @@ Engine::runIncremental(Worker &worker, const Query &query)
         return result;
     }
 
+    // PDR pre-pass (--engine race): within the query's bound and
+    // limits, on this thread. Only a Proven answer is taken — BMC owns
+    // every refutation and its trace — so the verdict is the one BMC
+    // would return and only its generality (unbounded or not) differs.
+    if (query.frameProp && eopts_.engine == EngineChoice::Race) {
+        result.engineRaced = true;
+        PdrOptions popts;
+        popts.bound = query.bound;
+        popts.limits = limits;
+        PdrResult pr = checkPdr(nl_, signals_, options_, query.seeds,
+                                query.frameProp, popts);
+        if (pr.verdict == Verdict::Proven) {
+            result.verdict = Verdict::Proven;
+            result.source = VerdictSource::Race;
+            result.engine = EngineKind::Pdr;
+            result.unbounded = pr.unbounded;
+            result.pdrFrames = pr.frames;
+            result.pdrObligations = pr.obligations;
+            result.conflicts = pr.conflicts;
+            result.propagations = pr.propagations;
+            result.cnfVars = pr.cnfVars;
+            result.cnfClauses = pr.cnfClauses;
+            result.seconds = timer.seconds();
+            fillCoiStats(query, result);
+            return result;
+        }
+        // The BMC solve gets limits of its own; the pre-pass may have
+        // spent part of the total deadline.
+        if (!attemptLimits(query, 0, limits, total_binding)) {
+            result.verdict = Verdict::Unknown;
+            result.source = interrupted() ? VerdictSource::Interrupted
+                                          : VerdictSource::TotalDeadline;
+            result.seconds = timer.seconds();
+            fillCoiStats(query, result);
+            return result;
+        }
+    }
+
     PropCtx &ctx = worker.contextFor(*this, query.bound);
     // If contextFor made this worker the seed builder, waiters are
-    // parked until the snapshot lands after CNF construction below;
-    // on any exit without publishing (property callback threw), hand
-    // the builder role back so they can proceed.
-    struct SeedGuard
+    // parked until the snapshot lands after CNF construction below.
+    // On any exit that skips the normal path (the property callback
+    // threw), hand the builder role back so they can proceed, and drop
+    // the context if it is left mid-query, so the worker's next query
+    // at this bound starts on a fresh context.
+    struct ExitGuard
     {
         Engine &engine;
         Worker &worker;
         unsigned bound;
-        ~SeedGuard() { engine.abandonSeed(worker, bound); }
-    } seed_guard{*this, worker, query.bound};
+        ~ExitGuard()
+        {
+            auto it = worker.contexts.find(bound);
+            if (it != worker.contexts.end() && it->second->inQuery())
+                worker.contexts.erase(it);
+            engine.abandonSeed(worker, bound);
+        }
+    } exit_guard{*this, worker, query.bound};
     sat::Solver &solver = ctx.solver();
     uint64_t conflicts_before = solver.stats().conflicts;
     uint64_t props_before = solver.stats().propagations;
@@ -1171,16 +1004,6 @@ Engine::runIncremental(Worker &worker, const Query &query)
     maybePublishSeed(worker, ctx, query.bound);
 
     bool race = eopts_.portfolio && eopts_.portfolioRacers >= 2;
-
-    // Proof-engine race: PDR and k-induction challengers start once,
-    // before the attempt loop, and run across every retry. A winning
-    // challenger interrupts this worker's incumbent solver.
-    std::unique_ptr<ProofRace> proof_race;
-    if (query.frameProp && eopts_.engine == EngineChoice::Race) {
-        proof_race = std::make_unique<ProofRace>(
-            nl_, signals_, options_, query, limits, &cancel_, &solver);
-        proof_race->start();
-    }
 
     // Attempt/retry loop on the shared context: a retry just re-solves
     // with bigger limits — the learnt clauses from the failed attempt
@@ -1211,8 +1034,6 @@ Engine::runIncremental(Worker &worker, const Query &query)
         }
         result.retries = attempt;
         refineSource(result, total_binding);
-        if (proof_race && proof_race->decided())
-            break; // a challenger's proof supersedes further retries
         if (!shouldRetry(result, attempt))
             break;
         attempt++;
@@ -1241,13 +1062,6 @@ Engine::runIncremental(Worker &worker, const Query &query)
     result.cnfClauses = static_cast<size_t>(solver.numClauses());
     result.cnfVarsAdded = result.cnfVars - vars_before;
     result.cnfClausesAdded = result.cnfClauses - clauses_before;
-    if (proof_race) {
-        proof_race->finish();
-        // A challenger's interrupt poke is sticky; this context is
-        // long-lived and must not carry it into the next query.
-        solver.clearInterrupt();
-        proof_race->merge(result);
-    }
     fillCoiStats(query, result);
     ctx.endQuery();
     return result;
@@ -1328,70 +1142,60 @@ Engine::drain()
         stats_.inprocessClausesRemoved += r.inprocessClausesRemoved;
     };
 
-    // Single-engine diagnostic modes (--engine pdr / --engine kind)
-    // replace BMC entirely for queries that provide the frame-local
-    // property form; queries without it always fall back to BMC.
-    auto proofOnly = [this](const Query &q) {
-        return q.frameProp &&
-               (eopts_.engine == EngineChoice::Pdr ||
-                eopts_.engine == EngineChoice::KInduction);
+    // Worker contexts live for this batch only: a context accumulates
+    // every query's CNF and learnt clauses, so keeping it across
+    // batches would grow memory without bound. Seeds published at
+    // jobs > 1 stay and warm-start the next batch's contexts.
+    std::vector<std::unique_ptr<Worker>> workers;
+    for (unsigned w = 0; w < jobs_; w++)
+        workers.push_back(std::make_unique<Worker>());
+
+    std::vector<std::exception_ptr> errors(batch.size());
+    auto serve = [&](size_t i, Worker &worker) {
+        try {
+            // Single-engine diagnostic modes (--engine pdr / --engine
+            // kind) replace BMC entirely for queries that provide the
+            // frame-local property form; queries without it always
+            // run BMC.
+            bool proof_only = batch[i].frameProp &&
+                              (eopts_.engine == EngineChoice::Pdr ||
+                               eopts_.engine == EngineChoice::KInduction);
+            results[i] = proof_only ? runProofEngine(batch[i])
+                                    : runIncremental(worker, batch[i]);
+            postProcess(i, batch[i], results[i]);
+        } catch (...) {
+            errors[i] = std::current_exception();
+        }
     };
 
     if (jobs_ == 1) {
-        // Reference path: fresh solver + unroller per query, exactly
-        // the classic checkProperty() behavior.
+        // One worker on the calling thread, in enqueue order: verdicts
+        // and per-query solver counts repeat exactly run to run.
+        for (size_t i = 0; i < batch.size(); i++)
+            if (!done[i])
+                serve(i, *workers[0]);
+    } else {
+        // The netlist's lazy topological order is computed by the
+        // first caller and cached in a mutable member; force it here,
+        // once, on this thread, so the pool workers only ever read it.
+        nl_.validate();
+        if (!pool_)
+            pool_ = std::make_unique<ThreadPool>(jobs_);
         for (size_t i = 0; i < batch.size(); i++) {
             if (done[i])
                 continue;
-            results[i] = proofOnly(batch[i])
-                             ? runProofEngine(batch[i])
-                             : runFresh(batch[i]);
-            postProcess(i, batch[i], results[i]);
-            stats_.contexts++;
+            pool_->submit([&serve, &workers, i](unsigned w) {
+                serve(i, *workers[w]);
+            });
         }
-        for (const CheckResult &r : results)
-            accumulate(r);
-        return results;
+        pool_->wait();
+        stats_.steals = pool_->steals();
     }
 
-    // The netlist's lazy topological order is computed by the first
-    // caller and cached in a mutable member; force it here, once, on
-    // this thread, so the workers only ever read it.
-    nl_.validate();
-
-    if (!pool_) {
-        pool_ = std::make_unique<ThreadPool>(jobs_);
-        workers_.clear();
-        for (unsigned w = 0; w < jobs_; w++)
-            workers_.push_back(std::make_unique<Worker>());
-    }
-
-    std::vector<std::exception_ptr> errors(batch.size());
-    for (size_t i = 0; i < batch.size(); i++) {
-        if (done[i])
-            continue;
-        pool_->submit([this, &batch, &results, &errors, i,
-                       &proofOnly](unsigned w) {
-            try {
-                results[i] = proofOnly(batch[i])
-                                 ? runProofEngine(batch[i])
-                                 : runIncremental(*workers_[w],
-                                                  batch[i]);
-                postProcess(i, batch[i], results[i]);
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
-        });
-    }
-    pool_->wait();
-
-    stats_.contexts = 0;
-    stats_.contextsSeeded = 0;
-    for (const auto &w : workers_) {
+    for (const auto &w : workers) {
         stats_.contexts += w->contexts_built;
         stats_.contextsSeeded += w->contexts_seeded;
     }
-    stats_.steals = pool_->steals();
     for (const CheckResult &r : results)
         accumulate(r);
 

@@ -18,9 +18,13 @@
  *    clauses carry over between queries for free.
  *
  * Results come back in enqueue order regardless of completion order,
- * so callers see deterministic output. jobs=1 falls back to the
- * classic sequential path (a fresh solver per query), which is the
- * reference behavior the parallel path must match verdict-for-verdict.
+ * so callers see deterministic output. jobs=1 is the same path with
+ * one worker, run on the calling thread in enqueue order, so its
+ * verdicts and solver counts repeat exactly from run to run. Worker
+ * contexts live for one drain(); at jobs > 1 the warm-start seeds
+ * they publish stay for the engine's lifetime. The fresh-context
+ * oracle (checkProperty) remains for quarantine and --validate
+ * re-checks.
  */
 
 #ifndef R2U_BMC_ENGINE_HH
@@ -73,12 +77,12 @@ enum class SolveStage : uint8_t { Primary, Quarantine };
  *  - KInduction: k-induction only (base case supplies the bounded
  *    verdict; a closed step upgrades it to unbounded).
  *  - Pdr: IC3/PDR only (see bmc/pdr.hh).
- *  - Race: per query, PDR and k-induction race the incumbent BMC
- *    solve; the first definitive verdict wins and interrupts the
- *    others. Challengers only ever win with Proven-class verdicts —
- *    refutations are always materialized by BMC, which owns trace
- *    fidelity — so the synthesized model stays bit-identical to
- *    --engine bmc at any jobs count.
+ *  - Race: per query, a sequential IC3/PDR pre-pass on the worker's
+ *    thread, within the query's bound and limits. A PDR Proven
+ *    answers the query; anything else falls through to the
+ *    incremental BMC solve, which owns every refutation and trace —
+ *    so the synthesized model stays bit-identical to --engine bmc at
+ *    any jobs count.
  * Queries without frameProp always run plain BMC.
  */
 enum class EngineChoice : uint8_t { Bmc, KInduction, Pdr, Race };
@@ -154,7 +158,7 @@ struct EngineOptions
     std::function<void(const Query &, CheckResult &, SolveStage)>
         faultHook;
 
-    // --- SAT portfolio (parallel incremental path only) ---
+    // --- SAT portfolio ---
     /**
      * Race each query across diversified solver configurations: the
      * worker's incumbent incremental context plus portfolioRacers-1
@@ -163,8 +167,7 @@ struct EngineOptions
      * first definitive verdict wins and interrupts the rest.
      * Verdicts are race-independent — every racer decides the same
      * formula — so the synthesized model stays bit-identical at any
-     * jobs count whether or not the portfolio is on. Ignored on the
-     * jobs=1 reference path.
+     * jobs count whether or not the portfolio is on.
      */
     bool portfolio = false;
     /** Total racers per query (incumbent + challengers), min 2. */
@@ -193,9 +196,9 @@ struct EngineOptions
 
     /**
      * Proof-engine selection for frame-local queries (see
-     * EngineChoice). The default races IC3/PDR and k-induction against
-     * the incumbent BMC solve, harvesting unbounded proofs when the
-     * challengers converge first.
+     * EngineChoice). The default runs the IC3/PDR pre-pass ahead of
+     * the incremental BMC solve, harvesting unbounded proofs when PDR
+     * converges.
      */
     EngineChoice engine = EngineChoice::Race;
 };
@@ -255,7 +258,10 @@ struct Query
 struct EngineStats
 {
     uint64_t queries = 0;
-    /** Incremental contexts built (== transition-relation unrolls). */
+    /**
+     * Incremental contexts built (== transition-relation unrolls): at
+     * most one per worker per bound per drain().
+     */
     uint64_t contexts = 0;
     /**
      * Contexts warm-started from a sibling's bit-blasted CNF
@@ -319,8 +325,8 @@ struct EngineStats
     /** Clauses removed by those passes. */
     uint64_t inprocessClausesRemoved = 0;
 
-    // --- proof-engine race (see EngineChoice) ---
-    /** Queries that raced PDR/k-induction against BMC. */
+    // --- proof engines (see EngineChoice) ---
+    /** Queries that ran the PDR pre-pass (EngineChoice::Race). */
     uint64_t engineRaces = 0;
     /** Verdicts produced by plain BMC (incumbent or only engine). */
     uint64_t bmcWins = 0;
@@ -379,18 +385,24 @@ class Engine
 
     /**
      * Evaluate every pending query and return their results in
-     * enqueue order. The batch is cleared; the engine (pool, worker
-     * contexts, learnt clauses) stays warm for the next batch. If a
-     * property callback threw, the first exception (in enqueue order)
-     * is rethrown after the batch settles.
+     * enqueue order. The batch is cleared; the pool and any published
+     * warm-start seeds stay for the next batch, the worker contexts
+     * (and their learnt clauses) do not. If a property callback threw,
+     * the first exception (in enqueue order) is rethrown after the
+     * batch settles.
      */
     std::vector<CheckResult> drain();
 
   private:
     struct Worker;
 
+    /**
+     * One query on @p worker's incremental context for its bound, after
+     * the PDR pre-pass when EngineOptions::engine is Race. A property
+     * callback that throws leaves the context mid-query; it is dropped
+     * before the exception propagates.
+     */
     CheckResult runIncremental(Worker &worker, const Query &query);
-    CheckResult runFresh(const Query &query);
     /**
      * Single-engine KInduction/Pdr path for a frame-local query
      * (EngineOptions::engine). PDR refutations are concretized through
@@ -464,13 +476,14 @@ class Engine
     bool shouldRetry(const CheckResult &result, unsigned attempt) const;
 
     /**
-     * Warm-start seed registry: the first worker to build a context
-     * for a bound publishes an immutable snapshot of it right after
-     * its first query's CNF construction; workers arriving later
-     * clone the snapshot (PropCtx::seedFrom) instead of bit-blasting
-     * the transition relation again. `building` marks the designated
-     * builder so latecomers wait on seed_cv_ for the snapshot rather
-     * than redundantly encoding in parallel.
+     * Warm-start seed registry (jobs > 1): the first worker to build
+     * a context for a bound publishes an immutable snapshot of it
+     * right after its first query's CNF construction; workers arriving
+     * later — in this batch or a later one — clone the snapshot
+     * (PropCtx::seedFrom) instead of bit-blasting the transition
+     * relation again. `building` marks the designated builder so
+     * latecomers wait on seed_cv_ for the snapshot rather than
+     * redundantly encoding in parallel.
      */
     struct SeedSlot
     {
@@ -497,7 +510,7 @@ class Engine
     std::chrono::steady_clock::time_point total_deadline_;
 
     std::vector<Query> batch_;
-    std::vector<std::unique_ptr<Worker>> workers_;
+    /** Created on the first drain() at jobs > 1. */
     std::unique_ptr<ThreadPool> pool_;
     EngineStats stats_;
 

@@ -252,11 +252,6 @@ Pdr::stopRequested()
         stop_source_ = VerdictSource::Interrupted;
         return true;
     }
-    if (popts_.cancel2 &&
-        popts_.cancel2->load(std::memory_order_relaxed)) {
-        stop_source_ = VerdictSource::Interrupted;
-        return true;
-    }
     return false;
 }
 

@@ -14,10 +14,10 @@
  * and learned as frame clauses. When consecutive frames converge
  * (F_i == F_{i+1}) the fixpoint is an inductive invariant and the
  * property is proven for *every* bound — the unbounded verdicts the
- * engine's race exploits (see EngineOptions::engine).
+ * engine's pre-pass harvests (see EngineOptions::engine).
  *
  * Verdict semantics are aligned with BMC at PdrOptions::bound so the
- * race stays bit-identical on the synthesized model:
+ * synthesized model stays bit-identical to plain BMC:
  *  - a counterexample whose bad frame is < bound  -> Refuted
  *    (exactly the executions BMC at that bound searches);
  *  - convergence at any level                      -> Proven, unbounded;
@@ -57,15 +57,8 @@ struct PdrOptions
      * cleared yields a bounded Proven verdict.
      */
     unsigned maxFrames = 0;
-    /** Budgets, deadline, and primary cancellation flag. */
+    /** Budgets, deadline, and cancellation flag. */
     SolveLimits limits;
-    /**
-     * Optional second stop flag (the engine-wide interrupt), polled
-     * between solver calls. The race path points limits.cancel at the
-     * per-race stop flag, so engine-wide cancellation still needs a
-     * lane of its own.
-     */
-    const std::atomic<bool> *cancel2 = nullptr;
 };
 
 struct PdrResult

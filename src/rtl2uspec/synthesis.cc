@@ -512,7 +512,7 @@ class Synthesizer
         q.prop = std::move(prop);
         // Strictly frame-local form of the same property (prop must be
         // the OR of frame_prop over every frame of the bound): enables
-        // the IC3/PDR + k-induction challengers on this query.
+        // the IC3/PDR pre-pass and the --engine pdr/kind paths.
         q.frameProp = std::move(frame_prop);
         q.seeds = base_seeds_;
         q.seeds.cells.insert(q.seeds.cells.end(), extra.cells.begin(),

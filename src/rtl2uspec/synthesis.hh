@@ -126,16 +126,16 @@ struct SynthesisOptions
      * Race each SVA query across portfolioRacers diversified solver
      * configurations; first definitive verdict wins and interrupts
      * the rest (--portfolio). Verdicts and the emitted model are
-     * identical to the single-config path. Ignored on jobs == 1.
+     * identical to the single-config path, at any jobs value.
      */
     bool portfolio = false;
     /** Solver configs per race (incumbent + N-1 challengers). */
     unsigned portfolioRacers = 3;
     /**
      * Proof-engine selection (--engine {bmc,kind,pdr,race}). The
-     * default races IC3/PDR and k-induction challengers against the
-     * incremental BMC solve of every frame-local query; the first
-     * definitive verdict wins and interrupts the others. Verdicts —
+     * default runs an IC3/PDR pre-pass ahead of the incremental BMC
+     * solve of every frame-local query: a PDR proof answers the
+     * query, anything else falls through to BMC. Verdicts —
      * and therefore the emitted model — are identical across engines
      * at the metadata bound; race/pdr/kind can additionally return
      * *unbounded* proofs (recorded in the report and reusable at any
@@ -274,10 +274,10 @@ struct SynthesisResult
     /** Races a challenger config won (vs. the incumbent). */
     uint64_t portfolioChallengerWins = 0;
 
-    // --- proof-engine race accounting (run level) ---
+    // --- proof-engine accounting (run level) ---
     /** Resolved --engine mode ("bmc", "kind", "pdr", "race"). */
     std::string engineMode = "race";
-    /** Queries where PDR + k-induction raced the BMC solve. */
+    /** Queries that ran the PDR pre-pass (--engine race). */
     uint64_t engineRaces = 0;
     /** Definite verdicts per winning engine (solved this run). */
     uint64_t bmcWins = 0;

@@ -635,15 +635,10 @@ Solver::simplifyDB()
     stats_.simplifyClausesRemoved += removed;
     stats_.simplifyLitsRemoved += lits_removed;
 
-    // Drop tombstoned learnts, reclaim the arena space (reason crefs
-    // were forgotten above, and the watch lists are about to be
-    // rebuilt, so this is the one point where remapping is free),
-    // then rebuild every watch list.
-    size_t j = 0;
-    for (int cref : learnts_)
-        if (!clause(cref).deleted())
-            learnts_[j++] = cref;
-    learnts_.resize(j);
+    // Reclaim the tombstones' arena space (reason crefs were forgotten
+    // above, and the watch lists are about to be rebuilt, so this is
+    // the one point where remapping is free), then rebuild every watch
+    // list.
     garbageCollect();
     for (auto &ws : watches_)
         ws.clear();
@@ -661,24 +656,31 @@ Solver::simplifyDB()
 void
 Solver::garbageCollect()
 {
-    std::vector<uint32_t> to;
-    to.reserve(arena_.size());
-    size_t out = 0;
-    for (size_t i = 0; i < crefs_.size(); i++) {
-        Clause c = clause(crefs_[i]);
+    // Slide every live clause down over the tombstones, inside arena_
+    // itself. crefs_ is in allocation order, i.e. ascending offsets, so
+    // a clause only ever moves to an offset at or below its own and
+    // never onto a clause not yet visited. learnts_ is rebuilt from the
+    // learnt flag in the same pass; its order does not affect the
+    // search, because reduceDB() ranks victims totally (activity, then
+    // cref) and relative cref order survives the slide.
+    learnts_.clear();
+    size_t out = 0, kept = 0;
+    for (int cref : crefs_) {
+        Clause c = clause(cref);
         if (c.deleted())
             continue;
-        int ncref = static_cast<int>(to.size());
-        to.insert(to.end(), c.p, c.p + kClauseHeader + c.size());
-        // Forwarding address for learnts_ remapping, stashed in the
-        // dead clause's lbd slot.
-        c.p[1] = static_cast<uint32_t>(ncref);
-        crefs_[out++] = ncref;
+        bool learnt = c.learnt();
+        size_t words = kClauseHeader + c.size();
+        if (out != static_cast<size_t>(cref))
+            std::memmove(arena_.data() + out, c.p,
+                         words * sizeof(uint32_t));
+        crefs_[kept++] = static_cast<int>(out);
+        if (learnt)
+            learnts_.push_back(static_cast<int>(out));
+        out += words;
     }
-    crefs_.resize(out);
-    for (int &cref : learnts_)
-        cref = static_cast<int>(arena_[static_cast<size_t>(cref) + 1]);
-    arena_ = std::move(to);
+    crefs_.resize(kept);
+    arena_.resize(out);
 }
 
 int64_t

@@ -384,6 +384,9 @@ class Solver
     bool okay() const { return ok_; }
 
   private:
+    /** White-box arena checks (tests/test_sat.cc). */
+    friend struct SolverTestPeer;
+
     // --- clause arena ---
     // Every clause lives in one flat word buffer (arena_); a clause
     // reference (cref) is the word offset of its header:
@@ -396,8 +399,8 @@ class Solver
     // (one line fetch for short clauses), and lets cloneFrom() copy
     // the whole database as a single flat memcpy. Deleted clauses are
     // tombstoned in place and reclaimed when simplifyDB() compacts
-    // the arena (it rebuilds all watch lists anyway, so remapping
-    // crefs there is free).
+    // the arena in place (it rebuilds all watch lists anyway, so
+    // remapping crefs there is free).
     static constexpr uint32_t kClauseHeader = 3;
     static constexpr uint32_t kFlagLearnt = 1;
     static constexpr uint32_t kFlagDeleted = 2;
@@ -480,8 +483,8 @@ class Solver
                           static_cast<uint32_t>(lits.size()));
     }
     void simplifyDB();
-    /** Compact the arena, dropping tombstones (level 0 only; callers
-     *  must rebuild watch lists — crefs are remapped). */
+    /** Compact the arena in place, dropping tombstones (level 0 only;
+     *  callers must rebuild watch lists — crefs are remapped). */
     void garbageCollect();
     /** Pool import at a restart point; false on level-0 conflict. */
     bool exchangeClauses();

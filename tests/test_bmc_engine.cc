@@ -1,11 +1,13 @@
 /**
  * @file
  * Tests for the parallel + incremental BMC query engine: on random
- * netlists, the incremental-under-assumptions path (jobs >= 2, shared
- * per-worker solver contexts) must agree query-for-query with the
- * fresh-solver sequential path (jobs = 1); and on the multi-V-scale,
- * a full parallel synthesis run must reproduce the sequential run's
- * SVA records and µspec model exactly.
+ * netlists, the incremental-under-assumptions path (shared per-worker
+ * solver contexts, at jobs = 1 and jobs > 1) must agree query-for-query
+ * with a fresh checkProperty() solve per query; on the multi-V-scale,
+ * a jobs-1 synthesis under full validation must reproduce the parallel
+ * run's SVA records and µspec model exactly and repeat its solver
+ * counts run to run; and a throwing property callback must surface
+ * from drain() without taking the engine down.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,8 @@
 #include "random_netlist.hh"
 #include "rtl2uspec/synthesis.hh"
 #include "sim/simulator.hh"
+#include "verilog/elaborate.hh"
+#include "verilog/parser.hh"
 #include "vscale/metadata.hh"
 #include "vscale/vscale.hh"
 
@@ -40,15 +44,13 @@ namespace
  * Build a batch of properties for a simulated random design: one
  * "probes cannot deviate from the interpreter" query per frame prefix
  * (all Proven) and one corrupted-expectation query per probe (all
- * Refuted). Returns the expected verdicts in enqueue order.
+ * Refuted). Returns the queries with their expected verdicts.
  */
-std::vector<bmc::Verdict>
-enqueueQueries(bmc::Engine &engine, const RandomDesign &d,
-               const std::vector<std::vector<Bits>> &stim,
-               const std::vector<std::vector<Bits>> &expect,
-               unsigned frames)
+std::vector<std::pair<bmc::Query, bmc::Verdict>>
+makeQueries(const RandomDesign &d, const std::vector<std::vector<Bits>> &stim,
+            const std::vector<std::vector<Bits>> &expect, unsigned frames)
 {
-    std::vector<bmc::Verdict> want;
+    std::vector<std::pair<bmc::Query, bmc::Verdict>> out;
     auto pin_inputs = [&d, &stim](bmc::PropCtx &ctx, unsigned upto) {
         auto &cnf = ctx.cnf();
         for (unsigned f = 0; f < upto; f++)
@@ -73,8 +75,7 @@ enqueueQueries(bmc::Engine &engine, const RandomDesign &d,
                                  cnf.constWord(expect[f][i])));
             return bad;
         };
-        engine.enqueue(std::move(q));
-        want.push_back(bmc::Verdict::Proven);
+        out.emplace_back(std::move(q), bmc::Verdict::Proven);
     }
 
     for (size_t p = 0; p < d.probes.size(); p++) {
@@ -88,10 +89,9 @@ enqueueQueries(bmc::Engine &engine, const RandomDesign &d,
                 ctx.unroller().wire(frames - 1, d.probes[p]),
                 cnf.constWord(wrong));
         };
-        engine.enqueue(std::move(q));
-        want.push_back(bmc::Verdict::Refuted);
+        out.emplace_back(std::move(q), bmc::Verdict::Refuted);
     }
-    return want;
+    return out;
 }
 
 } // namespace
@@ -121,45 +121,49 @@ TEST_P(EngineRandomTest, IncrementalMatchesFresh)
     }
 
     std::unordered_map<std::string, nl::CellId> empty_map;
+    auto queries = makeQueries(d, stim, expect, kFrames);
 
-    bmc::EngineOptions seq_opts;
-    seq_opts.jobs = 1;
-    bmc::Engine sequential(d.netlist, empty_map, {}, kFrames, seq_opts);
+    // The independent reference: one fresh solver per query.
+    for (size_t i = 0; i < queries.size(); i++) {
+        bmc::CheckResult ref =
+            bmc::checkProperty(d.netlist, empty_map, {}, kFrames,
+                               queries[i].first.prop);
+        ASSERT_EQ(ref.verdict, queries[i].second) << "query " << i;
+    }
 
-    bmc::EngineOptions par_opts;
-    par_opts.jobs = 3;
-    bmc::Engine parallel(d.netlist, empty_map, {}, kFrames, par_opts);
-    EXPECT_EQ(parallel.jobs(), 3u);
-
-    auto want = enqueueQueries(sequential, d, stim, expect, kFrames);
-    auto want2 = enqueueQueries(parallel, d, stim, expect, kFrames);
-    ASSERT_EQ(want, want2);
-
-    auto seq_results = sequential.drain();
-    auto par_results = parallel.drain();
-    ASSERT_EQ(seq_results.size(), want.size());
-    ASSERT_EQ(par_results.size(), want.size());
-    for (size_t i = 0; i < want.size(); i++) {
-        EXPECT_EQ(seq_results[i].verdict, want[i]) << "query " << i;
-        EXPECT_EQ(par_results[i].verdict, want[i]) << "query " << i;
-        if (want[i] == bmc::Verdict::Refuted) {
-            EXPECT_FALSE(seq_results[i].trace.toString().empty());
-            EXPECT_FALSE(par_results[i].trace.toString().empty());
+    for (unsigned jobs : {1u, 3u}) {
+        bmc::EngineOptions opts;
+        opts.jobs = jobs;
+        bmc::Engine engine(d.netlist, empty_map, {}, kFrames, opts);
+        EXPECT_EQ(engine.jobs(), jobs);
+        // Two batches: the second runs on contexts warm-started from
+        // the seed the first one published.
+        for (int batch = 0; batch < 2; batch++) {
+            for (const auto &entry : queries)
+                engine.enqueue(entry.first);
+            auto results = engine.drain();
+            ASSERT_EQ(results.size(), queries.size());
+            for (size_t i = 0; i < queries.size(); i++) {
+                EXPECT_EQ(results[i].verdict, queries[i].second)
+                    << "jobs " << jobs << " batch " << batch
+                    << " query " << i;
+                if (queries[i].second == bmc::Verdict::Refuted) {
+                    EXPECT_FALSE(results[i].trace.toString().empty());
+                }
+            }
+        }
+        EXPECT_EQ(engine.stats().queries, 2 * queries.size());
+        // Contexts are shared across a batch's queries and live for
+        // one batch: at most one per worker per batch here (single
+        // bound), never one per query — exactly one per batch at
+        // jobs 1, where no seed is published.
+        EXPECT_GE(engine.stats().contexts, 2u);
+        EXPECT_LE(engine.stats().contexts, 2u * jobs);
+        if (jobs == 1) {
+            EXPECT_EQ(engine.stats().contexts, 2u);
+            EXPECT_EQ(engine.stats().contextsSeeded, 0u);
         }
     }
-    // The parallel engine shares unroll contexts: at most one per
-    // worker here (single bound), never one per query.
-    EXPECT_GE(parallel.stats().contexts, 1u);
-    EXPECT_LE(parallel.stats().contexts, 3u);
-    EXPECT_EQ(parallel.stats().queries, want.size());
-
-    // A second batch on the warm engine must behave identically.
-    auto want3 = enqueueQueries(parallel, d, stim, expect, kFrames);
-    auto warm_results = parallel.drain();
-    ASSERT_EQ(warm_results.size(), want3.size());
-    for (size_t i = 0; i < want3.size(); i++)
-        EXPECT_EQ(warm_results[i].verdict, want3[i]) << "query " << i;
-    EXPECT_LE(parallel.stats().contexts, 3u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineRandomTest,
@@ -226,20 +230,68 @@ expectSameSynthesis(const rtl2uspec::SynthesisResult &a,
 
 } // namespace
 
+/** Synthesis drains its SVAs in five batches: membership, progress,
+ *  attribution, and two inter-instruction rounds. */
+constexpr uint64_t kSynthesisBatches = 5;
+
 TEST(BmcEngine, VscaleParallelSynthesisMatchesSequential)
 {
-    rtl2uspec::SynthesisResult seq = synthesizeAt(1);
+    // jobs 1 no longer solves each query in a fresh context, so it is
+    // not an independent reference by itself: full validation re-solves
+    // every Proven verdict in a fresh context and replays every
+    // counterexample through the simulator, and none may disagree.
+    auto design = vscale::elaborateVscale(formalConfig());
+    auto md = vscale::vscaleMetadata(formalConfig());
+    rtl2uspec::SynthesisOptions opts;
+    opts.jobs = 1;
+    opts.validate = bmc::ValidateMode::Full;
+    rtl2uspec::SynthesisResult seq = rtl2uspec::synthesize(design, md, opts);
     rtl2uspec::SynthesisResult par = synthesizeAt(4);
 
     EXPECT_EQ(seq.jobs, 1u);
     EXPECT_EQ(par.jobs, 4u);
-    // Sequential: one fresh unroll per SVA. Parallel: one context per
-    // worker, shared across its queries.
-    EXPECT_EQ(seq.unrollContexts, seq.svas.size());
+    EXPECT_EQ(seq.unknownSvas, 0u);
+    EXPECT_EQ(seq.validationMismatches, 0u);
+    EXPECT_EQ(seq.validationFailures, 0u);
+    EXPECT_GT(seq.proofRechecks, 0u);
+    for (const auto &sva : seq.svas) {
+        if (sva.verdict == bmc::Verdict::Refuted) {
+            EXPECT_TRUE(sva.validated) << sva.name;
+        }
+    }
+
+    // One context per bound per batch, shared by the batch's queries:
+    // at jobs 1 (one bound) at most one per batch, each encoded from
+    // the netlist; at jobs 4 at most one per worker per batch.
+    EXPECT_GE(seq.unrollContexts, 1u);
+    EXPECT_LE(seq.unrollContexts, kSynthesisBatches);
+    EXPECT_EQ(seq.contextsSeeded, 0u);
     EXPECT_GE(par.unrollContexts, 1u);
-    EXPECT_LE(par.unrollContexts, 4u);
+    EXPECT_LE(par.unrollContexts, 4 * kSynthesisBatches);
 
     expectSameSynthesis(seq, par);
+}
+
+/**
+ * jobs 1 runs its queries in enqueue order on the calling thread, one
+ * context per batch: the per-SVA solver work must repeat exactly.
+ */
+TEST(BmcEngine, VscaleJobs1SolverCountsRepeat)
+{
+    rtl2uspec::SynthesisResult a = synthesizeAt(1);
+    rtl2uspec::SynthesisResult b = synthesizeAt(1);
+    ASSERT_EQ(a.svas.size(), b.svas.size());
+    uint64_t conflicts = 0;
+    for (size_t i = 0; i < a.svas.size(); i++) {
+        EXPECT_EQ(a.svas[i].conflicts, b.svas[i].conflicts)
+            << a.svas[i].name;
+        EXPECT_EQ(a.svas[i].propagations, b.svas[i].propagations)
+            << a.svas[i].name;
+        conflicts += a.svas[i].conflicts;
+    }
+    EXPECT_GT(conflicts, 0u);
+    EXPECT_EQ(a.unrollContexts, b.unrollContexts);
+    EXPECT_EQ(a.model.print(), b.model.print());
 }
 
 namespace
@@ -279,6 +331,82 @@ pigeonholeQuery(const std::string &name, int pigeons, int holes)
 }
 
 } // namespace
+
+namespace
+{
+
+const char *kCounter = R"(
+    module top (input clk, input en, output wire [3:0] out);
+        reg [3:0] q;
+        always @(posedge clk) begin
+            if (en)
+                q <= q + 4'd1;
+        end
+        assign out = q;
+    endmodule
+)";
+
+/** bad: the counter holds @p value at some frame of the bound. It gets
+ *  there at frame @p value at the earliest (en free). */
+bmc::Query
+counterReaches(uint64_t value)
+{
+    bmc::Query q;
+    q.name = "reach_" + std::to_string(value);
+    q.prop = [value](bmc::PropCtx &ctx) {
+        sat::Lit bad = ctx.cnf().falseLit();
+        for (unsigned f = 0; f < ctx.bound(); f++)
+            bad = ctx.cnf().mkOr(bad, ctx.eqConst(f, "q", value));
+        return bad;
+    };
+    return q;
+}
+
+} // namespace
+
+/**
+ * A property callback that throws (here PropCtx::cellOf's fatal() on a
+ * signal the design lacks) leaves its worker's context mid-query. The
+ * engine must drop that context, finish the rest of the batch, rethrow
+ * from drain() — and stay usable: the next drain() on the same engine
+ * answers every query right.
+ */
+TEST(BmcEngine, ThrowingPropertySurfacesFromDrain)
+{
+    vlog::Design src = vlog::parseString(kCounter, "counter.v");
+    vlog::ElabOptions eo;
+    eo.top = "top";
+    vlog::ElabResult r = vlog::elaborate(src, eo);
+    const unsigned kBound = 6; // values 0..5 reachable, 6 not yet
+
+    for (unsigned jobs : {1u, 2u}) {
+        bmc::EngineOptions opts;
+        opts.jobs = jobs;
+        bmc::Engine engine(*r.netlist, r.signalMap, {}, kBound, opts);
+        for (uint64_t v = 0; v <= 6; v++) {
+            engine.enqueue(counterReaches(v));
+            if (v == 0) {
+                bmc::Query bad;
+                bad.name = "unknown_signal";
+                bad.prop = [](bmc::PropCtx &ctx) {
+                    return ctx.eqConst(0, "no_such_signal", 1);
+                };
+                engine.enqueue(std::move(bad));
+            }
+        }
+        EXPECT_THROW(engine.drain(), FatalError) << "jobs " << jobs;
+
+        for (uint64_t v = 0; v <= 6; v++)
+            engine.enqueue(counterReaches(v));
+        auto results = engine.drain();
+        ASSERT_EQ(results.size(), 7u);
+        for (uint64_t v = 0; v <= 6; v++)
+            EXPECT_EQ(results[v].verdict, v < kBound
+                                              ? bmc::Verdict::Refuted
+                                              : bmc::Verdict::Proven)
+                << "jobs " << jobs << " value " << v;
+    }
+}
 
 TEST(BmcEngine, TightBudgetYieldsUnknownNotWrongVerdict)
 {

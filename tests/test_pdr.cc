@@ -1,12 +1,12 @@
 /**
  * @file
- * Tests for the IC3/PDR unbounded proof backend and the proof-engine
- * race: verdict identity with BMC at the same bound on toy FSMs and
- * random netlists (including known-reachable bugs), unbounded
- * convergence on inductive properties, counterexample lowering through
- * the plain BMC path (replayable via bmc::validate), race-win verdict
- * attribution, and race-vs-bmc synthesis identity on the
- * multi-V-scale.
+ * Tests for the IC3/PDR unbounded proof backend and the engine's PDR
+ * pre-pass (--engine race): verdict identity with BMC at the same
+ * bound on toy FSMs and random netlists (including known-reachable
+ * bugs), unbounded convergence on inductive properties,
+ * counterexample lowering through the plain BMC path (replayable via
+ * bmc::validate), pre-pass verdict attribution and fall-through to
+ * BMC, and race-vs-bmc synthesis identity on the multi-V-scale.
  */
 
 #include <gtest/gtest.h>
@@ -207,9 +207,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PdrRandomTest,
 namespace
 {
 
-/** Deterministically hard UNSAT pigeonhole over rigid bits: keeps the
- *  incumbent BMC solver busy long enough that a proof challenger
- *  always wins the race. */
+/** Deterministically hard UNSAT pigeonhole over rigid bits: what the
+ *  BMC solve would have to decide if the PDR pre-pass did not. */
 Query
 hardProvenQuery(const std::string &name, int pigeons, int holes)
 {
@@ -235,8 +234,8 @@ hardProvenQuery(const std::string &name, int pigeons, int holes)
                     ctx.assume(cnf.mkOr(~p[i1][j], ~p[i2][j]));
         return cnf.trueLit(); // UNSAT under assumptions => Proven
     };
-    // The frame-local form is trivially false — both challengers
-    // close it instantly (and the verdicts agree: Proven).
+    // The frame-local form is trivially false — PDR closes it
+    // instantly (and the verdicts agree: Proven).
     q.frameProp = [](PropCtx &ctx, unsigned) {
         return ctx.cnf().falseLit();
     };
@@ -246,35 +245,90 @@ hardProvenQuery(const std::string &name, int pigeons, int holes)
 } // namespace
 
 /**
- * Satellite 3 regression: when a proof challenger wins the race, the
- * result must name the winning engine (VerdictSource::Race + engine),
- * carry the *winner's* solver-work counters (not the interrupted
- * incumbent's partial work), and bump the per-engine win stats.
+ * When the PDR pre-pass proves a frame-local query, the result must
+ * name PDR (VerdictSource::Race + EngineKind::Pdr), carry PDR's own
+ * solver-work counters, and bump the per-engine win stats — and the
+ * BMC solve, here a hard pigeonhole, must never run: no incremental
+ * context is built at all.
  */
 TEST(PdrRace, ChallengerWinAttribution)
 {
     auto r = elab(kCounter, "top");
-    EngineOptions eopts;
-    eopts.jobs = 2; // incremental path: the winner interrupts the
-                    // incumbent's solver mid-flight
-    Engine engine(*r.netlist, r.signalMap, {}, /*bound=*/4, eopts);
-    engine.enqueue(hardProvenQuery("race_attrib", 10, 9));
-    auto results = engine.drain();
-    ASSERT_EQ(results.size(), 1u);
-    const CheckResult &res = results[0];
-    EXPECT_EQ(res.verdict, Verdict::Proven);
-    EXPECT_TRUE(res.engineRaced);
-    EXPECT_EQ(res.source, VerdictSource::Race);
-    EXPECT_NE(res.engine, EngineKind::Bmc);
-    EXPECT_TRUE(res.unbounded);
-    // Winner-only attribution: the trivially-false proof costs (near)
-    // nothing; the interrupted pigeonhole work must not be charged.
-    EXPECT_LT(res.conflicts, 10000u);
+    for (unsigned jobs : {1u, 2u}) {
+        EngineOptions eopts;
+        eopts.jobs = jobs;
+        Engine engine(*r.netlist, r.signalMap, {}, /*bound=*/4, eopts);
+        engine.enqueue(hardProvenQuery("race_attrib", 10, 9));
+        auto results = engine.drain();
+        ASSERT_EQ(results.size(), 1u);
+        const CheckResult &res = results[0];
+        EXPECT_EQ(res.verdict, Verdict::Proven) << "jobs " << jobs;
+        EXPECT_TRUE(res.engineRaced);
+        EXPECT_EQ(res.source, VerdictSource::Race);
+        EXPECT_EQ(res.engine, EngineKind::Pdr);
+        EXPECT_TRUE(res.unbounded);
+        // The trivially-false frame property costs (near) nothing; a
+        // pigeonhole solve would cost far more.
+        EXPECT_LT(res.conflicts, 10000u);
+        EXPECT_EQ(res.cnfVarsAdded, 0u);
 
-    EXPECT_EQ(engine.stats().engineRaces, 1u);
-    EXPECT_EQ(engine.stats().bmcWins, 0u);
-    EXPECT_EQ(engine.stats().kindWins + engine.stats().pdrWins, 1u);
-    EXPECT_EQ(engine.stats().unboundedProofs, 1u);
+        EXPECT_EQ(engine.stats().contexts, 0u);
+        EXPECT_EQ(engine.stats().engineRaces, 1u);
+        EXPECT_EQ(engine.stats().bmcWins, 0u);
+        EXPECT_EQ(engine.stats().kindWins, 0u);
+        EXPECT_EQ(engine.stats().pdrWins, 1u);
+        EXPECT_EQ(engine.stats().unboundedProofs, 1u);
+    }
+}
+
+/**
+ * A frame-local query PDR refutes is not answered by the pre-pass: it
+ * falls through to the incremental BMC solve, which refutes it with a
+ * trace of its own (engine Bmc) that replays through bmc::validate.
+ */
+TEST(PdrRace, PrePassRefutationFallsThroughToBmc)
+{
+    auto r = elab(kCounter, "top");
+    FramePropertyFn frame_bad = [](PropCtx &ctx, unsigned f) {
+        if (f == 0) {
+            ctx.pinInput("en", 1);
+            ctx.watch("q");
+        }
+        return ctx.eqConst(f, "q", 3);
+    };
+    PropertyFn prop = [frame_bad](PropCtx &ctx) {
+        Lit bad = ctx.cnf().falseLit();
+        for (unsigned f = 0; f < ctx.bound(); f++)
+            bad = ctx.cnf().mkOr(bad, frame_bad(ctx, f));
+        return bad;
+    };
+    ASSERT_EQ(pdrAt(r, 6, frame_bad).verdict, Verdict::Refuted);
+
+    for (unsigned jobs : {1u, 2u}) {
+        EngineOptions eopts;
+        eopts.jobs = jobs;
+        Engine engine(*r.netlist, r.signalMap, {}, /*bound=*/6, eopts);
+        Query q;
+        q.name = "prepass_cex";
+        q.prop = prop;
+        q.frameProp = frame_bad;
+        engine.enqueue(std::move(q));
+        auto results = engine.drain();
+        ASSERT_EQ(results.size(), 1u);
+        const CheckResult &res = results[0];
+        ASSERT_EQ(res.verdict, Verdict::Refuted) << "jobs " << jobs;
+        EXPECT_TRUE(res.engineRaced);
+        EXPECT_EQ(res.engine, EngineKind::Bmc);
+        EXPECT_EQ(res.source, VerdictSource::Solve);
+        EXPECT_FALSE(res.unbounded);
+        EXPECT_EQ(engine.stats().bmcWins, 1u);
+        EXPECT_EQ(engine.stats().pdrWins, 0u);
+        ASSERT_FALSE(res.trace.steps.empty());
+
+        ReplayResult replay =
+            replayTrace(*r.netlist, r.signalMap, {}, 6, prop, res.trace);
+        EXPECT_TRUE(replay.ok) << replay.note;
+    }
 }
 
 /**

@@ -2,8 +2,9 @@
  * @file
  * Tests for the CDCL SAT solver, including a randomized property test
  * that cross-checks solver verdicts against brute-force enumeration on
- * small formulas, and structured instances (pigeonhole, chains) that
- * exercise conflict analysis, restarts, and assumption handling.
+ * small formulas, structured instances (pigeonhole, chains) that
+ * exercise conflict analysis, restarts, and assumption handling, and
+ * white-box checks of the in-place clause-arena compaction.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +12,9 @@
 #include <atomic>
 #include <chrono>
 #include <random>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "sat/solver.hh"
 
@@ -455,3 +458,143 @@ TEST_P(SatRandomTest, AgreesWithBruteForce)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SatRandomTest, ::testing::Range(0, 5));
+
+namespace r2u::sat
+{
+
+/** White-box access to the clause arena (a friend of Solver). */
+struct SolverTestPeer
+{
+    static void simplify(Solver &s) { s.simplifyDB(); }
+
+    static const uint32_t *arenaData(const Solver &s)
+    {
+        return s.arena_.data();
+    }
+
+    static bool
+    crefsAscending(const Solver &s)
+    {
+        for (size_t i = 1; i < s.crefs_.size(); i++)
+            if (s.crefs_[i] <= s.crefs_[i - 1])
+                return false;
+        return true;
+    }
+
+    /**
+     * Right after a compaction: the arena is exactly the live clauses,
+     * back to back in crefs_ order, and learnts_ lists precisely the
+     * clauses whose header carries the learnt flag. Returns what is
+     * wrong, or "" when all of that holds.
+     */
+    static std::string
+    compactionProblem(const Solver &s)
+    {
+        size_t at = 0;
+        std::vector<int> learnts;
+        for (int cref : s.crefs_) {
+            if (static_cast<size_t>(cref) != at)
+                return "gap or overlap at cref " + std::to_string(cref);
+            const Solver::Clause c = s.clause(cref);
+            if (c.deleted())
+                return "tombstone at cref " + std::to_string(cref);
+            if (c.learnt())
+                learnts.push_back(cref);
+            at += Solver::kClauseHeader + c.size();
+        }
+        if (at != s.arena_.size())
+            return "arena holds " + std::to_string(s.arena_.size()) +
+                   " words, live clauses " + std::to_string(at);
+        if (learnts != s.learnts_)
+            return "learnts_ differs from the learnt-flagged clauses";
+        return "";
+    }
+};
+
+} // namespace r2u::sat
+
+/**
+ * The BMC engine's usage pattern on one long-lived solver: every round
+ * adds clauses guarded by a fresh activation literal, solves under it
+ * and retires it with a unit, so each round's clauses turn into
+ * level-0-satisfied tombstones. A tiny learnt cap and frequent
+ * inprocessing make reduceDB() and the in-search simplifyDB() run
+ * often too. Every verdict must match a fresh solver on the same
+ * formula, and every compaction must leave a tightly packed arena —
+ * slid in place, without reallocating — with learnts_ rebuilt from the
+ * learnt flag.
+ */
+TEST(Sat, InPlaceCompactionAcrossGuardedRounds)
+{
+    const int nvars = 40;
+    const int kRounds = 120;
+    std::mt19937 rng(2024);
+    auto randomClause = [&rng]() {
+        std::vector<Lit> c;
+        for (int k = 0; k < 3; k++)
+            c.push_back(mkLit(static_cast<Var>(rng() % nvars), rng() & 1));
+        return c;
+    };
+
+    SolverConfig cfg;
+    cfg.maxLearntsOverride = 20;
+    cfg.inprocessPeriod = 1;
+    cfg.lubyUnit = 8;
+    Solver s;
+    s.setConfig(cfg);
+    for (int i = 0; i < nvars; i++)
+        s.newVar();
+    std::vector<std::vector<Lit>> base;
+    for (int i = 0; i < 2 * nvars; i++) {
+        base.push_back(randomClause());
+        s.addClause(base.back());
+    }
+
+    int sat = 0, unsat = 0;
+    for (int round = 0; round < kRounds; round++) {
+        Var act = s.newVar();
+        std::vector<std::vector<Lit>> extra;
+        for (int i = 0; i < 2 * nvars + round % 60; i++) {
+            extra.push_back(randomClause());
+            std::vector<Lit> guarded = extra.back();
+            guarded.push_back(mkLit(act, true));
+            s.addClause(guarded);
+        }
+        Result got = s.solve({mkLit(act)});
+        ASSERT_TRUE(SolverTestPeer::crefsAscending(s)) << round;
+
+        Solver fresh;
+        for (int i = 0; i < nvars; i++)
+            fresh.newVar();
+        for (const auto &c : base)
+            fresh.addClause(c);
+        for (const auto &c : extra)
+            fresh.addClause(c);
+        ASSERT_EQ(got, fresh.solve()) << "round " << round;
+        if (got == Result::Sat) {
+            sat++;
+            for (const auto *set : {&base, &extra})
+                for (const auto &c : *set) {
+                    bool ok = false;
+                    for (Lit l : c)
+                        ok |= s.modelValue(l);
+                    ASSERT_TRUE(ok) << "round " << round;
+                }
+        } else {
+            unsat++;
+        }
+
+        s.addClause(mkLit(act, true)); // retire the round
+        const uint32_t *before = SolverTestPeer::arenaData(s);
+        SolverTestPeer::simplify(s);
+        EXPECT_EQ(SolverTestPeer::arenaData(s), before) << round;
+        ASSERT_EQ(SolverTestPeer::compactionProblem(s), "")
+            << "round " << round;
+    }
+    // The fixture must exercise both verdicts, evictions and the
+    // in-search compactions, not just the ones called here.
+    EXPECT_GT(sat, 0);
+    EXPECT_GT(unsat, 0);
+    EXPECT_GT(s.stats().removedClauses, 0u);
+    EXPECT_GT(s.stats().simplifyRuns, static_cast<uint64_t>(kRounds));
+}

@@ -441,9 +441,9 @@ TEST(VerdictCache, EngineReplayAndPartialInvalidation)
         EXPECT_EQ(engine.stats().cacheMisses, 2u);
         EXPECT_EQ(engine.stats().cacheInvalidations, 2u);
         EXPECT_EQ(engine.stats().cacheAppends, 2u);
-        // Sequential mode builds one fresh unroll per solved query —
-        // exactly the edited cone's two.
-        EXPECT_EQ(engine.stats().contexts, 2u);
+        // One incremental context per bound per batch: the edited
+        // cone's two re-solved queries share a single unroll.
+        EXPECT_EQ(engine.stats().contexts, 1u);
     }
 }
 

@@ -67,7 +67,7 @@ usage()
         "                  DOT files into DIR\n"
         "  --bound N       override the BMC bound from the metadata\n"
         "  --jobs N        SVA-evaluation workers (default: hardware\n"
-        "                  concurrency; 1 = classic sequential path)\n"
+        "                  concurrency; 1 = one worker, in order)\n"
         "  --full-unroll   disable cone-of-influence slicing: bit-blast\n"
         "                  the whole design per unroll (same verdicts,\n"
         "                  bigger CNFs; for differential testing)\n"
@@ -81,13 +81,13 @@ usage()
         "  --max-retries N cap on escalated retries per SVA "
         "(default 3)\n"
         "  --engine E      proof engine per SVA query: bmc | kind |\n"
-        "                  pdr | race (default race: PDR and\n"
-        "                  k-induction race the incremental BMC solve;\n"
-        "                  first definitive verdict wins and\n"
-        "                  interrupts the rest. Verdicts and the\n"
+        "                  pdr | race (default race: a PDR pre-pass\n"
+        "                  ahead of the incremental BMC solve; a PDR\n"
+        "                  proof answers the query, anything else\n"
+        "                  falls through to BMC. Verdicts and the\n"
         "                  emitted model are identical to --engine\n"
-        "                  bmc; the challengers can additionally close\n"
-        "                  proofs as unbounded)\n"
+        "                  bmc; PDR can additionally close proofs\n"
+        "                  as unbounded)\n"
         "  --portfolio[=N] race each SVA query across N diversified\n"
         "                  solver configurations (default 3); first\n"
         "                  definitive verdict wins and interrupts the\n"
