@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
@@ -60,12 +61,14 @@ microopsOf(const litmus::Test &test)
 namespace
 {
 
-uint64_t
+/** n!, or nullopt when it does not fit in 64 bits. */
+std::optional<uint64_t>
 factorial(size_t n)
 {
     uint64_t f = 1;
     for (size_t i = 2; i <= n; i++)
-        f *= i;
+        if (__builtin_mul_overflow(f, i, &f))
+            return std::nullopt;
     return f;
 }
 
@@ -74,6 +77,16 @@ factorial(size_t n)
 ExecutionSpace::ExecutionSpace(const litmus::Test &test)
     : ops_(microopsOf(test))
 {
+    // The candidate count must fit in 64 bits: a wrapped product
+    // would silently check a fraction of the space (or none of it).
+    auto locs = test.locations();
+    auto grow = [&](std::optional<uint64_t> radix, int addr,
+                    const char *what) {
+        if (!radix || __builtin_mul_overflow(size_, *radix, &size_))
+            fatal("litmus test '%s': more than 2^64 candidate "
+                  "executions (overflow at the %s of location '%s')",
+                  test.name.c_str(), what, locs[addr / 4].c_str());
+    };
     std::map<int, std::vector<int>> writes;
     for (const uhb::Microop &op : ops_) {
         if (op.isWrite)
@@ -87,12 +100,12 @@ ExecutionSpace::ExecutionSpace(const litmus::Test &test)
         if (it != writes.end())
             srcs.insert(srcs.end(), it->second.begin(),
                         it->second.end());
-        size_ *= srcs.size();
+        grow(srcs.size(), ops_[rid].addr, "rf sources");
         read_srcs_.push_back(std::move(srcs));
     }
     for (auto &[addr, ws] : writes) {
         std::sort(ws.begin(), ws.end());
-        size_ *= factorial(ws.size());
+        grow(factorial(ws.size()), addr, "coherence orders");
         write_groups_.emplace_back(addr, ws);
     }
 }
@@ -121,7 +134,9 @@ ExecutionSpace::materialize(uint64_t k, uhb::Execution &exec) const
         exec.ops[rid].value = src < 0 ? 0 : ops_[src].value;
     }
     for (const auto &[addr, ws] : write_groups_) {
-        uint64_t nperm = factorial(ws.size());
+        // Each group's factorial divides size_ and bounds the smaller
+        // ones below, so none of them overflows.
+        uint64_t nperm = *factorial(ws.size());
         uint64_t p = k % nperm;
         k /= nperm;
         // Lehmer decode of permutation p over the sorted write list.
@@ -129,7 +144,7 @@ ExecutionSpace::materialize(uint64_t k, uhb::Execution &exec) const
         std::vector<int> &order = exec.ws[addr];
         order.clear();
         for (size_t left = ws.size(); left > 0; left--) {
-            uint64_t f = factorial(left - 1);
+            uint64_t f = *factorial(left - 1);
             size_t d = static_cast<size_t>(p / f);
             p %= f;
             order.push_back(pool[d]);

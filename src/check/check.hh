@@ -114,6 +114,7 @@ mcm::Outcome outcomeOf(const litmus::Test &test,
 class ExecutionSpace
 {
   public:
+    /** fatal() when the test has 2^64 or more candidates. */
     explicit ExecutionSpace(const litmus::Test &test);
 
     /** Number of candidate executions. */

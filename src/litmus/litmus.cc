@@ -70,6 +70,24 @@ Test::print() const
     return out;
 }
 
+namespace
+{
+
+/** A whole-token integer field of litmus line @p line; fatal()
+ *  naming the line when it is malformed or out of int range. */
+int
+intField(const char *what, const std::string &tok,
+         const std::string &line)
+{
+    try {
+        return parseInt(what, trim(tok));
+    } catch (const FatalError &e) {
+        fatal("litmus: %s in line '%s'", e.what(), line.c_str());
+    }
+}
+
+} // namespace
+
 Test
 Test::parse(const std::string &text)
 {
@@ -90,8 +108,8 @@ Test::parse(const std::string &text)
         } else if (toks[0] == "thread") {
             if (toks.size() != 2)
                 fatal("litmus: bad thread line '%s'", line.c_str());
-            size_t idx = std::stoul(toks[1]);
-            if (idx != test.threads.size())
+            int idx = intField("thread index", toks[1], line);
+            if (idx < 0 || static_cast<size_t>(idx) != test.threads.size())
                 fatal("litmus: threads must be declared in order");
             test.threads.emplace_back();
         } else if (toks[0] == "w" || toks[0] == "r") {
@@ -100,7 +118,8 @@ Test::parse(const std::string &text)
             Access a;
             a.isWrite = toks[0] == "w";
             a.loc = toks[1];
-            int v = std::stoi(toks[2]);
+            int v = intField(a.isWrite ? "value" : "register", toks[2],
+                             line);
             if (a.isWrite)
                 a.value = v;
             else
@@ -118,18 +137,21 @@ Test::parse(const std::string &text)
                     fatal("litmus: bad condition '%s'", part.c_str());
                 if (colon != std::string::npos && colon < eq) {
                     RegCond rc;
-                    rc.thread = std::stoi(part.substr(0, colon));
+                    rc.thread = intField("thread",
+                                         part.substr(0, colon), line);
                     std::string reg =
                         trim(part.substr(colon + 1, eq - colon - 1));
                     if (reg.empty() || reg[0] != 'x')
                         fatal("litmus: bad register '%s'", reg.c_str());
-                    rc.reg = std::stoi(reg.substr(1));
-                    rc.value = std::stoi(part.substr(eq + 1));
+                    rc.reg = intField("register", reg.substr(1), line);
+                    rc.value =
+                        intField("value", part.substr(eq + 1), line);
                     test.interesting.regs.push_back(rc);
                 } else {
                     MemCond mc;
                     mc.loc = trim(part.substr(0, eq));
-                    mc.value = std::stoi(part.substr(eq + 1));
+                    mc.value =
+                        intField("value", part.substr(eq + 1), line);
                     test.interesting.mem.push_back(mc);
                 }
             }

@@ -755,7 +755,15 @@ Server::handleCampaign(const json::Value &req)
         check::CampaignOptions co;
         co.jobs = jobs == 0 ? 1 : jobs;
         co.stop = &inf->stopFlag;
-        res = check::runCampaign(model, tests, co);
+        try {
+            res = check::runCampaign(model, tests, co);
+        } catch (const FatalError &e) {
+            // A test the checker cannot take (e.g. more than 2^64
+            // candidates): the request's fault, and no longer in
+            // flight.
+            endAttempt(inf);
+            return errResp("bad_request", e.what());
+        }
         endAttempt(inf);
         if (res.interrupted && inf->watchdogFired.load() &&
             attempt < opts_.requestRetries &&

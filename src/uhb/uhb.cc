@@ -1,6 +1,7 @@
 #include "uhb/uhb.hh"
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 
 #include "common/dot.hh"
@@ -161,16 +162,6 @@ Graph::toDot(const Model &model, const std::vector<Microop> &ops,
 namespace
 {
 
-int
-boundOp(const AxiomInstance &inst, const std::string &var)
-{
-    for (size_t i = 0; i < inst.axiom->microops.size(); i++)
-        if (inst.axiom->microops[i] == var)
-            return inst.binding[i];
-    fatal("axiom '%s' references unbound microop '%s'",
-          inst.axiom->name.c_str(), var.c_str());
-}
-
 /** Does evaluating @p kind require the execution's rf assignment? */
 bool
 predNeedsRf(PredKind kind)
@@ -181,15 +172,13 @@ predNeedsRf(PredKind kind)
 
 /**
  * Evaluate a predicate that only reads static microop fields (valid
- * for every execution sharing @p ops).
+ * for every execution over the same microops); @p op maps a variable
+ * to its bound microop.
  */
+template <class OpOf>
 bool
-evalStaticPred(const Pred &p, const AxiomInstance &inst,
-               const std::vector<Microop> &ops)
+evalStaticPred(const Pred &p, const OpOf &op)
 {
-    auto op = [&](const std::string &v) -> const Microop & {
-        return ops[boundOp(inst, v)];
-    };
     switch (p.kind) {
       case PredKind::True_:
         return true;
@@ -219,47 +208,34 @@ evalStaticPred(const Pred &p, const AxiomInstance &inst,
     return false;
 }
 
-/** Evaluate an rf-dependent predicate against a concrete execution. */
-bool
-evalRfPred(const Pred &p, const AxiomInstance &inst,
-           const Execution &exec)
+/**
+ * The orientation edges implied by the execution's rf/ws/fr, in the
+ * order they enter the graph.
+ */
+std::vector<NodeEdge>
+memorySemantics(const Model &model, const Execution &exec)
 {
-    auto op = [&](const std::string &v) -> const Microop & {
-        return exec.ops[boundOp(inst, v)];
-    };
-    switch (p.kind) {
-      case PredKind::SameData:
-        return op(p.i1).isRead &&
-               exec.rf[op(p.i1).id] == op(p.i0).id;
-      case PredKind::NoWritesInBetween:
-        // With an explicit rf, "i0's write reaches i1 with no
-        // intervening same-address write" is exactly rf(i1) == i0.
-        return op(p.i1).isRead &&
-               exec.rf[op(p.i1).id] == op(p.i0).id;
-      default:
-        panic("static predicate evaluated as rf-dependent");
-    }
-    return false;
-}
-
-/** Add orientation edges implied by the execution's rf/ws/fr. */
-void
-addMemorySemantics(const Model &model, const Execution &exec, Graph &g)
-{
+    static const std::string kWs = "ws", kRf = "rf", kFr = "fr";
+    std::vector<NodeEdge> out;
     int acc = model.memAccessStage.empty()
                   ? -1
                   : model.locOf(model.memAccessStage);
     int mem =
         model.memStage.empty() ? -1 : model.locOf(model.memStage);
     if (acc < 0)
-        return;
+        return out;
+    int locs = static_cast<int>(model.stageNames.size());
+    auto edge = [&](int op_a, int loc_a, int op_b, int loc_b,
+                    const std::string &label) {
+        out.push_back({op_a * locs + loc_a, op_b * locs + loc_b, &label});
+    };
 
     // ws: coherence order at the access point and the memory array.
     for (const auto &[addr, writes] : exec.ws) {
         for (size_t i = 0; i + 1 < writes.size(); i++) {
-            g.addEdge(writes[i], acc, writes[i + 1], acc, "ws");
+            edge(writes[i], acc, writes[i + 1], acc, kWs);
             if (mem >= 0)
-                g.addEdge(writes[i], mem, writes[i + 1], mem, "ws");
+                edge(writes[i], mem, writes[i + 1], mem, kWs);
         }
     }
     for (const Microop &r : exec.ops) {
@@ -268,7 +244,7 @@ addMemorySemantics(const Model &model, const Execution &exec, Graph &g)
         int w = exec.rf[r.id];
         // rf: the source write's access precedes the read's access.
         if (w >= 0)
-            g.addEdge(w, acc, r.id, acc, "rf");
+            edge(w, acc, r.id, acc, kRf);
         // fr: the read's access precedes every coherence successor of
         // its source (every same-address write, when reading init).
         auto it = exec.ws.find(r.addr);
@@ -277,140 +253,309 @@ addMemorySemantics(const Model &model, const Execution &exec, Graph &g)
         bool after_src = (w < 0);
         for (int w2 : it->second) {
             if (after_src && w2 != w)
-                g.addEdge(r.id, acc, w2, acc, "fr");
+                edge(r.id, acc, w2, acc, kFr);
             if (w2 == w)
                 after_src = true;
         }
     }
+    return out;
 }
 
-struct Solver
+/**
+ * The search state: per node an adjacency row and a transitive-closure
+ * row ("reach": nodes reachable over one or more edges), each
+ * @p words 64-bit words, laid out in one caller-owned frame of
+ * 2 * nodes * words words. Insertion keeps the graph acyclic: the
+ * first edge that would close a cycle is not inserted and latches
+ * cycleFound() instead.
+ */
+class BitGraph
 {
-    int branches = 0;
-
-    /** Instances with EdgeExists antecedents (conditional). */
-    std::vector<const AxiomInstance *> conditional;
-    /** Unordered (EitherOrdering) instances to branch over. */
-    std::vector<const AxiomInstance *> eithers;
+  public:
+    BitGraph(uint64_t *frame, size_t nodes, size_t words)
+        : adj_(frame), reach_(frame + nodes * words), nodes_(nodes),
+          words_(words)
+    {
+    }
 
     bool
-    edgesHold(const AxiomInstance &inst, const Graph &g) const
+    hasEdge(int a, int b) const
     {
-        for (const Pred &p : inst.axiom->antecedents) {
-            if (p.kind != PredKind::EdgeExists)
+        return test(adj_, a, b);
+    }
+
+    bool
+    addEdge(int a, int b, const std::string &)
+    {
+        if (test(adj_, a, b))
+            return false;
+        if (a == b || test(reach_, b, a)) {
+            cycle_ = true;
+            return true;
+        }
+        adj_[row(a) + static_cast<size_t>(b) / 64] |= bit(b);
+        if (test(reach_, a, b))
+            return true; // already implied: the closure is unchanged
+        const uint64_t *rb = reach_ + row(b);
+        for (size_t x = 0; x < nodes_; x++) {
+            int xi = static_cast<int>(x);
+            if (xi != a && !test(reach_, xi, a))
                 continue;
-            if (!g.hasEdge(boundOp(inst, p.edge.src.microop),
-                           p.edge.src.loc,
-                           boundOp(inst, p.edge.dst.microop),
-                           p.edge.dst.loc))
-                return false;
+            uint64_t *rx = reach_ + row(xi);
+            for (size_t w = 0; w < words_; w++)
+                rx[w] |= rb[w];
+            rx[static_cast<size_t>(b) / 64] |= bit(b);
         }
         return true;
     }
 
-    static void
-    applyEdges(const AxiomInstance &inst,
-               const std::vector<EdgeSpec> &edges, Graph &g)
-    {
-        for (const EdgeSpec &e : edges) {
-            g.addEdge(boundOp(inst, e.src.microop), e.src.loc,
-                      boundOp(inst, e.dst.microop), e.dst.loc,
-                      e.label.empty() ? inst.axiom->name : e.label);
-        }
-    }
+    bool cycleFound() const { return cycle_; }
 
-    /** Fixpoint over conditional single-alternative instances. */
-    void
-    fixpoint(Graph &g) const
-    {
-        bool changed = true;
-        while (changed) {
-            changed = false;
-            for (const AxiomInstance *inst : conditional) {
-                if (!edgesHold(*inst, g))
-                    continue;
-                size_t before = g.numEdges();
-                applyEdges(*inst, inst->axiom->edgeAlternatives[0], g);
-                changed |= g.numEdges() != before;
-            }
-        }
-    }
+  private:
+    size_t row(int n) const { return static_cast<size_t>(n) * words_; }
+    static uint64_t bit(int n) { return uint64_t(1) << (n % 64); }
 
-    /** DFS over EitherOrdering choices; true iff an acyclic
-     *  completion exists. */
     bool
-    branch(Graph g, size_t next_either, Graph &out)
+    test(const uint64_t *rows, int a, int b) const
     {
-        branches++;
-        fixpoint(g);
-        if (g.cyclic()) {
-            out = g;
+        return rows[row(a) + static_cast<size_t>(b) / 64] & bit(b);
+    }
+
+    uint64_t *adj_;
+    uint64_t *reach_;
+    size_t nodes_, words_;
+    bool cycle_ = false;
+};
+
+/** The labeled Graph seen through node ids, for the witness replay. */
+class LabeledGraph
+{
+  public:
+    LabeledGraph(Graph &g, int locs) : g_(g), locs_(locs) {}
+
+    bool
+    hasEdge(int a, int b) const
+    {
+        return g_.hasEdge(a / locs_, a % locs_, b / locs_, b % locs_);
+    }
+
+    bool
+    addEdge(int a, int b, const std::string &label)
+    {
+        return g_.addEdge(a / locs_, a % locs_, b / locs_, b % locs_,
+                          label);
+    }
+
+    /** The replay reproduces every edge: it never stops early. */
+    static bool cycleFound() { return false; }
+
+  private:
+    Graph &g_;
+    int locs_;
+};
+
+// The three graph operations of the search, shared by BitGraph (the
+// search) and LabeledGraph (the witness replay).
+
+template <class G>
+bool
+edgesHold(const AxiomInstance &inst, const G &g)
+{
+    for (const NodeEdge &e : inst.edgeConds)
+        if (!g.hasEdge(e.src, e.dst))
             return false;
+    return true;
+}
+
+/** Add @p edges in order; true iff at least one was new. */
+template <class G>
+bool
+applyEdges(const std::vector<NodeEdge> &edges, G &g)
+{
+    bool added = false;
+    for (const NodeEdge &e : edges) {
+        if (g.cycleFound())
+            break;
+        added |= g.addEdge(e.src, e.dst, *e.label);
+    }
+    return added;
+}
+
+/** Fixpoint over conditional single-alternative instances. */
+template <class G>
+void
+fixpoint(const std::vector<const AxiomInstance *> &conditional, G &g)
+{
+    bool changed = true;
+    while (changed) {
+        changed = false;
+        for (const AxiomInstance *inst : conditional) {
+            if (!edgesHold(*inst, g))
+                continue;
+            changed |= applyEdges(inst->alternatives[0], g);
+            if (g.cycleFound())
+                return;
         }
-        if (next_either >= eithers.size()) {
-            out = g;
+    }
+}
+
+/**
+ * Depth-first search over the EitherOrdering instances. Frame f of
+ * the arena holds the state at recursion depth f; descending into an
+ * alternative copies frame f into frame f + 1.
+ */
+class Search
+{
+  public:
+    Search(const std::vector<const AxiomInstance *> &conditional,
+           const std::vector<const AxiomInstance *> &eithers,
+           size_t nodes)
+        : conditional_(conditional), eithers_(eithers), nodes_(nodes),
+          words_((nodes + 63) / 64), frame_words_(2 * nodes * words_),
+          arena_(frame_words_), choice_(eithers.size(), 0)
+    {
+    }
+
+    /** The base state, to be filled before run(). */
+    BitGraph base() { return BitGraph(frame(0), nodes_, words_); }
+
+    /** True iff an acyclic completion of the base state exists. */
+    bool
+    run(bool base_cyclic)
+    {
+        return descend(0, 0, base_cyclic);
+    }
+
+    int branches() const { return branches_; }
+    /** The level of the last search node visited: where the witness
+     *  path ends. */
+    size_t lastLevel() const { return last_level_; }
+    /** Per level, the alternative last descended into. */
+    const std::vector<size_t> &choices() const { return choice_; }
+
+  private:
+    uint64_t *frame(size_t f) { return arena_.data() + f * frame_words_; }
+
+    bool
+    descend(size_t f, size_t next, bool cyclic)
+    {
+        visit(next);
+        if (cyclic)
+            return false;
+        BitGraph g(frame(f), nodes_, words_);
+        fixpoint(conditional_, g);
+        if (g.cycleFound())
+            return false;
+        // An instance whose EdgeExists antecedents fail is skipped.
+        // The state does not change, so the next level's fixpoint and
+        // cycle check are no-ops; it still counts as a search node.
+        while (next < eithers_.size() && !edgesHold(*eithers_[next], g))
+            visit(++next);
+        if (next >= eithers_.size())
             return true;
-        }
-        const AxiomInstance &inst = *eithers[next_either];
-        if (!edgesHold(inst, g))
-            return branch(std::move(g), next_either + 1, out);
-        Graph cyc = g;
-        for (const auto &alt : inst.axiom->edgeAlternatives) {
-            Graph trial = g;
-            applyEdges(inst, alt, trial);
-            Graph sub(0, 0);
-            if (branch(std::move(trial), next_either + 1, sub)) {
-                out = sub;
+        const AxiomInstance &inst = *eithers_[next];
+        if (arena_.size() < (f + 2) * frame_words_)
+            arena_.resize((f + 2) * frame_words_);
+        for (size_t i = 0; i < inst.alternatives.size(); i++) {
+            std::copy(frame(f), frame(f) + frame_words_, frame(f + 1));
+            BitGraph trial(frame(f + 1), nodes_, words_);
+            applyEdges(inst.alternatives[i], trial);
+            choice_[next] = i;
+            if (descend(f + 1, next + 1, trial.cycleFound()))
                 return true;
-            }
-            cyc = sub;
         }
-        out = cyc;
         return false;
     }
+
+    void
+    visit(size_t level)
+    {
+        branches_++;
+        last_level_ = level;
+    }
+
+    const std::vector<const AxiomInstance *> &conditional_;
+    const std::vector<const AxiomInstance *> &eithers_;
+    size_t nodes_, words_, frame_words_;
+    std::vector<uint64_t> arena_;
+    std::vector<size_t> choice_;
+    int branches_ = 0;
+    size_t last_level_ = 0;
 };
 
 } // namespace
 
 InstanceTable::InstanceTable(const Model &model,
                              const std::vector<Microop> &ops)
+    : num_ops_(ops.size()), num_locs_(model.stageNames.size())
 {
-    size_t num_ops = ops.size();
+    int locs = static_cast<int>(num_locs_);
     for (const Axiom &ax : model.axioms) {
         size_t arity = ax.microops.size();
         // A quantifier over microops has no bindings on an empty
         // execution (the pre-table enumerator evaluated one bogus
         // all-zero binding here, indexing ops[0] out of bounds).
-        if (arity > 0 && num_ops == 0)
+        if (arity > 0 && num_ops_ == 0)
             continue;
         std::vector<int> binding(arity, 0);
+        // The microop bound to variable @p v.
+        auto bound = [&](const std::string &v) -> int {
+            for (size_t i = 0; i < arity; i++)
+                if (ax.microops[i] == v)
+                    return binding[i];
+            fatal("axiom '%s' references unbound microop '%s'",
+                  ax.name.c_str(), v.c_str());
+        };
+        auto op_of = [&](const std::string &v) -> const Microop & {
+            return ops[static_cast<size_t>(bound(v))];
+        };
+        auto node_of = [&](const uspec::NodeRef &ref) {
+            if (ref.loc < 0 || ref.loc >= locs)
+                fatal("axiom '%s' references undeclared stage %d",
+                      ax.name.c_str(), ref.loc);
+            return bound(ref.microop) * locs + ref.loc;
+        };
+        auto resolve = [&](const EdgeSpec &e) {
+            return NodeEdge{node_of(e.src), node_of(e.dst),
+                            e.label.empty() ? &ax.name : &e.label};
+        };
         while (true) {
-            AxiomInstance inst;
-            inst.axiom = &ax;
-            inst.binding = binding;
             bool holds = true;
             for (const Pred &p : ax.antecedents) {
-                if (p.kind == PredKind::EdgeExists ||
-                    predNeedsRf(p.kind))
+                if (p.kind == PredKind::EdgeExists)
                     continue;
-                if (!evalStaticPred(p, inst, ops)) {
+                // An rf-dependent antecedent can only hold when its
+                // second microop is a read; the rest is per execution.
+                if (predNeedsRf(p.kind) ? !op_of(p.i1).isRead
+                                        : !evalStaticPred(p, op_of)) {
                     holds = false;
                     break;
                 }
             }
             if (holds) {
+                AxiomInstance inst;
                 for (const Pred &p : ax.antecedents) {
                     if (p.kind == PredKind::EdgeExists)
-                        inst.hasEdgeCond = true;
+                        inst.edgeConds.push_back(resolve(p.edge));
                     else if (predNeedsRf(p.kind))
-                        inst.rfPreds.push_back(&p);
+                        // With an explicit rf, "i0's write reaches i1
+                        // with no intervening same-address write"
+                        // (NoWritesInBetween) is exactly rf(i1) == i0,
+                        // the same test as SameData.
+                        inst.rfConds.emplace_back(op_of(p.i0).id,
+                                                  op_of(p.i1).id);
+                }
+                for (const auto &alt : ax.edgeAlternatives) {
+                    inst.alternatives.emplace_back();
+                    for (const EdgeSpec &e : alt)
+                        inst.alternatives.back().push_back(resolve(e));
                 }
                 instances_.push_back(std::move(inst));
             }
             // Next binding.
             size_t d = 0;
             while (d < arity) {
-                if (++binding[d] < static_cast<int>(num_ops))
+                if (++binding[d] < static_cast<int>(num_ops_))
                     break;
                 binding[d] = 0;
                 d++;
@@ -434,37 +579,62 @@ solve(const Model &model, const Execution &exec,
 {
     size_t num_ops = exec.ops.size();
     size_t num_locs = model.stageNames.size();
-    Graph base(num_ops, num_locs);
-    addMemorySemantics(model, exec, base);
-
-    Solver solver;
+    R2U_ASSERT(table.numOps() == num_ops && table.numLocs() == num_locs,
+               "instance table built for %zu ops x %zu stages, solving "
+               "%zu ops x %zu stages",
+               table.numOps(), table.numLocs(), num_ops, num_locs);
 
     // The static filtering already happened at table build; only the
     // rf-dependent antecedents remain to be checked per execution.
+    std::vector<const AxiomInstance *> unconditional, conditional,
+        eithers;
     for (const AxiomInstance &inst : table.instances()) {
         bool holds = true;
-        for (const Pred *p : inst.rfPreds) {
-            if (!evalRfPred(*p, inst, exec)) {
+        for (const auto &[w, r] : inst.rfConds) {
+            if (exec.rf[static_cast<size_t>(r)] != w) {
                 holds = false;
                 break;
             }
         }
         if (!holds)
             continue;
-        if (inst.axiom->isEitherOrdering())
-            solver.eithers.push_back(&inst);
-        else if (inst.hasEdgeCond)
-            solver.conditional.push_back(&inst);
+        if (inst.alternatives.size() > 1)
+            eithers.push_back(&inst);
+        else if (!inst.edgeConds.empty())
+            conditional.push_back(&inst);
         else
-            Solver::applyEdges(inst, inst.axiom->edgeAlternatives[0],
-                               base);
+            unconditional.push_back(&inst);
     }
+    std::vector<NodeEdge> mem = memorySemantics(model, exec);
+
+    // The base graph: orientation edges, then unconditional instances.
+    auto fill_base = [&](auto &g) {
+        applyEdges(mem, g);
+        for (const AxiomInstance *inst : unconditional)
+            applyEdges(inst->alternatives[0], g);
+    };
+    Search search(conditional, eithers, num_ops * num_locs);
+    BitGraph base = search.base();
+    fill_base(base);
 
     SolveResult result;
-    Graph out(0, 0);
-    result.observable = solver.branch(std::move(base), 0, out);
-    result.graph = std::move(out);
-    result.branchesExplored = solver.branches;
+    result.observable = search.run(base.cycleFound());
+    result.branchesExplored = search.branches();
+
+    // Replay the decided path on the labeled graph: the same base, a
+    // full fixpoint per level, and at each level the recorded
+    // alternative, stopping at the last visited search node.
+    result.graph = Graph(num_ops, num_locs);
+    LabeledGraph g(result.graph, static_cast<int>(num_locs));
+    fill_base(g);
+    for (size_t level = 0;; level++) {
+        fixpoint(conditional, g);
+        if (level == search.lastLevel())
+            break;
+        const AxiomInstance &inst = *eithers[level];
+        if (edgesHold(inst, g))
+            applyEdges(inst.alternatives[search.choices()[level]], g);
+    }
     result.edges = result.graph.numEdges();
     return result;
 }

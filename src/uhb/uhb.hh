@@ -10,6 +10,17 @@
  * fixpoint, branches over unordered (EitherOrdering) structural HBIs,
  * and reports whether an acyclic µhb graph exists: acyclic = the
  * execution is possible on the microarchitecture, cyclic = impossible.
+ *
+ * The search never touches strings or per-node lists. An
+ * InstanceTable resolves every axiom instance to node ids
+ * (op * numLocs + loc) once per microop list. The EitherOrdering
+ * depth-first search then runs on a flat bit matrix: per node, an
+ * adjacency row and a transitive-closure row of ceil(nodes/64) words.
+ * Inserting a -> b closes a cycle iff a == b or b already reaches a;
+ * otherwise every row that reaches a (and a's own) ORs in b's closure
+ * row and b. A branch therefore costs one copy of the two matrices and
+ * no graph traversal. The labeled Graph in SolveResult is built once,
+ * after the search, by replaying the decided path (see solve()).
  */
 
 #ifndef R2U_UHB_UHB_HH
@@ -95,29 +106,46 @@ struct SolveResult
     size_t edges = 0;
 };
 
-/**
- * One fully-bound axiom instantiation whose execution-independent
- * antecedents already hold over a fixed microop list. The rf-dependent
- * antecedents (SameData / NoWritesInBetween) are kept symbolic and
- * re-evaluated per execution by solve().
- */
-struct AxiomInstance
+/** A µhb edge between resolved nodes (op * numLocs + loc). */
+struct NodeEdge
 {
-    const uspec::Axiom *axiom = nullptr;
-    std::vector<int> binding; ///< microop id per quantified variable
-    /** Antecedents that read the execution's rf assignment. */
-    std::vector<const uspec::Pred *> rfPreds;
-    bool hasEdgeCond = false; ///< has EdgeExists antecedents
+    int src = 0;
+    int dst = 0;
+    /** The edge's label, or the axiom's name; points into the model. */
+    const std::string *label = nullptr;
 };
 
 /**
- * Per-(model, microop-list) axiom-binding precomputation. Every
- * candidate execution of a litmus test shares the same microops, so
- * the O(num_ops^arity) binding enumeration — and the filtering by
- * predicates that only read static microop fields (core, index,
- * address, read/write kind) — is hoisted here and done once per test
- * instead of once per execution. The model and the microop list must
- * outlive the table (it stores pointers into the model's axioms).
+ * One fully-bound axiom instantiation whose execution-independent
+ * antecedents already hold over a fixed microop list, with every
+ * microop variable resolved: edges and EdgeExists antecedents are node
+ * ids, rf-dependent antecedents are op-id pairs.
+ */
+struct AxiomInstance
+{
+    /** The consequent: one edge set, or two for EitherOrdering. */
+    std::vector<std::vector<NodeEdge>> alternatives;
+    /** EdgeExists antecedents: edges the graph must already have. */
+    std::vector<NodeEdge> edgeConds;
+    /**
+     * SameData / NoWritesInBetween antecedents as (write, read) op
+     * ids; each holds iff the execution's rf maps read to write. (The
+     * table drops instances whose "read" is not a read: for them the
+     * antecedent never holds.)
+     */
+    std::vector<std::pair<int, int>> rfConds;
+};
+
+/**
+ * Per-(model, microop-list) axiom instantiation. Every candidate
+ * execution of a litmus test shares the same microops, so the
+ * O(num_ops^arity) binding enumeration, the filtering by predicates
+ * that only read static microop fields (core, index, address,
+ * read/write kind) and the resolution of variables to node and op ids
+ * are done here, once per test instead of once per execution. The
+ * table records the op and stage counts it resolved against; solve()
+ * checks them. The model must outlive the table (edge labels point
+ * into the model's axioms).
  */
 class InstanceTable
 {
@@ -131,8 +159,13 @@ class InstanceTable
         return instances_;
     }
 
+    size_t numOps() const { return num_ops_; }
+    size_t numLocs() const { return num_locs_; }
+
   private:
     std::vector<AxiomInstance> instances_;
+    size_t num_ops_ = 0;
+    size_t num_locs_ = 0;
 };
 
 /**
@@ -141,14 +174,23 @@ class InstanceTable
  * for rf/ws/fr orientation of memory events. Builds a fresh
  * InstanceTable per call; when solving many executions of the same
  * test, build the table once and use the overload below.
+ *
+ * The search visits EitherOrdering instances in table order and their
+ * alternatives in model order, runs the EdgeExists fixpoint before
+ * every cycle check and counts one branch per visited search node.
+ * SolveResult::graph replays one path of that tree on a labeled Graph:
+ * the accepted path when the execution is observable, otherwise the
+ * path that takes the last alternative at every level, up to its
+ * first cycle.
  */
 SolveResult solve(const uspec::Model &model, const Execution &exec);
 
 /**
- * Same, with the axiom-binding enumeration precomputed. @p table must
- * have been built from @p model and @p exec.ops' microop list (same
- * ids, kinds, cores, indices and addresses). Thread-safe for
- * concurrent calls sharing one table.
+ * Same, with the axiom instantiation precomputed. @p table must have
+ * been built from @p model and @p exec.ops' microop list (same ids,
+ * kinds, cores, indices and addresses); a table whose op or stage
+ * count differs is a panic. Thread-safe for concurrent calls sharing
+ * one table.
  */
 SolveResult solve(const uspec::Model &model, const Execution &exec,
                   const InstanceTable &table);

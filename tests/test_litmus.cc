@@ -47,6 +47,69 @@ TEST(Litmus, ParseErrors)
     EXPECT_THROW(LTest::parse("name t\nthread 0\nbogus"), FatalError);
 }
 
+namespace
+{
+
+/** The FatalError message of parsing @p text; empty if it parsed. */
+std::string
+parseError(const std::string &text)
+{
+    try {
+        LTest::parse(text);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+// Regression: numeric fields went through std::stoul/std::stoi, so a
+// malformed number escaped as std::invalid_argument/out_of_range and
+// aborted uspec_check. Each is now a FatalError naming the line.
+TEST(Litmus, MalformedThreadIndexNamesTheLine)
+{
+    std::string msg = parseError("name t\nthread zero\nw x 1");
+    EXPECT_NE(msg.find("litmus:"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'thread zero'"), std::string::npos) << msg;
+}
+
+TEST(Litmus, OutOfRangeValueNamesTheLine)
+{
+    std::string msg = parseError("name t\nthread 0\nw x 99999999999");
+    EXPECT_NE(msg.find("out of range"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'w x 99999999999'"), std::string::npos) << msg;
+}
+
+TEST(Litmus, MalformedRegisterNamesTheLine)
+{
+    std::string msg = parseError("name t\nthread 0\nr x 2q");
+    EXPECT_NE(msg.find("'r x 2q'"), std::string::npos) << msg;
+    msg = parseError("name t\nthread 0\nr x 2\ninteresting 0:xy=1");
+    EXPECT_NE(msg.find("'interesting 0:xy=1'"), std::string::npos)
+        << msg;
+}
+
+TEST(Litmus, MalformedConditionNumbersNameTheLine)
+{
+    const char *base = "name t\nthread 0\nr x 1\n";
+    for (const char *cond :
+         {"interesting 0:x1=zz", "interesting t0:x1=1",
+          "interesting x=1e3"}) {
+        std::string msg = parseError(std::string(base) + cond);
+        EXPECT_NE(msg.find(std::string("'") + cond + "'"),
+                  std::string::npos)
+            << msg;
+    }
+    // Whitespace around the numbers is still fine.
+    LTest t = LTest::parse(std::string(base) +
+                           "interesting 0 : x1 = 1 & x = 0");
+    ASSERT_EQ(t.interesting.regs.size(), 1u);
+    EXPECT_EQ(t.interesting.regs[0].value, 1);
+    ASSERT_EQ(t.interesting.mem.size(), 1u);
+    EXPECT_EQ(t.interesting.mem[0].loc, "x");
+}
+
 TEST(Litmus, LocationsAndAssembly)
 {
     LTest t = LTest::parse(R"(name mp

@@ -445,6 +445,22 @@ TEST(Serve, CampaignRoundTrip)
     ASSERT_NE(resp.find("results"), nullptr);
     ASSERT_EQ(resp.find("results")->arr.size(), 1u);
     EXPECT_TRUE(resp.find("results")->arr[0].getBool("ok"));
+
+    // A test with more than 2^64 candidates is a bad request, not a
+    // vacuous pass, and the daemon keeps serving.
+    json::Value wide = json::Value::object();
+    wide.set("type", json::Value::string("campaign"));
+    wide.set("model", json::Value::string(model_path));
+    wide.set("test_file",
+             json::Value::string(std::string(R2U_SOURCE_DIR) +
+                                 "/tests/data/candidates_overflow.test"));
+    ASSERT_TRUE(client.requestWithRetry(sock, wide, resp, &err)) << err;
+    EXPECT_FALSE(resp.getBool("ok")) << resp.dump();
+    EXPECT_EQ(resp.getStr("code"), "bad_request");
+    EXPECT_NE(resp.getStr("error").find("2^64"), std::string::npos)
+        << resp.dump();
+    ASSERT_TRUE(client.requestWithRetry(sock, req, resp, &err)) << err;
+    EXPECT_TRUE(resp.getBool("ok")) << resp.dump();
 }
 
 TEST(Serve, DrainRefusesNewWorkAndExitsCleanly)

@@ -1,8 +1,10 @@
 /**
  * @file
  * Focused µhb-engine semantics tests: EdgeExists fixpoint chaining,
- * EitherOrdering branch search, rf/ws/fr orientation edges, and
- * quantifier instantiation corner cases (unary axioms, self-pairs).
+ * EitherOrdering branch search, rf/ws/fr orientation edges,
+ * quantifier instantiation corner cases (unary axioms, self-pairs),
+ * the instance table's resolved node and op ids, and the check that a
+ * table matches the execution it solves.
  */
 
 #include <gtest/gtest.h>
@@ -219,4 +221,69 @@ AddEdge ((i0, row_a), (i0, row_b)).
     EXPECT_NE(dot.find("rank=same"), std::string::npos);
     EXPECT_NE(dot.find("row_a"), std::string::npos);
     EXPECT_NE(dot.find("sw"), std::string::npos); // column header
+}
+
+TEST(UhbSemantics, InstanceTableResolvesNodeAndOpIds)
+{
+    uspec::Model m = uspec::Model::parse(R"(
+StageName 0 "a".
+StageName 1 "b".
+StageName 2 "c".
+Axiom "base":
+forall microop "i0",
+IsAnyWrite i0 =>
+AddEdge ((i0, a), (i0, c)).
+Axiom "flow":
+forall microops "i0", "i1",
+SameData i0 i1 =>
+EdgeExists ((i0, a), (i0, c)) =>
+AddEdge ((i0, c), (i1, b), "df").
+)");
+    Execution e = writeThenRead(0);
+    InstanceTable table(m, e.ops);
+    EXPECT_EQ(table.numOps(), 2u);
+    EXPECT_EQ(table.numLocs(), 3u);
+    // "base" binds the write only; "flow" keeps the two bindings whose
+    // second microop is a read: (w, r) and (r, r).
+    ASSERT_EQ(table.instances().size(), 3u);
+    const AxiomInstance &base = table.instances()[0];
+    ASSERT_EQ(base.alternatives.size(), 1u);
+    ASSERT_EQ(base.alternatives[0].size(), 1u);
+    EXPECT_EQ(base.alternatives[0][0].src, 0 * 3 + 0);
+    EXPECT_EQ(base.alternatives[0][0].dst, 0 * 3 + 2);
+    EXPECT_EQ(*base.alternatives[0][0].label, "base");
+    const AxiomInstance &flow = table.instances()[1];
+    EXPECT_EQ(flow.rfConds, (std::vector<std::pair<int, int>>{{0, 1}}));
+    ASSERT_EQ(flow.edgeConds.size(), 1u);
+    EXPECT_EQ(flow.edgeConds[0].src, 0);
+    EXPECT_EQ(flow.edgeConds[0].dst, 2);
+    EXPECT_EQ(flow.alternatives[0][0].src, 0 * 3 + 2);
+    EXPECT_EQ(flow.alternatives[0][0].dst, 1 * 3 + 1);
+    EXPECT_EQ(*flow.alternatives[0][0].label, "df");
+
+    // rf = w -> r: the edge lands; rf = init: it does not.
+    EXPECT_TRUE(solve(m, e, table).graph.hasEdge(0, 2, 1, 1));
+    Execution init = writeThenRead(-1);
+    EXPECT_FALSE(solve(m, init, table).graph.hasEdge(0, 2, 1, 1));
+}
+
+TEST(UhbSemanticsDeathTest, MismatchedInstanceTablePanics)
+{
+    uspec::Model m = uspec::Model::parse(R"(
+StageName 0 "a".
+StageName 1 "b".
+Axiom "p":
+forall microop "i0",
+IsAnyWrite i0 =>
+AddEdge ((i0, a), (i0, b)).
+)");
+    Execution e = writeThenRead(0);
+    InstanceTable one_op(m, {e.ops[0]});
+    EXPECT_DEATH(solve(m, e, one_op),
+                 "instance table built for 1 ops x 2 stages");
+    uspec::Model wider = m;
+    wider.addStage("c");
+    InstanceTable narrow(m, e.ops);
+    EXPECT_DEATH(solve(wider, e, narrow),
+                 "instance table built for 2 ops x 2 stages");
 }
