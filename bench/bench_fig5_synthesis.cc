@@ -214,21 +214,15 @@ main(int argc, char **argv)
                     ev, sv, ev / sv);
     }
 
-    // SAT-engine configuration rows: the default single-config
-    // incremental path vs. portfolio racing and vs. inprocessing
-    // disabled, at the same job count. Verdicts and the emitted model
-    // must be identical across all three; proof time is the row.
-    // The comparison rows must re-solve, not replay — never hand the
-    // secondary runs the main run's populated cache.
-    rtl2uspec::SynthesisOptions port_opts = synth_opts;
-    port_opts.portfolio = true;
-    port_opts.cacheDir.clear();
-    auto port = bench::synthesizeVscaleWith(port_opts);
+    // SAT-engine configuration rows: the default incremental path vs.
+    // inprocessing disabled, at the same job count. Verdicts and the
+    // emitted model must be identical; proof time is the row. The
+    // comparison row must re-solve, not replay — never hand the
+    // secondary run the main run's populated cache.
     rtl2uspec::SynthesisOptions noinp_opts = synth_opts;
     noinp_opts.inprocess = false;
     noinp_opts.cacheDir.clear();
     auto noinp = bench::synthesizeVscaleWith(noinp_opts);
-    bool port_same = port.model.print() == result.model.print();
     bool noinp_same = noinp.model.print() == result.model.print();
     std::printf("\nSAT engine configuration (same %u-worker run):\n",
                 result.jobs);
@@ -238,14 +232,6 @@ main(int argc, char **argv)
                 static_cast<size_t>(result.contextsSeeded),
                 static_cast<size_t>(result.unrollContexts),
                 static_cast<size_t>(result.inprocessRuns));
-    std::printf("  portfolio:    proof %.2f s (%zu race(s), %zu "
-                "challenger win(s), %zu clause(s) imported), model "
-                "%s\n",
-                port.proofSeconds,
-                static_cast<size_t>(port.portfolioRaces),
-                static_cast<size_t>(port.portfolioChallengerWins),
-                static_cast<size_t>(port.sharedImported),
-                port_same ? "identical" : "DIFFERENT (BUG)");
     std::printf("  no-inprocess: proof %.2f s, model %s\n",
                 noinp.proofSeconds,
                 noinp_same ? "identical" : "DIFFERENT (BUG)");
@@ -437,24 +423,13 @@ main(int argc, char **argv)
         json += "  \"sat_config\": {\n";
         json += strfmt("    \"default_proof_seconds\": %.3f,\n",
                        result.proofSeconds);
-        json += strfmt("    \"portfolio_proof_seconds\": %.3f,\n",
-                       port.proofSeconds);
         json += strfmt("    \"no_inprocess_proof_seconds\": %.3f,\n",
                        noinp.proofSeconds);
-        json += strfmt("    \"portfolio_races\": %zu,\n",
-                       static_cast<size_t>(port.portfolioRaces));
-        json += strfmt("    \"portfolio_challenger_wins\": %zu,\n",
-                       static_cast<size_t>(
-                           port.portfolioChallengerWins));
-        json += strfmt("    \"portfolio_shared_imported\": %zu,\n",
-                       static_cast<size_t>(port.sharedImported));
         json += strfmt("    \"inprocess_runs\": %zu,\n",
                        static_cast<size_t>(result.inprocessRuns));
         json += strfmt("    \"inprocess_clauses_removed\": %zu,\n",
                        static_cast<size_t>(
                            result.inprocessClausesRemoved));
-        json += strfmt("    \"portfolio_model_identical\": %s,\n",
-                       port_same ? "true" : "false");
         json += strfmt("    \"no_inprocess_model_identical\": %s\n",
                        noinp_same ? "true" : "false");
         json += "  },\n";

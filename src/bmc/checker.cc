@@ -34,7 +34,6 @@ verdictSourceName(VerdictSource source)
       case VerdictSource::Cancelled: return "cancelled";
       case VerdictSource::Interrupted: return "interrupted";
       case VerdictSource::ValidationFailed: return "validation-failed";
-      case VerdictSource::Portfolio: return "portfolio";
       case VerdictSource::Race: return "race";
     }
     return "?";

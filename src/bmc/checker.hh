@@ -36,16 +36,21 @@ const char *verdictName(Verdict verdict);
  * Unknown is Unknown (which budget or deadline bit). Definite verdicts
  * are Solve (first attempt) or Retry (a budget-escalation retry
  * resolved an earlier Unknown).
+ *
+ * Journal and cache records store the value as one byte, so every
+ * enumerator is pinned. Code 9 is retired: it tagged the definite
+ * verdicts of a removed mode that raced diversified SAT solver
+ * configurations. Records carrying it decode as Solve.
  */
 enum class VerdictSource : uint8_t {
-    Solve,             ///< definite verdict on the first attempt
-    Retry,             ///< definite verdict on an escalated retry
-    ConflictBudget,    ///< Unknown: conflict budget exhausted
-    PropagationBudget, ///< Unknown: propagation budget exhausted
-    QueryDeadline,     ///< Unknown: per-query deadline passed
-    TotalDeadline,     ///< Unknown: batch/total deadline passed mid-solve
-    Cancelled,         ///< Unknown: never solved (cancelled while queued)
-    Interrupted,       ///< Unknown: asynchronous interrupt mid-solve
+    Solve = 0,             ///< definite verdict on the first attempt
+    Retry = 1,             ///< definite verdict on an escalated retry
+    ConflictBudget = 2,    ///< Unknown: conflict budget exhausted
+    PropagationBudget = 3, ///< Unknown: propagation budget exhausted
+    QueryDeadline = 4,     ///< Unknown: per-query deadline passed
+    TotalDeadline = 5,     ///< Unknown: batch/total deadline passed mid-solve
+    Cancelled = 6,         ///< Unknown: never solved (cancelled while queued)
+    Interrupted = 7,       ///< Unknown: asynchronous interrupt mid-solve
     /**
      * Unknown: the verdict-validation layer caught an inconsistency
      * (a counterexample that does not replay, or a proof re-check
@@ -53,17 +58,12 @@ enum class VerdictSource : uint8_t {
      * consistent definite verdict. Degrading beats propagating a
      * possibly-unsound verdict into the synthesized model.
      */
-    ValidationFailed,
-    /**
-     * Definite verdict produced by a diversified SAT-portfolio
-     * challenger rather than the incumbent incremental context.
-     */
-    Portfolio,
+    ValidationFailed = 8,
     /**
      * Definite verdict produced by the IC3/PDR pre-pass ahead of the
      * BMC solve (see EngineChoice::Race).
      */
-    Race,
+    Race = 10,
 };
 
 const char *verdictSourceName(VerdictSource source);
@@ -90,11 +90,11 @@ struct SolveLimits
     /** Optional shared stop flag polled during the solve. */
     const std::atomic<bool> *cancel = nullptr;
     /**
-     * Optional solver configuration (restart policy, reduction
-     * ranking, inprocessing cadence) applied before the solve. The
-     * engine routes its base config through here so quarantine and
-     * proof re-check solves search identically to the incremental
-     * contexts. nullptr keeps the solver's current config.
+     * Optional solver configuration (inprocessing cadence, restart
+     * unit) applied before the solve. The engine routes its config
+     * through here so quarantine and proof re-check solves search
+     * identically to the incremental contexts. nullptr keeps the
+     * solver's current config.
      */
     const sat::SolverConfig *config = nullptr;
 };
@@ -312,23 +312,8 @@ struct CheckResult
      *  note; empty when validation passed cleanly. */
     std::string validationNote;
 
-    // --- portfolio / simplification accounting (bmc::Engine) ---
-    /** Racers in this query's portfolio (0: no race was run). */
-    unsigned portfolioRacers = 0;
-    /** Racer that produced the verdict: 0 = the incumbent incremental
-     *  context, >0 = a diversified challenger, -1 = nobody (Unknown
-     *  without a definitive verdict, or no race). */
-    int portfolioWinner = -1;
-    /** Learnt clauses published to the race's shared pool (all
-     *  racers). */
-    uint64_t sharedExported = 0;
-    /** Learnt clauses imported from the pool (all racers). */
-    uint64_t sharedImported = 0;
-    /** Variables eliminated by challenger CNF preprocessing (BVE). */
-    uint64_t preprocessVarsEliminated = 0;
-    /** Clauses dropped by challenger CNF preprocessing. */
-    uint64_t preprocessClausesRemoved = 0;
-    /** In-search simplifyDB() passes in the incumbent this query. */
+    // --- inprocessing accounting (bmc::Engine) ---
+    /** In-search simplifyDB() passes in the query's context. */
     uint64_t inprocessRuns = 0;
     /** Clauses removed by those simplifyDB() passes. */
     uint64_t inprocessClausesRemoved = 0;

@@ -12,8 +12,6 @@
 #include "bmc/validate.hh"
 #include "common/logging.hh"
 #include "common/timer.hh"
-#include "sat/share.hh"
-#include "sat/simplify.hh"
 
 namespace r2u::bmc
 {
@@ -108,7 +106,7 @@ struct Engine::Worker
                 seed_builder_for.insert(bound);
             }
         }
-        ctx->solver().setConfig(engine.base_config_);
+        ctx->solver().setConfig(engine.solver_config_);
         it = contexts.emplace(bound, std::move(ctx)).first;
         contexts_built++;
         return *it->second;
@@ -124,9 +122,8 @@ Engine::Engine(const nl::Netlist &netlist,
       jobs_(resolveJobs(engine_options.jobs))
 {
     R2U_ASSERT(bound_ > 0, "engine needs a positive default bound");
-    base_config_ = eopts_.solverConfig;
     if (!eopts_.inprocess)
-        base_config_.inprocessPeriod = 0;
+        solver_config_.inprocessPeriod = 0;
     if (!eopts_.cexVcdDir.empty()) {
         std::error_code ec;
         std::filesystem::create_directories(eopts_.cexVcdDir, ec);
@@ -179,7 +176,7 @@ Engine::attemptLimits(const Query &query, unsigned attempt,
 
     limits = SolveLimits{};
     limits.cancel = &cancel_;
-    limits.config = &base_config_;
+    limits.config = &solver_config_;
     double esc = escFactor(attempt);
 
     // Attempt 0 uses the configured budgets verbatim (a budget of 0 is
@@ -705,173 +702,6 @@ Engine::resolveFromCache(const std::vector<Query> &batch,
     }
 }
 
-sat::SolverConfig
-Engine::challengerConfig(unsigned racer) const
-{
-    // Diversification table: each challenger searches the same formula
-    // with a different restart policy, phase heuristic, and seed, so
-    // the portfolio covers instance classes the base config is slow
-    // on (cf. the Glucose-vs-Luby split measured on combinatorial
-    // cores). Deterministic in the racer index.
-    sat::SolverConfig cfg = base_config_;
-    cfg.seed = 0x9E3779B97F4A7C15ull * racer;
-    switch (racer % 4) {
-      case 1:
-        cfg.restart = sat::SolverConfig::Restart::Glucose;
-        cfg.lbdReduce = true;
-        cfg.polarity = sat::SolverConfig::Polarity::False;
-        break;
-      case 2:
-        cfg.restart = sat::SolverConfig::Restart::Luby;
-        cfg.lubyUnit = 300;
-        cfg.polarity = sat::SolverConfig::Polarity::Rand;
-        cfg.randomFreq = 0.02;
-        break;
-      case 3:
-        cfg.restart = sat::SolverConfig::Restart::Glucose;
-        cfg.glucoseMargin = 1.15;
-        cfg.lbdReduce = true;
-        cfg.polarity = sat::SolverConfig::Polarity::True;
-        break;
-      case 0: // racer >= 4 wraps: randomized Luby
-        cfg.restart = sat::SolverConfig::Restart::Luby;
-        cfg.polarity = sat::SolverConfig::Polarity::Rand;
-        cfg.randomFreq = 0.05;
-        break;
-    }
-    return cfg;
-}
-
-sat::Result
-Engine::racePortfolio(PropCtx &ctx, const SolveLimits &limits,
-                      CheckResult &result)
-{
-    sat::Solver &incumbent = ctx.solver();
-    unsigned racers = std::max(2u, eopts_.portfolioRacers);
-    Lit act = ctx.activation();
-
-    // One snapshot per race: level-0 units plus every live clause, in
-    // the incumbent's variable numbering. The snapshot includes the
-    // current query's activation-guarded clauses and the retired
-    // activation units of earlier queries, so every racer decides
-    // exactly the incumbent's formula under the same assumption — and
-    // therefore any racer's learnt clauses are implicates of the
-    // shared database, sound to import in either direction unguarded.
-    std::vector<std::vector<Lit>> snapshot;
-    incumbent.exportCnf(snapshot);
-
-    sat::ClausePool pool(racers);
-    if (eopts_.shareClauses)
-        incumbent.setShare(&pool, 0);
-
-    uint64_t inc_exported = incumbent.stats().sharedExported;
-    uint64_t inc_imported = incumbent.stats().sharedImported;
-
-    std::vector<std::unique_ptr<sat::Solver>> challengers;
-    for (unsigned r = 1; r < racers; r++) {
-        auto ch = std::make_unique<sat::Solver>();
-        ch->setConfig(challengerConfig(r));
-        while (ch->numVars() < incumbent.numVars())
-            ch->newVar();
-        for (const auto &clause : snapshot)
-            ch->addClause(clause);
-        if (eopts_.inprocess) {
-            // BVE + subsumption on the snapshot; the activation
-            // variable must survive to be assumed. Model
-            // reconstruction restores eliminated variables before a
-            // SAT model is adopted below.
-            ch->preprocess(sat::SimplifyOptions{},
-                           {sat::var(act)});
-        }
-        if (eopts_.shareClauses)
-            ch->setShare(&pool, r);
-        challengers.push_back(std::move(ch));
-    }
-
-    std::atomic<int> winner{-1};
-    std::vector<sat::Result> verdicts(racers, sat::Result::Unknown);
-    std::vector<std::thread> threads;
-    threads.reserve(racers - 1);
-    // Challengers keep their diversified configs: share the budgets
-    // and deadline but not limits.config (the base config).
-    SolveLimits ch_limits = limits;
-    ch_limits.config = nullptr;
-    for (unsigned r = 1; r < racers; r++) {
-        sat::Solver *ch = challengers[r - 1].get();
-        threads.emplace_back([ch, r, act, ch_limits, &winner,
-                              &verdicts, &incumbent, &challengers] {
-            applyLimits(*ch, ch_limits);
-            sat::Result res = ch->solve({act});
-            verdicts[r] = res;
-            if (res != sat::Result::Unknown) {
-                int expected = -1;
-                if (winner.compare_exchange_strong(
-                        expected, static_cast<int>(r))) {
-                    incumbent.interrupt();
-                    for (auto &other : challengers)
-                        if (other.get() != ch)
-                            other->interrupt();
-                }
-            }
-        });
-    }
-
-    applyLimits(incumbent, limits);
-    sat::Result inc_res = incumbent.solve({act});
-    verdicts[0] = inc_res;
-    if (inc_res != sat::Result::Unknown) {
-        int expected = -1;
-        winner.compare_exchange_strong(expected, 0);
-    }
-    // The race is decided (or the incumbent exhausted its limits):
-    // stop every challenger and wait them out before touching shared
-    // state. clearInterrupt() must come after the joins — a late
-    // winner still pokes the incumbent's flag.
-    for (auto &ch : challengers)
-        ch->interrupt();
-    for (auto &t : threads)
-        t.join();
-    incumbent.clearInterrupt();
-    incumbent.setShare(nullptr, 0);
-
-    int win = winner.load(std::memory_order_relaxed);
-    sat::Result final_res = inc_res;
-    if (win > 0) {
-        final_res = verdicts[win];
-        if (final_res == sat::Result::Sat) {
-            // extractTrace() reads the incumbent's model; hand it the
-            // challenger's (reconstruction already re-entered any
-            // BVE-eliminated variables in Solver::solve()).
-            incumbent.adoptModel(
-                challengers[win - 1]->model());
-        }
-    }
-
-    result.portfolioRacers = racers;
-    result.portfolioWinner = win;
-    if (win > 0) {
-        // The winning challenger's solve produced the verdict; record
-        // *its* work, not the interrupted incumbent's partial counters
-        // (challengers are fresh per race, so totals are per-race).
-        result.conflicts = challengers[win - 1]->stats().conflicts;
-        result.propagations =
-            challengers[win - 1]->stats().propagations;
-    }
-    result.sharedExported +=
-        incumbent.stats().sharedExported - inc_exported;
-    result.sharedImported +=
-        incumbent.stats().sharedImported - inc_imported;
-    for (const auto &ch : challengers) {
-        result.sharedExported += ch->stats().sharedExported;
-        result.sharedImported += ch->stats().sharedImported;
-        result.preprocessVarsEliminated +=
-            ch->stats().preprocessVarsEliminated;
-        result.preprocessClausesRemoved +=
-            ch->stats().preprocessClausesRemoved;
-    }
-    return final_res;
-}
-
 void
 Engine::maybePublishSeed(Worker &worker, PropCtx &ctx, unsigned bound)
 {
@@ -1003,21 +833,13 @@ Engine::runIncremental(Worker &worker, const Query &query)
     // the snapshot point for warm-starting sibling contexts.
     maybePublishSeed(worker, ctx, query.bound);
 
-    bool race = eopts_.portfolio && eopts_.portfolioRacers >= 2;
-
     // Attempt/retry loop on the shared context: a retry just re-solves
     // with bigger limits — the learnt clauses from the failed attempt
     // carry over, so escalation resumes rather than restarts the work.
     unsigned attempt = 0;
     while (true) {
-        sat::Result r;
-        if (race) {
-            r = racePortfolio(ctx, limits, result);
-        } else {
-            applyLimits(solver, limits);
-            r = solver.solve({ctx.activation()});
-        }
-        switch (r) {
+        applyLimits(solver, limits);
+        switch (solver.solve({ctx.activation()})) {
           case sat::Result::Unsat:
             result.verdict = Verdict::Proven;
             result.source = VerdictSource::Solve;
@@ -1042,18 +864,8 @@ Engine::runIncremental(Worker &worker, const Query &query)
     }
 
     result.seconds = timer.seconds();
-    if (result.portfolioWinner > 0) {
-        // A portfolio challenger won: its solve produced the verdict,
-        // so the record carries its name and its work — not the
-        // interrupted incumbent's partial counters (racePortfolio
-        // already wrote the winner's conflicts/propagations).
-        if (result.verdict != Verdict::Unknown)
-            result.source = VerdictSource::Portfolio;
-    } else {
-        result.conflicts = solver.stats().conflicts - conflicts_before;
-        result.propagations =
-            solver.stats().propagations - props_before;
-    }
+    result.conflicts = solver.stats().conflicts - conflicts_before;
+    result.propagations = solver.stats().propagations - props_before;
     result.inprocessRuns =
         solver.stats().simplifyRuns - simp_runs_before;
     result.inprocessClausesRemoved =
@@ -1108,10 +920,6 @@ Engine::drain()
         stats_.replaySeconds += r.replaySeconds;
         stats_.recheckSeconds += r.recheckSeconds;
         stats_.validateSeconds += r.validateSeconds;
-        if (r.portfolioRacers > 0)
-            stats_.portfolioRaces++;
-        if (r.portfolioWinner > 0)
-            stats_.portfolioChallengerWins++;
         if (r.engineRaced)
             stats_.engineRaces++;
         // Per-engine win attribution: only verdicts *solved* this run
@@ -1134,10 +942,6 @@ Engine::drain()
             stats_.unboundedProofs++;
         stats_.pdrFrames += r.pdrFrames;
         stats_.pdrObligations += r.pdrObligations;
-        stats_.sharedExported += r.sharedExported;
-        stats_.sharedImported += r.sharedImported;
-        stats_.preprocessVarsEliminated += r.preprocessVarsEliminated;
-        stats_.preprocessClausesRemoved += r.preprocessClausesRemoved;
         stats_.inprocessRuns += r.inprocessRuns;
         stats_.inprocessClausesRemoved += r.inprocessClausesRemoved;
     };

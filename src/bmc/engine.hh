@@ -158,41 +158,14 @@ struct EngineOptions
     std::function<void(const Query &, CheckResult &, SolveStage)>
         faultHook;
 
-    // --- SAT portfolio ---
     /**
-     * Race each query across diversified solver configurations: the
-     * worker's incumbent incremental context plus portfolioRacers-1
-     * fresh challengers solving a snapshot of the same CNF (identical
-     * variable numbering) under the same activation assumption. The
-     * first definitive verdict wins and interrupts the rest.
-     * Verdicts are race-independent — every racer decides the same
-     * formula — so the synthesized model stays bit-identical at any
-     * jobs count whether or not the portfolio is on.
-     */
-    bool portfolio = false;
-    /** Total racers per query (incumbent + challengers), min 2. */
-    unsigned portfolioRacers = 3;
-    /**
-     * Cross-racer learnt-clause sharing through a bounded pool: every
-     * racer publishes low-LBD learnts and imports the others' at
-     * restart boundaries. All racers decide the same clause database,
-     * so shared learnts are implicates of it and sound in either
-     * direction. Off: racers search independently (fully deterministic
-     * per-racer search).
-     */
-    bool shareClauses = true;
-    /**
-     * CNF simplification: periodic in-search simplifyDB() passes in
-     * every solver, plus SatELite-style preprocessing (bounded variable
-     * elimination + subsumption, with model reconstruction) of each
-     * portfolio challenger's snapshot. Off (--no-inprocess): solvers
-     * search the raw CNF.
+     * In-search inprocessing: every solver runs simplifyDB() — drop
+     * level-0-satisfied clauses, strip level-0-false literals, compact
+     * the clause arena — at solve entry when new root facts landed and
+     * every few restarts. Off (--no-inprocess): no simplifyDB() passes.
+     * Verdicts are the same either way.
      */
     bool inprocess = true;
-    /** Base solver configuration for every context (restart policy,
-     *  reduction ranking, ...). inprocess=false zeroes its
-     *  inprocessPeriod. */
-    sat::SolverConfig solverConfig;
 
     /**
      * Proof-engine selection for frame-local queries (see
@@ -307,19 +280,7 @@ struct EngineStats
     /** Total validation wall time (replays + re-checks + policy). */
     double validateSeconds = 0.0;
 
-    // --- SAT portfolio / simplification (see EngineOptions) ---
-    /** Queries that ran a portfolio race. */
-    uint64_t portfolioRaces = 0;
-    /** Races a challenger (not the incumbent) won. */
-    uint64_t portfolioChallengerWins = 0;
-    /** Learnt clauses published to race pools across the batch(es). */
-    uint64_t sharedExported = 0;
-    /** Learnt clauses imported from race pools. */
-    uint64_t sharedImported = 0;
-    /** Variables eliminated by challenger CNF preprocessing. */
-    uint64_t preprocessVarsEliminated = 0;
-    /** Clauses dropped by challenger CNF preprocessing. */
-    uint64_t preprocessClausesRemoved = 0;
+    // --- inprocessing (see EngineOptions::inprocess) ---
     /** In-search simplifyDB() passes across all queries. */
     uint64_t inprocessRuns = 0;
     /** Clauses removed by those passes. */
@@ -410,18 +371,6 @@ class Engine
      * machinery — replay, VCD, quarantine — works unchanged.
      */
     CheckResult runProofEngine(const Query &query);
-    /**
-     * Race the incumbent context against diversified challengers on a
-     * snapshot of its CNF (one attempt, under @p limits). Returns the
-     * first definitive result (the incumbent's honest Unknown when
-     * nobody wins) and fills the portfolio counters of @p result. A
-     * SAT-winning challenger's model is adopted into the incumbent so
-     * extractTrace() works unchanged.
-     */
-    sat::Result racePortfolio(PropCtx &ctx, const SolveLimits &limits,
-                              CheckResult &result);
-    /** Diversified config for challenger @p racer (1-based). */
-    sat::SolverConfig challengerConfig(unsigned racer) const;
     void fillCoiStats(const Query &query, CheckResult &result) const;
 
     /**
@@ -502,8 +451,9 @@ class Engine
     unsigned bound_;
     EngineOptions eopts_;
     unsigned jobs_;
-    /** eopts_.solverConfig with the inprocess switch folded in. */
-    sat::SolverConfig base_config_;
+    /** The solver configuration of every context and re-solve, with
+     *  EngineOptions::inprocess folded in. */
+    sat::SolverConfig solver_config_;
 
     std::atomic<bool> cancel_{false};
     bool has_total_deadline_ = false;

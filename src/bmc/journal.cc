@@ -33,6 +33,9 @@ constexpr size_t kHeaderSize = 4 + sizeof(uint32_t) + sizeof(uint64_t);
 constexpr size_t kFixedPayload = 8 + 8 + 4 + 4 + 4 + 8 + 8 + 8 + 4;
 constexpr uint8_t kFlagValidated = 0x01;
 constexpr uint8_t kFlagUnbounded = 0x02;
+/** Retired source byte (see VerdictSource): it marked definite,
+ *  validated verdicts of a removed solver mode, so it loads as Solve. */
+constexpr uint8_t kRetiredSource = 9;
 
 uint64_t
 fnv1a(const uint8_t *data, size_t n, uint64_t h = 14695981039346656037ull)
@@ -146,6 +149,8 @@ decodePayload(const uint8_t *data, size_t n, Journal::Record &rec)
         return false;
     if (n != kFixedPayload + name_len)
         return false;
+    if (source == kRetiredSource)
+        source = static_cast<uint8_t>(VerdictSource::Solve);
     rec.verdict = static_cast<Verdict>(verdict);
     rec.source = static_cast<VerdictSource>(source);
     rec.validated = (flags & kFlagValidated) != 0;

@@ -57,9 +57,6 @@ class Synthesizer
         eopts.totalSeconds = opts.totalTimeoutSeconds;
         eopts.retryEscalation = opts.retryEscalation;
         eopts.maxRetries = opts.maxRetries;
-        eopts.portfolio = opts.portfolio;
-        eopts.portfolioRacers = opts.portfolioRacers;
-        eopts.shareClauses = opts.shareClauses;
         eopts.inprocess = opts.inprocess;
         eopts.engine = opts.engine;
         validate_mode_ = bmc::validateModeName(opts.validate);
@@ -165,9 +162,6 @@ class Synthesizer
         out_.replaySeconds = estats.replaySeconds;
         out_.recheckSeconds = estats.recheckSeconds;
         out_.validateSeconds = estats.validateSeconds;
-        out_.portfolio = estats.portfolioRaces > 0;
-        out_.portfolioRaces = estats.portfolioRaces;
-        out_.portfolioChallengerWins = estats.portfolioChallengerWins;
         out_.engineMode = bmc::engineChoiceName(engine_->options().engine);
         out_.engineRaces = estats.engineRaces;
         out_.bmcWins = estats.bmcWins;
@@ -184,18 +178,8 @@ class Synthesizer
                    static_cast<size_t>(estats.kindWins),
                    static_cast<size_t>(estats.pdrWins),
                    static_cast<size_t>(estats.unboundedProofs));
-        out_.sharedExported = estats.sharedExported;
-        out_.sharedImported = estats.sharedImported;
-        out_.preprocessVarsEliminated = estats.preprocessVarsEliminated;
-        out_.preprocessClausesRemoved = estats.preprocessClausesRemoved;
         out_.inprocessRuns = estats.inprocessRuns;
         out_.inprocessClausesRemoved = estats.inprocessClausesRemoved;
-        if (estats.portfolioRaces > 0)
-            inform("rtl2uspec: portfolio: %zu race(s), %zu challenger "
-                   "win(s), %zu clause(s) shared",
-                   static_cast<size_t>(estats.portfolioRaces),
-                   static_cast<size_t>(estats.portfolioChallengerWins),
-                   static_cast<size_t>(estats.sharedImported));
         if (out_.cacheEnabled)
             inform("rtl2uspec: cache: %zu hit(s), %zu miss(es) "
                    "(%zu invalidated), %zu verdict(s) appended",
@@ -1958,13 +1942,6 @@ SynthesisResult::report() const
             static_cast<size_t>(validationFailures), validateSeconds,
             replaySeconds, recheckSeconds);
     }
-    if (portfolio)
-        out += strfmt("portfolio: %zu race(s), %zu challenger win(s), "
-                      "%zu clause(s) exported / %zu imported\n",
-                      static_cast<size_t>(portfolioRaces),
-                      static_cast<size_t>(portfolioChallengerWins),
-                      static_cast<size_t>(sharedExported),
-                      static_cast<size_t>(sharedImported));
     if (engineRaces > 0 || engineMode != "bmc")
         out += strfmt("engine (%s): %zu race(s); wins bmc=%zu "
                       "kind=%zu pdr=%zu; %zu unbounded proof(s), "
@@ -1977,12 +1954,9 @@ SynthesisResult::report() const
                       static_cast<size_t>(unboundedProofs),
                       static_cast<size_t>(pdrFrames),
                       static_cast<size_t>(pdrObligations));
-    if (inprocessRuns > 0 || preprocessVarsEliminated > 0)
-        out += strfmt("simplify: %zu var(s) eliminated / %zu clause(s) "
-                      "removed preprocessing, %zu inprocessing pass(es) "
-                      "removed %zu clause(s)\n",
-                      static_cast<size_t>(preprocessVarsEliminated),
-                      static_cast<size_t>(preprocessClausesRemoved),
+    if (inprocessRuns > 0)
+        out += strfmt("simplify: %zu inprocessing pass(es) removed "
+                      "%zu clause(s)\n",
                       static_cast<size_t>(inprocessRuns),
                       static_cast<size_t>(inprocessClausesRemoved));
     if (journalHits > 0 || journalAppends > 0)
@@ -2079,15 +2053,6 @@ SynthesisResult::jsonReport() const
         static_cast<size_t>(cacheInvalidations),
         static_cast<size_t>(cacheAppends));
     out += strfmt(
-        "  \"portfolio\": {\"enabled\": %s, \"races\": %zu, "
-        "\"challenger_wins\": %zu, \"shared_exported\": %zu, "
-        "\"shared_imported\": %zu},\n",
-        portfolio ? "true" : "false",
-        static_cast<size_t>(portfolioRaces),
-        static_cast<size_t>(portfolioChallengerWins),
-        static_cast<size_t>(sharedExported),
-        static_cast<size_t>(sharedImported));
-    out += strfmt(
         "  \"engine\": {\"mode\": \"%s\", \"races\": %zu, "
         "\"bmc_wins\": %zu, \"kind_wins\": %zu, \"pdr_wins\": %zu, "
         "\"unbounded_proofs\": %zu, \"pdr_frames\": %zu, "
@@ -2099,12 +2064,8 @@ SynthesisResult::jsonReport() const
         static_cast<size_t>(pdrFrames),
         static_cast<size_t>(pdrObligations));
     out += strfmt(
-        "  \"simplify\": {\"preprocess_vars_eliminated\": %zu, "
-        "\"preprocess_clauses_removed\": %zu, "
-        "\"inprocess_runs\": %zu, "
+        "  \"simplify\": {\"inprocess_runs\": %zu, "
         "\"inprocess_clauses_removed\": %zu},\n",
-        static_cast<size_t>(preprocessVarsEliminated),
-        static_cast<size_t>(preprocessClausesRemoved),
         static_cast<size_t>(inprocessRuns),
         static_cast<size_t>(inprocessClausesRemoved));
     out += "  \"degraded\": [";

@@ -123,15 +123,6 @@ struct SynthesisOptions
     unsigned maxRetries = 3;
 
     /**
-     * Race each SVA query across portfolioRacers diversified solver
-     * configurations; first definitive verdict wins and interrupts
-     * the rest (--portfolio). Verdicts and the emitted model are
-     * identical to the single-config path, at any jobs value.
-     */
-    bool portfolio = false;
-    /** Solver configs per race (incumbent + N-1 challengers). */
-    unsigned portfolioRacers = 3;
-    /**
      * Proof-engine selection (--engine {bmc,kind,pdr,race}). The
      * default runs an IC3/PDR pre-pass ahead of the incremental BMC
      * solve of every frame-local query: a PDR proof answers the
@@ -144,16 +135,11 @@ struct SynthesisOptions
      */
     bmc::EngineChoice engine = bmc::EngineChoice::Race;
     /**
-     * Exchange low-LBD learnt clauses between portfolio racers at
-     * restart boundaries (--share-clauses / --no-share-clauses).
-     */
-    bool shareClauses = true;
-    /**
-     * CNF pre/inprocessing: bounded variable elimination,
-     * subsumption and self-subsuming resolution on sliced query
-     * CNFs, repeated at restart boundaries (--no-inprocess turns it
-     * off). Models are reconstructed to full assignments, so
-     * counterexample replay sees every original variable.
+     * In-search inprocessing (--no-inprocess turns it off): the
+     * solver's simplifyDB() passes, which drop level-0-satisfied
+     * clauses and level-0-false literals at solve entry and every few
+     * restarts (see bmc::EngineOptions::inprocess). Verdicts and the
+     * emitted model are the same either way.
      */
     bool inprocess = true;
 
@@ -267,13 +253,6 @@ struct SynthesisResult
     /** Verdicts durably appended to the cache this run. */
     uint64_t cacheAppends = 0;
 
-    // --- portfolio + CNF simplification accounting (run level) ---
-    /** True when queries raced diversified solver configs. */
-    bool portfolio = false;
-    uint64_t portfolioRaces = 0;
-    /** Races a challenger config won (vs. the incumbent). */
-    uint64_t portfolioChallengerWins = 0;
-
     // --- proof-engine accounting (run level) ---
     /** Resolved --engine mode ("bmc", "kind", "pdr", "race"). */
     std::string engineMode = "race";
@@ -288,12 +267,6 @@ struct SynthesisResult
     /** PDR work totals across winning and completed PDR runs. */
     uint64_t pdrFrames = 0;
     uint64_t pdrObligations = 0;
-    /** Learnt clauses published to / imported from the shared pool. */
-    uint64_t sharedExported = 0;
-    uint64_t sharedImported = 0;
-    /** Preprocessing totals over portfolio challenger CNFs. */
-    uint64_t preprocessVarsEliminated = 0;
-    uint64_t preprocessClausesRemoved = 0;
     /** Inprocessing passes inside incremental solver contexts. */
     uint64_t inprocessRuns = 0;
     uint64_t inprocessClausesRemoved = 0;

@@ -1,6 +1,6 @@
 /**
  * @file
- * A CDCL SAT solver in the MiniSat/Glucose lineage.
+ * A CDCL SAT solver in the MiniSat lineage.
  *
  * This is the proof engine that stands in for the commercial property
  * verifier (JasperGold) in the paper's flow: the BMC layer (src/bmc)
@@ -9,20 +9,10 @@
  *
  * Features: two-watched-literal propagation, VSIDS decision heuristic
  * with an indexed max-heap, phase saving, first-UIP conflict analysis
- * with local clause minimization, Luby or Glucose (LBD-driven)
- * restarts, learnt-clause database reduction ranked by LBD/glue,
- * level-0 clause-database inprocessing between restarts, SatELite-style
- * CNF preprocessing (bounded variable elimination + subsumption, see
- * sat/simplify.hh) with full model reconstruction, and solving under
- * assumptions (used for incremental BMC).
- *
- * For the BMC engine's portfolio mode, diversified solver
- * configurations (SolverConfig: restart policy, polarity, random seed)
- * race on one query and exchange low-LBD learnt clauses through a
- * ClausePool (sat/share.hh): clauses are exported as they are learnt
- * and imported at restart boundaries, optionally guarded by a literal
- * so that clauses learnt under a query's activation assumption never
- * contaminate an incremental context's shared prefix.
+ * with local clause minimization, Luby restarts, activity-ranked
+ * learnt-clause database reduction, level-0 clause-database
+ * inprocessing between restarts, and solving under assumptions (used
+ * for incremental BMC).
  *
  * A solve() can be bounded by a conflict budget, a propagation budget,
  * and a wall-clock deadline (checked periodically), and stopped
@@ -40,7 +30,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 namespace r2u::sat
@@ -98,63 +87,13 @@ const char *stopReasonName(StopReason reason);
 
 /**
  * Per-solver search configuration. The default is the tuned
- * single-solver configuration; the BMC portfolio diversifies these
- * knobs across racers (restart policy, phase, random seed), and
- * --no-inprocess zeroes inprocessPeriod.
+ * configuration every BMC context runs; --no-inprocess zeroes
+ * inprocessPeriod.
  */
 struct SolverConfig
 {
-    enum class Restart : uint8_t {
-        Luby,   ///< classic Luby sequence scaled by lubyUnit
-        Glucose ///< dynamic: restart when recent LBDs run hot
-    };
-    enum class Polarity : uint8_t {
-        Saved, ///< phase saving (default-false before first flip)
-        False, ///< always decide false first
-        True,  ///< always decide true first
-        Rand   ///< random initial phase from `seed`, then saved
-    };
-
-    // Luby restarts with activity-ranked reduction are the robust
-    // baseline (measured over interrupted-then-resumed pigeonhole
-    // instances, LBD-ranked reduction inflates conflict counts by an
-    // order of magnitude on such combinatorial cores); the Glucose
-    // restart + LBD-reduction pairing stays available as a portfolio
-    // diversification.
-    Restart restart = Restart::Luby;
-    /** Luby policy: conflicts per restart = luby(i) * lubyUnit. */
+    /** Luby restarts: conflicts per restart = luby(i) * lubyUnit. */
     int64_t lubyUnit = 100;
-    /**
-     * Glucose policy: restart once the sliding window of the last
-     * glucoseWindow conflict LBDs averages more than glucoseMargin
-     * times the all-time average.
-     */
-    unsigned glucoseWindow = 50;
-    double glucoseMargin = 1.25;
-
-    Polarity polarity = Polarity::Saved;
-    /** Seed for the xorshift RNG behind Rand polarity / randomFreq. */
-    uint64_t seed = 0;
-    /** Fraction of decisions taken on a random variable (0 = off). */
-    double randomFreq = 0.0;
-
-    /** Learnt clauses with lbd <= glueLbd are never deleted. */
-    uint32_t glueLbd = 2;
-    /**
-     * Rank reduceDB() victims by LBD (glue) with activity as the
-     * tie-break; false restores the legacy activity-only ranking.
-     *
-     * LBD mode also switches the reduction *trigger* from the fixed
-     * learnt-count cap to Glucose's growing conflict interval
-     * (reduceFirst + reduceInc * reductions-so-far), which lets the
-     * database expand as the proof deepens instead of churning every
-     * few hundred conflicts at the initial cap.
-     */
-    bool lbdReduce = false;
-    /** Conflicts before the first LBD-mode reduction. */
-    int64_t reduceFirst = 2000;
-    /** Extra conflicts added to the interval per reduction. */
-    int64_t reduceInc = 300;
 
     /**
      * Run simplifyDB() — remove level-0-satisfied clauses and strip
@@ -163,22 +102,9 @@ struct SolverConfig
      */
     unsigned inprocessPeriod = 8;
 
-    /**
-     * Export learnt clauses with lbd <= shareLbdMax to the attached
-     * ClausePool (0 disables export; sharing also needs setShare()).
-     */
-    uint32_t shareLbdMax = 4;
-
     /** Test seam: fixed learnt-clause cap (0 = automatic sizing). */
     double maxLearntsOverride = 0.0;
-
-    double varDecay = 0.95;
-    double claDecay = 0.999;
 };
-
-class ClausePool;
-class Simplifier;
-struct SimplifyOptions;
 
 /** Aggregate search statistics, exposed for benches and logging. */
 struct SolverStats
@@ -190,34 +116,16 @@ struct SolverStats
     uint64_t learntLiterals = 0;
     uint64_t removedClauses = 0;
 
-    /** Sum of learnt-clause LBDs (mean glue = lbdSum / conflicts). */
-    uint64_t lbdSum = 0;
-    /** Learnt clauses with lbd <= glueLbd (kept forever). */
-    uint64_t glueClauses = 0;
-    uint64_t randomDecisions = 0;
-
     // --- inprocessing (simplifyDB) ---
     uint64_t simplifyRuns = 0;
     uint64_t simplifyClausesRemoved = 0;
     uint64_t simplifyLitsRemoved = 0;
-
-    // --- preprocessing (sat/simplify.hh) ---
-    uint64_t preprocessRuns = 0;
-    uint64_t preprocessVarsEliminated = 0;
-    uint64_t preprocessClausesRemoved = 0;
-    double preprocessSeconds = 0.0;
-
-    // --- portfolio clause sharing ---
-    uint64_t sharedExported = 0;
-    uint64_t sharedImported = 0;
-    uint64_t sharedImportedUnits = 0;
 };
 
 class Solver
 {
   public:
     Solver();
-    ~Solver();
 
     Solver(const Solver &) = delete;
     Solver &operator=(const Solver &) = delete;
@@ -261,18 +169,10 @@ class Solver
     bool modelValue(Lit l) const { return modelValue(var(l)) ^ sign(l); }
 
     /**
-     * The complete model after a Sat result (empty otherwise). Every
-     * variable has a concrete value, including variables the
-     * preprocessor eliminated (reconstructed before solve() returns).
+     * The complete model after a Sat result (empty otherwise): every
+     * variable has a concrete value.
      */
     const std::vector<LBool> &model() const { return model_; }
-
-    /**
-     * Install a full model produced by another solver over the same
-     * variable space (a portfolio racer that won with Sat). The
-     * vector must cover numVars() variables.
-     */
-    void adoptModel(std::vector<LBool> model);
 
     /**
      * After an Unsat result under assumptions, the subset of assumptions
@@ -319,46 +219,9 @@ class Solver
     }
 
     /**
-     * Attach this solver to a portfolio clause pool as producer
-     * `self`. Learnt clauses with lbd <= config().shareLbdMax are
-     * exported; other producers' clauses are imported at restart
-     * boundaries. When `import_guard` is a real literal, every
-     * imported clause c is added as (import_guard OR c) — the BMC
-     * engine passes ~activation so that clauses a racer learnt under
-     * the query's activation assumption stay sound in the incremental
-     * context once the query retires. nullptr pool detaches.
-     */
-    void setShare(ClausePool *pool, unsigned self,
-                  Lit import_guard = kLitUndef);
-
-    /**
-     * SatELite-style preprocessing of the current clause database at
-     * level 0: unit propagation, subsumption + self-subsuming
-     * resolution, pure-literal and bounded variable elimination.
-     * Learnt clauses are dropped. Eliminated variables become
-     * undecidable but their model values are reconstructed on every
-     * Sat answer, so modelValue() stays complete.
-     *
-     * Only sound while the clause database is final: addClause() of a
-     * clause mentioning an eliminated variable afterwards is a checked
-     * error, and `frozen` lists variables that must survive (e.g.
-     * future assumption literals). Returns false if preprocessing
-     * proved the formula UNSAT.
-     */
-    bool preprocess(const SimplifyOptions &options,
-                    const std::vector<Var> &frozen = {});
-
-    bool isEliminated(Var v) const
-    {
-        return v < static_cast<int>(eliminated_.size()) &&
-               eliminated_[v] != 0;
-    }
-
-    /**
      * Copy the clause database — level-0 facts, problem clauses, and
      * (optionally) learnt clauses — into `out` as one clause per
-     * entry. The BMC portfolio uses this to seed racer solvers over
-     * the identical variable numbering.
+     * entry, in this solver's variable numbering.
      */
     void exportCnf(std::vector<std::vector<Lit>> &out,
                    bool include_learnts = true) const;
@@ -367,7 +230,7 @@ class Solver
      * Become a copy of `other`: clause database (learnts included),
      * variable numbering, watch lists, level-0 trail, saved phases and
      * activities — everything but the transient per-solve state
-     * (budgets, deadline, interrupt wiring, shared pool, statistics).
+     * (budgets, deadline, interrupt wiring, statistics).
      * Orders of magnitude cheaper than re-adding the clauses one by
      * one because the watcher and heap structures are copied instead
      * of rebuilt. `other` must be idle at decision level 0 (between
@@ -391,9 +254,8 @@ class Solver
     // Every clause lives in one flat word buffer (arena_); a clause
     // reference (cref) is the word offset of its header:
     //   word 0   size << 3 | locked << 2 | deleted << 1 | learnt
-    //   word 1   lbd
-    //   word 2   activity (float, bit-punned)
-    //   word 3+  literals
+    //   word 1   activity (float, bit-punned)
+    //   word 2+  literals
     // Keeping header and literals contiguous — instead of one heap
     // vector per clause — is what makes propagate() cache-friendly
     // (one line fetch for short clauses), and lets cloneFrom() copy
@@ -401,7 +263,7 @@ class Solver
     // tombstoned in place and reclaimed when simplifyDB() compacts
     // the arena in place (it rebuilds all watch lists anyway, so
     // remapping crefs there is free).
-    static constexpr uint32_t kClauseHeader = 3;
+    static constexpr uint32_t kClauseHeader = 2;
     static constexpr uint32_t kFlagLearnt = 1;
     static constexpr uint32_t kFlagDeleted = 2;
     static constexpr uint32_t kFlagLocked = 4;
@@ -422,15 +284,13 @@ class Solver
         }
         /** Drop trailing literals (space reclaimed at compaction). */
         void shrink(uint32_t n) { p[0] = (n << 3) | (p[0] & 7u); }
-        uint32_t lbd() const { return p[1]; }
-        void setLbd(uint32_t l) { p[1] = l; }
         float activity() const
         {
             float a;
-            std::memcpy(&a, &p[2], sizeof a);
+            std::memcpy(&a, &p[1], sizeof a);
             return a;
         }
-        void setActivity(float a) { std::memcpy(&p[2], &a, sizeof a); }
+        void setActivity(float a) { std::memcpy(&p[1], &a, sizeof a); }
         Lit *lits() { return reinterpret_cast<Lit *>(p + kClauseHeader); }
         const Lit *lits() const
         {
@@ -450,7 +310,7 @@ class Solver
     }
 
     int allocClause(const Lit *lits, uint32_t size, bool learnt,
-                    uint32_t lbd, float activity);
+                    float activity);
 
     struct Watcher
     {
@@ -467,29 +327,17 @@ class Solver
     void uncheckedEnqueue(Lit l, int reason);
     int propagate(); // returns conflicting clause ref or -1
     void analyze(int confl, std::vector<Lit> &out_learnt,
-                 int &out_btlevel, uint32_t &out_lbd);
+                 int &out_btlevel);
     void analyzeFinal(Lit p);
     bool litRedundant(Lit l, uint32_t abstract_levels);
     void cancelUntil(int level);
     Lit pickBranchLit();
     Result search(int64_t conflicts_before_restart);
-    bool restartDue(int64_t conflicts_here,
-                    int64_t conflicts_before_restart) const;
     void reduceDB();
-    uint32_t computeLbd(const Lit *lits, uint32_t n);
-    uint32_t computeLbd(const std::vector<Lit> &lits)
-    {
-        return computeLbd(lits.data(),
-                          static_cast<uint32_t>(lits.size()));
-    }
     void simplifyDB();
     /** Compact the arena in place, dropping tombstones (level 0 only;
      *  callers must rebuild watch lists — crefs are remapped). */
     void garbageCollect();
-    /** Pool import at a restart point; false on level-0 conflict. */
-    bool exchangeClauses();
-    bool importClause(const std::vector<Lit> &lits, uint32_t lbd);
-    uint64_t nextRandom();
 
     // --- VSIDS heap ---
     void heapInsert(Var v);
@@ -499,10 +347,14 @@ class Solver
     void siftUp(int i);
     void siftDown(int i);
     void varBumpActivity(Var v);
-    void varDecayActivity() { var_inc_ /= cfg_.varDecay; }
+    void varDecayActivity() { var_inc_ /= kVarDecay; }
     void claBumpActivity(Clause c);
 
     static int64_t luby(int64_t x);
+
+    /** VSIDS variable and clause activity decay factors. */
+    static constexpr double kVarDecay = 0.95;
+    static constexpr double kClaDecay = 0.999;
 
     /**
      * Poll every stop condition. The deadline clock is only read every
@@ -528,7 +380,6 @@ class Solver
     std::vector<int> trail_lim_;
     std::vector<int> reason_; // var -> clause ref or -1
     std::vector<int> level_;  // var -> decision level
-    std::vector<uint8_t> eliminated_; // var eliminated by preprocess()
     size_t qhead_ = 0;
 
     std::vector<Lit> assumptions_;
@@ -539,25 +390,10 @@ class Solver
     std::vector<uint8_t> seen_;
     std::vector<Lit> analyze_stack_;
     std::vector<Lit> analyze_toclear_;
-    std::vector<uint64_t> lbd_stamp_; // per-level stamp for computeLbd
-    uint64_t lbd_stamp_gen_ = 0;
-
-    // Glucose restart state: sliding window + all-time LBD average.
-    std::vector<uint32_t> lbd_window_;
-    size_t lbd_window_next_ = 0;
-    uint64_t lbd_window_filled_ = 0;
-    uint64_t lbd_window_sum_ = 0;
-    uint64_t lbd_total_sum_ = 0;
-    uint64_t lbd_total_count_ = 0;
-
-    uint64_t rng_state_ = 0;
 
     double var_inc_ = 1.0;
     double cla_inc_ = 1.0;
     double max_learnts_ = 0;
-    // Glucose-style reduction schedule (LBD mode), reset per solve().
-    int64_t reduces_this_solve_ = 0;
-    int64_t conflicts_at_last_reduce_ = 0;
 
     int64_t conflict_budget_ = -1;
     int64_t conflicts_this_solve_ = 0;
@@ -575,13 +411,6 @@ class Solver
     /** Level-0 trail size when simplifyDB() last ran (solve-entry
      *  trigger: new root facts mean satisfied clauses to collect). */
     size_t trail_at_last_simplify_ = 0;
-
-    ClausePool *share_pool_ = nullptr;
-    unsigned share_self_ = 0;
-    Lit share_guard_ = kLitUndef;
-
-    /** Reconstruction stack for preprocess()-eliminated variables. */
-    std::unique_ptr<Simplifier> reconstruction_;
 
     SolverStats stats_;
 

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <set>
 
 #include <poll.h>
@@ -570,10 +571,18 @@ Server::handleSynthesize(const json::Value &req)
         paths.push_back(f.str);
     }
 
+    // An absent bound means the metadata's; a present one must be a
+    // positive integer (0 from a non-number fails the check too).
+    const json::Value *bound = req.find("bound");
+    int64_t bound_value = bound ? bound->asInt(0) : 0;
+    if (bound && (bound_value < 1 ||
+                  bound_value > std::numeric_limits<int>::max()))
+        return errResp("bad_request",
+                       "synthesize bound must be a positive integer");
+
     rtl2uspec::DesignMetadata md = rtl2uspec::loadMetadata(meta_path);
-    int64_t bound = req.getInt("bound", 0);
-    if (bound > 0)
-        md.bound = static_cast<unsigned>(bound);
+    if (bound)
+        md.bound = static_cast<unsigned>(bound_value);
 
     vlog::ElabOptions eo;
     eo.top = top;

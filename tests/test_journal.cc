@@ -400,3 +400,37 @@ TEST(Journal, OpenSharedLockReleasedOnClose)
     EXPECT_EQ(next.numLoaded(), 1u);
     EXPECT_NE(next.lookup(key("a", 3)), nullptr);
 }
+
+// Source bytes are an on-disk format. Race must stay 10 now that code
+// 9 is retired, and a record carrying 9 (written by a build that still
+// had it) must load as Solve instead of ending the load as a torn
+// tail that drops every later record.
+TEST(Journal, RetiredSourceCodeLoadsAsSolve)
+{
+    std::string path = tempJournal("sources.bin");
+    {
+        bmc::Journal j;
+        j.open(path, kHash, false);
+        auto retired = makeRecord("retired", 3, bmc::Verdict::Proven);
+        retired.source = static_cast<bmc::VerdictSource>(9);
+        auto race = makeRecord("race", 3, bmc::Verdict::Proven);
+        race.source = bmc::VerdictSource::Race;
+        ASSERT_TRUE(j.append(retired));
+        ASSERT_TRUE(j.append(race));
+        ASSERT_TRUE(
+            j.append(makeRecord("after", 3, bmc::Verdict::Refuted)));
+    }
+    EXPECT_EQ(static_cast<uint8_t>(bmc::VerdictSource::Race), 10u);
+
+    bmc::Journal j;
+    j.open(path, kHash, true);
+    EXPECT_EQ(j.numLoaded(), 3u);
+    ASSERT_NE(j.lookup(key("retired", 3)), nullptr);
+    EXPECT_EQ(j.lookup(key("retired", 3))->source,
+              bmc::VerdictSource::Solve);
+    ASSERT_NE(j.lookup(key("race", 3)), nullptr);
+    EXPECT_EQ(j.lookup(key("race", 3))->source,
+              bmc::VerdictSource::Race);
+    ASSERT_NE(j.lookup(key("after", 3)), nullptr);
+    EXPECT_EQ(j.lookup(key("after", 3))->verdict, bmc::Verdict::Refuted);
+}

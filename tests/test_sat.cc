@@ -3,8 +3,9 @@
  * Tests for the CDCL SAT solver, including a randomized property test
  * that cross-checks solver verdicts against brute-force enumeration on
  * small formulas, structured instances (pigeonhole, chains) that
- * exercise conflict analysis, restarts, and assumption handling, and
- * white-box checks of the in-place clause-arena compaction.
+ * exercise conflict analysis, restarts, and assumption handling,
+ * context cloning, and white-box checks of the in-place clause-arena
+ * compaction.
  */
 
 #include <gtest/gtest.h>
@@ -458,6 +459,52 @@ TEST_P(SatRandomTest, AgreesWithBruteForce)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SatRandomTest, ::testing::Range(0, 5));
+
+/**
+ * cloneFrom() warm-seeds sibling incremental contexts at --jobs > 1:
+ * the copy must carry the whole clause database, learnts included,
+ * and answer every later query as the original does.
+ */
+TEST(Sat, CloneFromReplicatesDatabaseAndVerdicts)
+{
+    std::mt19937 rng(31337);
+    const int kVars = 20;
+    std::vector<std::vector<Lit>> cnf;
+    std::uniform_int_distribution<int> pick(0, kVars - 1);
+    for (int i = 0; i < 80; i++) {
+        std::vector<Lit> clause;
+        while (clause.size() < 3) {
+            Lit l = mkLit(pick(rng), (rng() & 1) != 0);
+            bool dup = false;
+            for (Lit o : clause)
+                dup = dup || var(o) == var(l);
+            if (!dup)
+                clause.push_back(l);
+        }
+        cnf.push_back(clause);
+    }
+
+    Solver a;
+    for (int i = 0; i < kVars; i++)
+        a.newVar();
+    for (const auto &clause : cnf)
+        a.addClause(clause);
+    (void)a.solve(); // accumulate learnts / phases / activities
+
+    Solver b;
+    b.cloneFrom(a);
+    EXPECT_EQ(b.numVars(), a.numVars());
+
+    std::vector<std::vector<Lit>> a_db, b_db;
+    a.exportCnf(a_db, true);
+    b.exportCnf(b_db, true);
+    EXPECT_EQ(a_db, b_db) << "clone must carry learnts too";
+
+    for (int s = 0; s < 4; s++) {
+        std::vector<Lit> as{mkLit(s, false), mkLit(kVars - 1 - s, true)};
+        EXPECT_EQ(a.solve(as), b.solve(as)) << "assumption set " << s;
+    }
+}
 
 namespace r2u::sat
 {

@@ -1,17 +1,11 @@
 /**
  * @file
- * Verdict-identity and unit tests for CNF simplification
- * (sat/simplify.hh) and the solver paths that consume it:
+ * Verdict-identity tests for the solver's clause-database maintenance:
  *
- *  - Simplifier unit behavior: subsumption, self-subsuming
- *    resolution, pure-literal and bounded variable elimination,
- *    frozen variables, UNSAT detection;
- *  - random CNFs solved with preprocessing on vs. off must agree, and
- *    every SAT answer's reconstructed model must satisfy the
- *    *original* (pre-elimination) clauses — the property `--validate`
- *    counterexample replay depends on;
  *  - inprocessing (periodic simplifyDB + arena garbage collection)
- *    must not change verdicts, incrementally or not;
+ *    must not change verdicts, incrementally or not, on random CNFs
+ *    and on a sliced multi-V-scale query corpus, nor under the BMC
+ *    engine with full verdict validation;
  *  - a reduceDB() regression: a crafted conflict schedule (learnt cap
  *    pinned to almost nothing, so reduction fires while learnt
  *    clauses are reasons on the trail) must never evict locked
@@ -24,8 +18,11 @@
 #include <random>
 #include <vector>
 
-#include "sat/simplify.hh"
+#include "bmc/checker.hh"
+#include "bmc/engine.hh"
 #include "sat/solver.hh"
+#include "vscale/metadata.hh"
+#include "vscale/vscale.hh"
 
 using namespace r2u::sat;
 
@@ -105,241 +102,14 @@ satisfies(const std::vector<LBool> &model, const Cnf &cnf)
 }
 
 Result
-solvePlain(const Cnf &cnf, int num_vars,
-           std::vector<LBool> *model = nullptr,
-           const std::vector<Lit> &assumptions = {})
+solvePlain(const Cnf &cnf, int num_vars)
 {
     Solver s;
     load(s, cnf, num_vars);
-    Result r = s.solve(assumptions);
-    if (model && r == Result::Sat)
-        *model = s.model();
-    return r;
+    return s.solve();
 }
 
 } // namespace
-
-// ---------------------------------------------------------------------
-// Simplifier unit behavior
-// ---------------------------------------------------------------------
-
-TEST(Simplify, SubsumptionRemovesSuperset)
-{
-    Simplifier simp(4, SimplifyOptions{});
-    // Freeze everything so only subsumption can act.
-    for (Var v = 0; v < 4; v++)
-        simp.freeze(v);
-    simp.addClause({mkLit(0), mkLit(1)});
-    simp.addClause({mkLit(0), mkLit(1), mkLit(2)});
-    simp.addClause({mkLit(2), mkLit(3)});
-    ASSERT_TRUE(simp.run());
-    EXPECT_GE(simp.stats().clausesSubsumed, 1u);
-    Cnf out = simp.result();
-    for (const auto &clause : out)
-        EXPECT_LT(clause.size(), 3u) << "superset clause survived";
-}
-
-TEST(Simplify, SelfSubsumingResolutionStrengthens)
-{
-    Simplifier simp(4, SimplifyOptions{});
-    for (Var v = 0; v < 4; v++)
-        simp.freeze(v);
-    // (x0 v x1) almost-subsumes (x0 v ~x1 v x2) modulo x1: resolution
-    // strengthens the latter to (x0 v x2). The extra x1 clauses keep
-    // occ(x1) larger than occ(x0), so the subsumption scan walks
-    // occ(x0) — the list that actually contains the victim.
-    simp.addClause({mkLit(0), mkLit(1)});
-    simp.addClause({mkLit(0), ~mkLit(1), mkLit(2)});
-    simp.addClause({mkLit(1), mkLit(3)});
-    simp.addClause({mkLit(1), mkLit(3), ~mkLit(2)});
-    ASSERT_TRUE(simp.run());
-    EXPECT_GE(simp.stats().litsStrengthened, 1u);
-    for (const auto &clause : simp.result()) {
-        bool has_neg1 = false;
-        for (Lit l : clause)
-            has_neg1 = has_neg1 || l == ~mkLit(1);
-        EXPECT_FALSE(has_neg1) << "~x1 should have been resolved away";
-    }
-}
-
-TEST(Simplify, PureLiteralEliminatedAndReconstructed)
-{
-    Simplifier simp(3, SimplifyOptions{});
-    // x2 occurs only positively -> pure, eliminated with a
-    // reconstruction record.
-    simp.addClause({mkLit(0), mkLit(2)});
-    simp.addClause({~mkLit(0), mkLit(1)});
-    ASSERT_TRUE(simp.run());
-    EXPECT_GE(simp.stats().pureLiterals, 1u);
-    EXPECT_TRUE(simp.isEliminated(2));
-
-    std::vector<LBool> model(3, LBool::Undef);
-    model[0] = LBool::False; // makes (x0 v x2) depend on x2
-    model[1] = LBool::True;
-    Simplifier::extendModel(model, simp.records());
-    EXPECT_EQ(model[2], LBool::True);
-}
-
-TEST(Simplify, BveEliminatesFunctionallyDefinedVar)
-{
-    // x1 <-> x0 (two binary clauses, 1 pos / 1 neg occurrence):
-    // resolving x1 away yields only the tautology, so BVE removes it.
-    Simplifier simp(3, SimplifyOptions{});
-    simp.freeze(0);
-    simp.freeze(2);
-    simp.addClause({~mkLit(1), mkLit(0)});
-    simp.addClause({mkLit(1), ~mkLit(0)});
-    simp.addClause({mkLit(0), mkLit(2)});
-    ASSERT_TRUE(simp.run());
-    EXPECT_TRUE(simp.isEliminated(1));
-    EXPECT_GE(simp.stats().varsEliminated, 1u);
-
-    // Reconstruction restores x1 = x0 whichever way x0 went.
-    std::vector<LBool> model(3, LBool::Undef);
-    model[0] = LBool::True;
-    model[2] = LBool::False;
-    Simplifier::extendModel(model, simp.records());
-    EXPECT_EQ(model[1], LBool::True);
-}
-
-TEST(Simplify, FrozenVariableSurvives)
-{
-    Simplifier simp(2, SimplifyOptions{});
-    simp.freeze(1);
-    // x1 is pure positive, but frozen: must not be eliminated.
-    simp.addClause({mkLit(0), mkLit(1)});
-    simp.addClause({~mkLit(0), mkLit(1)});
-    ASSERT_TRUE(simp.run());
-    EXPECT_FALSE(simp.isEliminated(1));
-}
-
-TEST(Simplify, UnsatDetected)
-{
-    Simplifier simp(2, SimplifyOptions{});
-    simp.addClause({mkLit(0)});
-    simp.addClause({~mkLit(0), mkLit(1)});
-    simp.addClause({~mkLit(0), ~mkLit(1)});
-    EXPECT_FALSE(simp.run());
-}
-
-// ---------------------------------------------------------------------
-// Verdict identity: Simplifier path vs. plain solving on random CNFs
-// ---------------------------------------------------------------------
-
-class SimplifyRandomTest : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(SimplifyRandomTest, VerdictIdentityAndModelReconstruction)
-{
-    std::mt19937 rng(1000 + GetParam());
-    const int kVars = 24;
-    const int kClauses = 101; // ~4.2 clauses/var: SAT/UNSAT mix
-    Cnf cnf = randomCnf(rng, kVars, kClauses);
-
-    Result plain = solvePlain(cnf, kVars);
-    ASSERT_NE(plain, Result::Unknown);
-
-    Simplifier simp(kVars, SimplifyOptions{});
-    for (const auto &clause : cnf)
-        simp.addClause(clause);
-    if (!simp.run()) {
-        EXPECT_EQ(plain, Result::Unsat) << "seed " << GetParam();
-        return;
-    }
-
-    Solver s;
-    load(s, simp.result(), kVars);
-    Result simplified = s.solve();
-    ASSERT_NE(simplified, Result::Unknown);
-    EXPECT_EQ(simplified, plain) << "seed " << GetParam();
-
-    if (simplified == Result::Sat) {
-        std::vector<LBool> model = s.model();
-        model.resize(kVars, LBool::Undef);
-        Simplifier::extendModel(model, simp.records());
-        EXPECT_TRUE(satisfies(model, cnf))
-            << "reconstructed model violates an original clause, seed "
-            << GetParam();
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SimplifyRandomTest,
-                         ::testing::Range(0, 12));
-
-// ---------------------------------------------------------------------
-// Solver::preprocess — the embedded path with frozen assumption vars
-// ---------------------------------------------------------------------
-
-class SolverPreprocessTest : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(SolverPreprocessTest, VerdictIdentityUnderActivation)
-{
-    std::mt19937 rng(7000 + GetParam());
-    const int kVars = 22;
-    Cnf cnf = randomCnf(rng, kVars, 92);
-    // Guard a slice of the clauses by an activation variable, the way
-    // BMC queries guard their bad-cone clauses.
-    const Var act = kVars;
-    for (size_t i = 0; i < cnf.size(); i += 4)
-        cnf[i].push_back(~mkLit(act));
-
-    Result plain_on = solvePlain(cnf, kVars + 1, nullptr, {mkLit(act)});
-    Result plain_off = solvePlain(cnf, kVars + 1, nullptr, {~mkLit(act)});
-    ASSERT_NE(plain_on, Result::Unknown);
-    ASSERT_NE(plain_off, Result::Unknown);
-
-    Solver s;
-    load(s, cnf, kVars + 1);
-    if (!s.preprocess(SimplifyOptions{}, {act})) {
-        // Preprocessing may only prove unconditional UNSAT.
-        EXPECT_EQ(plain_on, Result::Unsat);
-        EXPECT_EQ(plain_off, Result::Unsat);
-        return;
-    }
-    EXPECT_FALSE(s.isEliminated(act));
-
-    // Same solver, both activation polarities, incrementally.
-    Result on = s.solve({mkLit(act)});
-    EXPECT_EQ(on, plain_on) << "seed " << GetParam();
-    if (on == Result::Sat) {
-        EXPECT_TRUE(satisfies(s.model(), cnf));
-        EXPECT_TRUE(s.modelValue(act));
-        // Reconstruction must cover every original variable.
-        for (Var v = 0; v <= kVars; v++)
-            EXPECT_NE(s.model()[v], LBool::Undef) << "var " << v;
-    }
-    Result off = s.solve({~mkLit(act)});
-    EXPECT_EQ(off, plain_off) << "seed " << GetParam();
-    if (off == Result::Sat)
-        EXPECT_TRUE(satisfies(s.model(), cnf));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SolverPreprocessTest,
-                         ::testing::Range(0, 12));
-
-TEST(SolverPreprocess, ReportsEliminationStats)
-{
-    // Plumbing chain x0 -> x1 -> ... -> x9 with only the endpoints
-    // frozen: BVE should eliminate interior equivalence variables.
-    Cnf cnf;
-    const int kVars = 10;
-    for (int v = 0; v + 1 < kVars; v++) {
-        cnf.push_back({~mkLit(v), mkLit(v + 1)});
-        cnf.push_back({mkLit(v), ~mkLit(v + 1)});
-    }
-    Solver s;
-    load(s, cnf, kVars);
-    ASSERT_TRUE(s.preprocess(SimplifyOptions{}, {0, kVars - 1}));
-    EXPECT_GT(s.stats().preprocessVarsEliminated, 0u);
-    EXPECT_EQ(s.stats().preprocessRuns, 1u);
-
-    ASSERT_EQ(s.solve({mkLit(0)}), Result::Sat);
-    EXPECT_TRUE(satisfies(s.model(), cnf));
-    EXPECT_TRUE(s.modelValue(kVars - 1));
-}
 
 // ---------------------------------------------------------------------
 // reduceDB regression: locked (reason) clauses must survive reduction
@@ -356,15 +126,10 @@ namespace
  * wrong verdicts, bogus models, or a crash.
  */
 SolverConfig
-evictionStormConfig(bool lbd_reduce)
+evictionStormConfig()
 {
     SolverConfig cfg;
     cfg.maxLearntsOverride = 2.0;
-    cfg.lbdReduce = lbd_reduce;
-    // LBD mode schedules reductions by conflict count instead.
-    cfg.reduceFirst = 4;
-    cfg.reduceInc = 0;
-    cfg.glueLbd = 0; // no glue immunity: only the lock protects
     return cfg;
 }
 
@@ -374,21 +139,11 @@ TEST(ReduceDb, LockedReasonsSurviveActivityRanked)
 {
     Cnf cnf = pigeonhole(7, 6);
     Solver s;
-    s.setConfig(evictionStormConfig(false));
+    s.setConfig(evictionStormConfig());
     load(s, cnf, 7 * 6);
     EXPECT_EQ(s.solve(), Result::Unsat);
     EXPECT_GT(s.stats().removedClauses, 0u)
         << "reduction never fired; the regression is not exercised";
-}
-
-TEST(ReduceDb, LockedReasonsSurviveLbdRanked)
-{
-    Cnf cnf = pigeonhole(7, 6);
-    Solver s;
-    s.setConfig(evictionStormConfig(true));
-    load(s, cnf, 7 * 6);
-    EXPECT_EQ(s.solve(), Result::Unsat);
-    EXPECT_GT(s.stats().removedClauses, 0u);
 }
 
 TEST(ReduceDb, SatisfiableUnderEvictionStorm)
@@ -398,15 +153,13 @@ TEST(ReduceDb, SatisfiableUnderEvictionStorm)
         const int kVars = 30;
         Cnf cnf = randomCnf(rng, kVars, 110);
         Result plain = solvePlain(cnf, kVars);
-        for (bool lbd : {false, true}) {
-            Solver s;
-            s.setConfig(evictionStormConfig(lbd));
-            load(s, cnf, kVars);
-            Result r = s.solve();
-            EXPECT_EQ(r, plain) << "seed " << seed << " lbd " << lbd;
-            if (r == Result::Sat)
-                EXPECT_TRUE(satisfies(s.model(), cnf))
-                    << "seed " << seed << " lbd " << lbd;
+        Solver s;
+        s.setConfig(evictionStormConfig());
+        load(s, cnf, kVars);
+        Result r = s.solve();
+        EXPECT_EQ(r, plain) << "seed " << seed;
+        if (r == Result::Sat) {
+            EXPECT_TRUE(satisfies(s.model(), cnf)) << "seed " << seed;
         }
     }
 }
@@ -431,8 +184,9 @@ TEST(Inprocess, AggressiveSimplifyKeepsVerdicts)
         load(s, cnf, kVars);
         Result r = s.solve();
         EXPECT_EQ(r, plain) << "seed " << seed;
-        if (r == Result::Sat)
+        if (r == Result::Sat) {
             EXPECT_TRUE(satisfies(s.model(), cnf)) << "seed " << seed;
+        }
     }
 }
 
@@ -486,4 +240,172 @@ TEST(Inprocess, IncrementalSolvesStaySound)
         std::vector<Lit> as{mkLit(3, neg), mkLit(11, !neg)};
         EXPECT_EQ(simp_solver.solve(as), plain_solver.solve(as));
     }
+}
+
+// ---------------------------------------------------------------------
+// Sliced V-scale query corpus: inprocessing on vs. off
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+namespace bmc = r2u::bmc;
+namespace vscale = r2u::vscale;
+
+struct QueryCnf
+{
+    Cnf clauses;
+    Lit act;
+    int numVars = 0;
+};
+
+constexpr unsigned kBound = 5;
+
+vscale::Config
+formalConfig()
+{
+    vscale::Config cfg = vscale::Config::formal();
+    cfg.imemWords = 16;
+    return cfg;
+}
+
+/** CNF snapshots of COI-sliced V-scale queries, each guarded by its
+ *  activation literal as the BMC engine guards them. */
+const std::vector<QueryCnf> &
+vscaleCorpus()
+{
+    static const std::vector<QueryCnf> corpus = [] {
+        auto design = vscale::elaborateVscale(formalConfig());
+        auto md = vscale::vscaleMetadata(formalConfig());
+        std::vector<QueryCnf> out;
+        for (const auto &core : md.cores) {
+            for (int kind = 0; kind < 2; kind++) {
+                bmc::PropCtx ctx(*design.netlist, design.signalMap, {},
+                                 kBound);
+                ctx.beginQuery();
+                Lit bad;
+                if (kind == 0) {
+                    bad = ctx.cnf().falseLit();
+                    for (unsigned f = 1; f < kBound; f++)
+                        bad = ctx.cnf().mkOr(
+                            bad, ctx.changedAt(f, core.ifr));
+                } else {
+                    bad = ctx.eqConst(kBound - 1, core.imPc, 2);
+                }
+                ctx.assume(bad);
+                QueryCnf q;
+                ctx.solver().exportCnf(q.clauses, false);
+                q.act = ctx.activation();
+                q.numVars = ctx.solver().numVars();
+                out.push_back(std::move(q));
+            }
+            if (out.size() >= 4) // two cores are representative
+                break;
+        }
+        return out;
+    }();
+    return corpus;
+}
+
+void
+loadQuery(Solver &s, const QueryCnf &q, const SolverConfig &cfg)
+{
+    s.setConfig(cfg);
+    load(s, q.clauses, q.numVars);
+}
+
+} // namespace
+
+TEST(VscaleCorpus, InprocessingOnOffVerdictIdentity)
+{
+    for (size_t i = 0; i < vscaleCorpus().size(); i++) {
+        const QueryCnf &q = vscaleCorpus()[i];
+        SolverConfig on;
+        on.inprocessPeriod = 1;
+        on.lubyUnit = 8;
+        SolverConfig off;
+        off.inprocessPeriod = 0;
+
+        Solver s_on, s_off;
+        loadQuery(s_on, q, on);
+        loadQuery(s_off, q, off);
+        Result r_on = s_on.solve({q.act});
+        Result r_off = s_off.solve({q.act});
+        EXPECT_EQ(r_on, r_off) << "query " << i;
+        if (r_on == Result::Sat) {
+            Cnf all = q.clauses;
+            all.push_back({q.act});
+            EXPECT_TRUE(satisfies(s_on.model(), all)) << "query " << i;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Engine --no-inprocess path under full trust-but-verify validation
+// ---------------------------------------------------------------------
+
+TEST(EngineNoInprocess, FullValidationMatchesReference)
+{
+    auto design = vscale::elaborateVscale(formalConfig());
+    auto md = vscale::vscaleMetadata(formalConfig());
+
+    // Per core: the fetch register moves within the bound (cex) and
+    // the imem PC stays word-aligned (proof).
+    auto enqueue = [&](bmc::Engine &engine) {
+        std::vector<bmc::Verdict> want;
+        for (const auto &core : md.cores) {
+            bmc::Query moves;
+            moves.name = core.prefix + "ifr_moves";
+            std::string ifr = core.ifr;
+            moves.prop = [ifr](bmc::PropCtx &ctx) {
+                Lit bad = ctx.cnf().falseLit();
+                for (unsigned f = 1; f < kBound; f++)
+                    bad = ctx.cnf().mkOr(bad, ctx.changedAt(f, ifr));
+                return bad;
+            };
+            engine.enqueue(std::move(moves));
+            want.push_back(bmc::Verdict::Refuted);
+
+            bmc::Query aligned;
+            aligned.name = core.prefix + "pc_aligned";
+            std::string pc = core.imPc;
+            aligned.prop = [pc](bmc::PropCtx &ctx) {
+                return ctx.eqConst(kBound - 1, pc, 2);
+            };
+            engine.enqueue(std::move(aligned));
+            want.push_back(bmc::Verdict::Proven);
+        }
+        return want;
+    };
+
+    bmc::EngineOptions ref_opts;
+    ref_opts.jobs = 1;
+    ref_opts.validate = bmc::ValidateMode::Full;
+    bmc::Engine reference(*design.netlist, design.signalMap, {}, kBound,
+                          ref_opts);
+    bmc::EngineOptions noinp_opts;
+    noinp_opts.jobs = 2;
+    noinp_opts.inprocess = false;
+    noinp_opts.validate = bmc::ValidateMode::Full;
+    bmc::Engine no_inprocess(*design.netlist, design.signalMap, {},
+                             kBound, noinp_opts);
+
+    auto want = enqueue(reference);
+    ASSERT_EQ(enqueue(no_inprocess), want);
+    auto ref_res = reference.drain();
+    auto noinp_res = no_inprocess.drain();
+    ASSERT_EQ(ref_res.size(), want.size());
+    ASSERT_EQ(noinp_res.size(), want.size());
+    for (size_t i = 0; i < want.size(); i++) {
+        EXPECT_EQ(ref_res[i].verdict, want[i]) << "query " << i;
+        EXPECT_EQ(noinp_res[i].verdict, want[i]) << "query " << i;
+        // Full validation replayed every counterexample and
+        // re-checked every proof.
+        EXPECT_TRUE(noinp_res[i].validated) << "query " << i;
+        EXPECT_EQ(noinp_res[i].inprocessRuns, 0u) << "query " << i;
+    }
+    EXPECT_EQ(no_inprocess.stats().validationFailures, 0u);
+    EXPECT_EQ(no_inprocess.stats().inprocessRuns, 0u);
+    EXPECT_GT(no_inprocess.stats().replays, 0u);
+    EXPECT_GT(no_inprocess.stats().proofRechecks, 0u);
 }

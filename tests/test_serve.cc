@@ -302,6 +302,15 @@ TEST(Serve, PingStatusAndBadRequests)
     EXPECT_FALSE(resp.getBool("ok"));
     EXPECT_EQ(resp.getStr("code"), "bad_request");
 
+    // A bound below 1 is refused, not replaced by the metadata bound.
+    for (int64_t bound : {int64_t{0}, int64_t{-3}}) {
+        json::Value synth = synthesizeRequest();
+        synth.set("bound", json::Value::number(bound));
+        ASSERT_TRUE(client.request(synth, resp, &err)) << err;
+        EXPECT_FALSE(resp.getBool("ok")) << "bound " << bound;
+        EXPECT_EQ(resp.getStr("code"), "bad_request") << "bound " << bound;
+    }
+
     // A frame carrying broken JSON gets an error response on a raw
     // connection, not a dead daemon. Drive the protocol layer by hand.
     int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);

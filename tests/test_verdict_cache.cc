@@ -108,6 +108,35 @@ TEST(VerdictCache, RoundTripPersistsAcrossReopens)
     (void)file;
 }
 
+// Cache records share the journal's one-byte source code: Race stays
+// 10, and a record carrying the retired code 9 loads as Solve without
+// cutting off the records behind it.
+TEST(VerdictCache, RetiredSourceCodeLoadsAsSolve)
+{
+    std::string dir = tempCacheDir("vc_sources");
+    {
+        bmc::VerdictCache c;
+        c.open(dir);
+        auto retired = makeRecord(0x901, "retired", bmc::Verdict::Proven, 3);
+        retired.source = static_cast<bmc::VerdictSource>(9);
+        auto race = makeRecord(0xa01, "race", bmc::Verdict::Proven, 3);
+        race.source = bmc::VerdictSource::Race;
+        ASSERT_TRUE(c.append(retired));
+        ASSERT_TRUE(c.append(race));
+        ASSERT_TRUE(
+            c.append(makeRecord(0xb01, "after", bmc::Verdict::Refuted, 3)));
+    }
+    bmc::VerdictCache c;
+    c.open(dir);
+    EXPECT_EQ(c.numLoaded(), 3u);
+    ASSERT_NE(c.lookup(0x901), nullptr);
+    EXPECT_EQ(c.lookup(0x901)->source, bmc::VerdictSource::Solve);
+    ASSERT_NE(c.lookup(0xa01), nullptr);
+    EXPECT_EQ(c.lookup(0xa01)->source, bmc::VerdictSource::Race);
+    ASSERT_NE(c.lookup(0xb01), nullptr);
+    EXPECT_EQ(c.lookup(0xb01)->verdict, bmc::Verdict::Refuted);
+}
+
 // Appending a key the cache already holds is a durable no-op: the
 // file must not grow (shared caches would otherwise bloat on every
 // warm run) and the entry count must not change.

@@ -66,6 +66,7 @@ usage()
         "  --dfg-dir DIR   write full-design and per-instruction DFG\n"
         "                  DOT files into DIR\n"
         "  --bound N       override the BMC bound from the metadata\n"
+        "                  (N >= 1)\n"
         "  --jobs N        SVA-evaluation workers (default: hardware\n"
         "                  concurrency; 1 = one worker, in order)\n"
         "  --full-unroll   disable cone-of-influence slicing: bit-blast\n"
@@ -88,18 +89,10 @@ usage()
         "                  emitted model are identical to --engine\n"
         "                  bmc; PDR can additionally close proofs\n"
         "                  as unbounded)\n"
-        "  --portfolio[=N] race each SVA query across N diversified\n"
-        "                  solver configurations (default 3); first\n"
-        "                  definitive verdict wins and interrupts the\n"
-        "                  rest. Verdicts and the emitted model are\n"
-        "                  identical to the single-config path\n"
-        "  --share-clauses / --no-share-clauses\n"
-        "                  exchange low-LBD learnt clauses between\n"
-        "                  portfolio racers at restart boundaries\n"
-        "                  (default on when --portfolio)\n"
-        "  --no-inprocess  disable CNF pre/inprocessing (bounded\n"
-        "                  variable elimination, subsumption,\n"
-        "                  self-subsuming resolution) on query CNFs\n"
+        "  --no-inprocess  disable the solver's in-search inprocessing\n"
+        "                  (simplifyDB passes that drop clauses\n"
+        "                  satisfied at level 0 and literals false at\n"
+        "                  level 0); same verdicts and model\n"
         "  --validate MODE verdict validation: off | replay | full |\n"
         "                  sample=N (default sample=8: replay every\n"
         "                  counterexample through the reference\n"
@@ -141,7 +134,7 @@ main(int argc, char **argv)
     std::vector<std::string> files;
     std::unordered_map<std::string, int64_t> params;
     bool table = false, list_svas = false;
-    int bound_override = -1;
+    int bound_override = 0; // 0: the metadata bound
     rtl2uspec::SynthesisOptions synth_opts;
 
     for (int i = 1; i < argc; i++) {
@@ -162,6 +155,8 @@ main(int argc, char **argv)
                 dfg_dir = next();
             } else if (arg == "--bound") {
                 bound_override = parseInt("--bound", next());
+                if (bound_override < 1)
+                    fatal("--bound expects a positive unroll bound");
             } else if (arg == "--jobs") {
                 int jobs = parseInt("--jobs", next());
                 if (jobs < 1)
@@ -200,20 +195,6 @@ main(int argc, char **argv)
                     fatal("--engine expects bmc|kind|pdr|race, "
                           "got '%s'", e.c_str());
                 }
-            } else if (arg == "--portfolio" ||
-                       arg.rfind("--portfolio=", 0) == 0) {
-                synth_opts.portfolio = true;
-                if (arg.size() > 12 && arg[11] == '=') {
-                    int n = parseInt("--portfolio=N", arg.substr(12));
-                    if (n < 2)
-                        fatal("--portfolio=N expects N >= 2 racers");
-                    synth_opts.portfolioRacers =
-                        static_cast<unsigned>(n);
-                }
-            } else if (arg == "--share-clauses") {
-                synth_opts.shareClauses = true;
-            } else if (arg == "--no-share-clauses") {
-                synth_opts.shareClauses = false;
             } else if (arg == "--no-inprocess") {
                 synth_opts.inprocess = false;
             } else if (arg == "--validate") {
