@@ -266,9 +266,6 @@ struct CheckResult
     /** What this query alone added to its (possibly shared) context. */
     size_t cnfVarsAdded = 0;
     size_t cnfClausesAdded = 0;
-    /** Static cone size when the query declared seeds (0 otherwise). */
-    size_t coiCells = 0;
-    size_t coiMems = 0;
     Trace trace; ///< populated when Refuted
 
     // --- proof-engine attribution (bmc::Engine) ---

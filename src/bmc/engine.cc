@@ -279,11 +279,8 @@ Engine::runProofEngine(const Query &query)
     // Single-engine mode is diagnostic (--engine pdr / --engine kind):
     // one attempt with the configured budgets, no retry ladder — an
     // Unknown here is the answer the user asked this engine for.
-    if (!attemptLimits(query, 0, limits, total_binding)) {
-        result = cancelledResult(query.bound);
-        fillCoiStats(query, result);
-        return result;
-    }
+    if (!attemptLimits(query, 0, limits, total_binding))
+        return cancelledResult(query.bound);
 
     bool refuted = false;
     if (eopts_.engine == EngineChoice::Pdr) {
@@ -358,18 +355,7 @@ Engine::runProofEngine(const Query &query)
     }
 
     refineSource(result, total_binding);
-    fillCoiStats(query, result);
     return result;
-}
-
-void
-Engine::fillCoiStats(const Query &query, CheckResult &result) const
-{
-    if (query.seeds.empty())
-        return;
-    nl::Coi coi = nl::computeCoi(nl_, query.seeds);
-    result.coiCells = coi.numCells();
-    result.coiMems = coi.numMems();
 }
 
 namespace
@@ -650,7 +636,6 @@ Engine::resolveFromJournal(const std::vector<Query> &batch,
         if (r.verdict == Verdict::Refuted)
             r.validationNote = "verdict resumed from journal; the "
                                "counterexample trace is not stored";
-        fillCoiStats(batch[i], r);
         results[i] = std::move(r);
         done[i] = 1;
     }
@@ -696,7 +681,6 @@ Engine::resolveFromCache(const std::vector<Query> &batch,
         if (r.verdict == Verdict::Refuted)
             r.validationNote = "verdict replayed from verdict cache; "
                                "the counterexample trace is not stored";
-        fillCoiStats(batch[i], r);
         results[i] = std::move(r);
         done[i] = 1;
     }
@@ -753,11 +737,8 @@ Engine::runIncremental(Worker &worker, const Query &query)
 
     SolveLimits limits;
     bool total_binding = false;
-    if (!attemptLimits(query, 0, limits, total_binding)) {
-        result = cancelledResult(query.bound);
-        fillCoiStats(query, result);
-        return result;
-    }
+    if (!attemptLimits(query, 0, limits, total_binding))
+        return cancelledResult(query.bound);
 
     // PDR pre-pass (--engine race): within the query's bound and
     // limits, on this thread. Only a Proven answer is taken — BMC owns
@@ -782,7 +763,6 @@ Engine::runIncremental(Worker &worker, const Query &query)
             result.cnfVars = pr.cnfVars;
             result.cnfClauses = pr.cnfClauses;
             result.seconds = timer.seconds();
-            fillCoiStats(query, result);
             return result;
         }
         // The BMC solve gets limits of its own; the pre-pass may have
@@ -792,7 +772,6 @@ Engine::runIncremental(Worker &worker, const Query &query)
             result.source = interrupted() ? VerdictSource::Interrupted
                                           : VerdictSource::TotalDeadline;
             result.seconds = timer.seconds();
-            fillCoiStats(query, result);
             return result;
         }
     }
@@ -874,7 +853,6 @@ Engine::runIncremental(Worker &worker, const Query &query)
     result.cnfClauses = static_cast<size_t>(solver.numClauses());
     result.cnfVarsAdded = result.cnfVars - vars_before;
     result.cnfClausesAdded = result.cnfClauses - clauses_before;
-    fillCoiStats(query, result);
     ctx.endQuery();
     return result;
 }

@@ -187,11 +187,11 @@ struct Query
     int64_t conflictBudget = kInheritBudget;
 
     /**
-     * Seed state elements the property reads (optional). Demand-driven
-     * unrolling slices to the cone automatically; declaring the seeds
-     * up front additionally reports the static COI size (cells/mems)
-     * for this query through CheckResult, the analogue of JasperGold's
-     * "COI reduction" log line.
+     * Seed state elements the property reads (optional). BMC's
+     * demand-driven unrolling slices to the cone by itself; the seeds
+     * only bound the PDR pre-pass's transition relation (empty: the
+     * whole design). The synthesis frontend computes each query's
+     * cone once, for its content hash, and reports the cone size.
      */
     nl::CoiSeeds seeds;
 
@@ -371,7 +371,6 @@ class Engine
      * machinery — replay, VCD, quarantine — works unchanged.
      */
     CheckResult runProofEngine(const Query &query);
-    void fillCoiStats(const Query &query, CheckResult &result) const;
 
     /**
      * Everything between "the solver answered" and "the caller sees

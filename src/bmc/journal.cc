@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
+#include "common/strutil.hh"
 
 namespace r2u::bmc
 {
@@ -23,10 +24,13 @@ constexpr char kMagic[4] = {'R', '2', 'U', 'J'};
 // v3: payload grows a u64 baseKey after key, and flags bit1 records
 // proof generality (unbounded) — v2 records cannot express either, so
 // they must not answer v3 lookups.
-constexpr uint32_t kVersion = 3;
+// v4: the structural and cone hashes fold per-cell digests
+// (nl::digestNetlist), so every config hash and key value changed.
+constexpr uint32_t kVersion = 4;
 constexpr char kCacheMagic[4] = {'R', '2', 'U', 'C'};
 // cache v2: same baseKey/unbounded payload growth as journal v3.
-constexpr uint32_t kCacheVersion = 2;
+// cache v3: digest-folded cone hashes, as journal v4.
+constexpr uint32_t kCacheVersion = 3;
 constexpr size_t kCacheHeaderSize = 4 + sizeof(uint32_t);
 constexpr size_t kHeaderSize = 4 + sizeof(uint32_t) + sizeof(uint64_t);
 /** payload bytes before the variable-length name */
@@ -159,6 +163,31 @@ decodePayload(const uint8_t *data, size_t n, Journal::Record &rec)
     return true;
 }
 
+/**
+ * Why a journal file's header rules out resuming from it under
+ * @p config_hash; "" when it does not.
+ */
+std::string
+headerMismatch(const std::vector<uint8_t> &file, uint64_t config_hash)
+{
+    if (file.size() < kHeaderSize)
+        return "shorter than its header";
+    const uint8_t *p = file.data();
+    if (std::memcmp(p, kMagic, 4) != 0)
+        return "bad magic";
+    p += 4;
+    uint32_t version = get<uint32_t>(p);
+    if (version != kVersion)
+        return strfmt("version %u (expected %u)", version, kVersion);
+    uint64_t hash = get<uint64_t>(p);
+    if (hash != config_hash)
+        return strfmt("config hash mismatch (%llx vs %llx) — produced "
+                      "by a different design/bound/unroll configuration",
+                      static_cast<unsigned long long>(hash),
+                      static_cast<unsigned long long>(config_hash));
+    return "";
+}
+
 } // namespace
 
 uint64_t
@@ -196,6 +225,13 @@ void
 Journal::open(const std::string &path, uint64_t config_hash,
               bool resume)
 {
+    openImpl(path, config_hash, resume, /*lenient=*/false);
+}
+
+void
+Journal::openImpl(const std::string &path, uint64_t config_hash,
+                  bool resume, bool lenient)
+{
     R2U_ASSERT(fd_ < 0, "journal already open");
     path_ = path;
 
@@ -213,23 +249,15 @@ Journal::open(const std::string &path, uint64_t config_hash,
                 file.insert(file.end(), chunk, chunk + n);
             ::close(rfd);
 
-            if (file.size() >= kHeaderSize) {
-                const uint8_t *p = file.data();
-                if (std::memcmp(p, kMagic, 4) != 0)
-                    fatal("journal %s: bad magic", path.c_str());
-                p += 4;
-                uint32_t version = get<uint32_t>(p);
-                if (version != kVersion)
-                    fatal("journal %s: version %u (expected %u)",
-                          path.c_str(), version, kVersion);
-                uint64_t hash = get<uint64_t>(p);
-                if (hash != config_hash)
-                    fatal("journal %s: config hash mismatch "
-                          "(%llx vs %llx) — produced by a different "
-                          "design/bound/unroll configuration",
-                          path.c_str(),
-                          static_cast<unsigned long long>(hash),
-                          static_cast<unsigned long long>(config_hash));
+            std::string mismatch =
+                file.empty() ? "" : headerMismatch(file, config_hash);
+            if (!mismatch.empty()) {
+                if (!lenient)
+                    fatal("journal %s: %s", path.c_str(),
+                          mismatch.c_str());
+                warn("journal %s: %s — starting it fresh", path.c_str(),
+                     mismatch.c_str());
+            } else if (!file.empty()) {
                 good = static_cast<off_t>(kHeaderSize);
                 size_t off = kHeaderSize;
                 while (off + sizeof(uint32_t) + sizeof(uint64_t) <=
@@ -260,9 +288,6 @@ Journal::open(const std::string &path, uint64_t config_hash,
                          path.c_str(),
                          file.size() - static_cast<size_t>(good),
                          loaded_.size());
-            } else if (!file.empty()) {
-                fatal("journal %s: shorter than its header",
-                      path.c_str());
             }
         }
         fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT, 0644);
@@ -279,7 +304,8 @@ Journal::open(const std::string &path, uint64_t config_hash,
             end_ = good;
             return;
         }
-        // Empty or absent file: fall through to write a fresh header.
+        // Empty, absent or (lenient) unusable file: fall through to
+        // write a fresh header.
         if (::ftruncate(fd_, 0) != 0)
             fatal("journal %s: truncate failed: %s", path.c_str(),
                   strerror(errno));
@@ -320,7 +346,7 @@ Journal::openShared(const std::string &path, uint64_t config_hash)
     // The flock lives on this description; keep it open so the lock
     // outlives the separate write fd open() creates below.
     lock_fd_ = lfd;
-    open(path, config_hash, /*resume=*/true);
+    openImpl(path, config_hash, /*resume=*/true, /*lenient=*/true);
     return true;
 }
 
@@ -458,8 +484,9 @@ VerdictCache::open(const std::string &dir)
                 version = get<uint32_t>(p);
             }
             if (version != kCacheVersion) {
-                warn("cache %s: unrecognized header — starting fresh",
-                     path_.c_str());
+                warn("cache %s: unrecognized header (version %u, "
+                     "expected %u) — starting fresh",
+                     path_.c_str(), version, kCacheVersion);
             } else {
                 fresh = false;
                 good = static_cast<off_t>(kCacheHeaderSize);

@@ -123,9 +123,10 @@ class Journal
      * With @p resume, existing records are loaded for lookup() and any
      * torn tail is truncated away; without it an existing file is
      * truncated to empty (a fresh run must not inherit stale
-     * verdicts). fatal() on I/O errors or a resume config-hash
-     * mismatch (a journal from a different design/bound/unroll mode
-     * must never answer this run's queries).
+     * verdicts). fatal() on I/O errors or a header resume cannot use:
+     * truncated, bad magic, another format version or another config
+     * hash (a journal from a different design/bound/unroll mode must
+     * never answer this run's queries).
      */
     void open(const std::string &path, uint64_t config_hash,
               bool resume);
@@ -137,6 +138,10 @@ class Journal
      * two writers interleave frames. Used by the service's shared
      * state directory, where a second daemon on the same --state DIR
      * should degrade to running journal-less, not corrupt the store.
+     * A header it cannot resume from (truncated, bad magic, another
+     * format version or another config hash) is not fatal here: no
+     * user asked for this file, so it warns and starts the journal
+     * fresh, as the VerdictCache does.
      */
     bool openShared(const std::string &path, uint64_t config_hash);
 
@@ -179,6 +184,10 @@ class Journal
     size_t numAppended() const { return appended_; }
 
   private:
+    /** open(); @p lenient starts a mismatched header fresh. */
+    void openImpl(const std::string &path, uint64_t config_hash,
+                  bool resume, bool lenient);
+
     int fd_ = -1;
     /** Held open purely to keep an openShared() flock alive. */
     int lock_fd_ = -1;

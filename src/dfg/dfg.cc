@@ -1,6 +1,8 @@
 #include "dfg/dfg.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <deque>
 
 #include "common/dot.hh"
@@ -41,62 +43,61 @@ FullDesignDfg::build(const nl::Netlist &netlist)
     dfg.parents_.resize(dfg.nodes_.size());
     dfg.children_.resize(dfg.nodes_.size());
 
-    // For each node, collect the state elements in its next-state cone.
-    for (const Node &n : dfg.nodes_) {
-        std::set<NodeId> srcs;
-        if (!n.isMem) {
-            const nl::Cell &c = netlist.cell(n.reg);
-            for (CellId in : c.inputs) {
-                auto s = dfg.coneSources(in);
-                srcs.insert(s.begin(), s.end());
-            }
+    // The state sources of every wire, as a bit row over node ids,
+    // filled in one pass over the combinational cells in topological
+    // order: a register's row is its own node, a memory read adds its
+    // array to its address's sources, and any other combinational
+    // cell takes the union of its inputs' rows. Constants and inputs
+    // keep empty rows.
+    const size_t words = (dfg.nodes_.size() + 63) / 64;
+    std::vector<uint64_t> rows(netlist.numCells() * words, 0);
+    auto row = [&](CellId c) { return rows.data() + c * words; };
+    auto setBit = [](uint64_t *r, NodeId n) {
+        r[n / 64] |= uint64_t{1} << (n % 64);
+    };
+    auto orRow = [&](uint64_t *dst, CellId src) {
+        const uint64_t *r = row(src);
+        for (size_t w = 0; w < words; w++)
+            dst[w] |= r[w];
+    };
+    for (const Node &n : dfg.nodes_)
+        if (!n.isMem)
+            setBit(row(n.reg), n.id);
+    for (CellId id : netlist.topoOrder()) {
+        const nl::Cell &c = netlist.cell(id);
+        if (c.kind == CellKind::MemRead) {
+            setBit(row(id), dfg.by_mem_.at(c.mem));
+            orRow(row(id), c.inputs[0]); // the address cone
         } else {
-            const nl::Memory &m = netlist.memory(n.mem);
-            for (CellId port : m.writePorts) {
-                for (CellId in : netlist.cell(port).inputs) {
-                    auto s = dfg.coneSources(in);
-                    srcs.insert(s.begin(), s.end());
-                }
-            }
+            for (CellId in : c.inputs)
+                orRow(row(id), in);
         }
-        for (NodeId p : srcs) {
-            dfg.parents_[n.id].push_back(p);
-            dfg.children_[p].push_back(n.id);
+    }
+
+    // A node's parents are the sources of its next-state inputs: a
+    // register's D and EN, every input of an array's write ports.
+    // Ascending node ids, as the DOT output expects.
+    std::vector<uint64_t> srcs(words);
+    for (const Node &n : dfg.nodes_) {
+        std::fill(srcs.begin(), srcs.end(), 0);
+        if (!n.isMem) {
+            for (CellId in : netlist.cell(n.reg).inputs)
+                orRow(srcs.data(), in);
+        } else {
+            for (CellId port : netlist.memory(n.mem).writePorts)
+                for (CellId in : netlist.cell(port).inputs)
+                    orRow(srcs.data(), in);
+        }
+        for (size_t w = 0; w < words; w++) {
+            for (uint64_t bits = srcs[w]; bits; bits &= bits - 1) {
+                NodeId p = static_cast<NodeId>(
+                    w * 64 + static_cast<size_t>(std::countr_zero(bits)));
+                dfg.parents_[n.id].push_back(p);
+                dfg.children_[p].push_back(n.id);
+            }
         }
     }
     return dfg;
-}
-
-std::set<NodeId>
-FullDesignDfg::coneSources(CellId wire) const
-{
-    std::set<NodeId> out;
-    std::vector<CellId> stack{wire};
-    std::set<CellId> seen;
-    while (!stack.empty()) {
-        CellId id = stack.back();
-        stack.pop_back();
-        if (!seen.insert(id).second)
-            continue;
-        const nl::Cell &c = nl_->cell(id);
-        switch (c.kind) {
-          case CellKind::Dff:
-            out.insert(by_reg_.at(id));
-            break;
-          case CellKind::MemRead:
-            out.insert(by_mem_.at(c.mem));
-            stack.push_back(c.inputs[0]); // the address cone
-            break;
-          case CellKind::Const:
-          case CellKind::Input:
-            break;
-          default:
-            for (CellId in : c.inputs)
-                stack.push_back(in);
-            break;
-        }
-    }
-    return out;
 }
 
 NodeId

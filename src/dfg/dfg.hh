@@ -8,7 +8,9 @@
  * or enable cone) reads A through pure combinational logic; all
  * combinational cells are collapsed out. Memory reads contribute two
  * kinds of parents: the memory array itself and everything feeding the
- * read address.
+ * read address. build() finds every wire's state sources in one pass
+ * over Netlist::topoOrder(), as a bit row over node ids, so a
+ * combinational cycle is a fatal() here, during static analysis.
  *
  * The module also implements the paper's stage labeling (§4.2.2):
  * BFS distance from the IM_PC register, front-end filtering of nodes
@@ -45,7 +47,10 @@ struct Node
 class FullDesignDfg
 {
   public:
-    /** Extract the full-design DFG from a netlist. */
+    /**
+     * Extract the full-design DFG from a netlist. Every node's parents
+     * (and every node's children) are in ascending node id order.
+     */
     static FullDesignDfg build(const nl::Netlist &netlist);
 
     const nl::Netlist &netlist() const { return *nl_; }
@@ -67,12 +72,6 @@ class FullDesignDfg
      * ignoring self-loops; -1 if unreachable. Used for stage labels.
      */
     std::vector<int> distancesFrom(NodeId from) const;
-
-    /**
-     * The state elements feeding a combinational cone rooted at
-     * @p wire (stops at registers and memory reads).
-     */
-    std::set<NodeId> coneSources(nl::CellId wire) const;
 
     std::string toDot() const;
 

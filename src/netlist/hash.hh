@@ -14,15 +14,23 @@
  *    (coneHash over nl::computeCoi), so an RTL edit invalidates only
  *    the queries whose slice actually changed.
  *
- * The hash covers cell kinds, names, port widths, connectivity
- * (input CellIds), constant/DFF power-on values, slice offsets, and
- * memory geometry + initial contents + write-port wiring. It is
- * FNV-1a 64-bit over an explicit little-endian byte encoding, so the
- * value is stable across platforms and process runs (no
- * pointer/std::hash dependence). Cell identifiers participate in the
- * encoding: an edit that renumbers cells conservatively invalidates
- * every cone that mentions them, which can only cost re-solves, never
- * soundness.
+ * Both are folds over per-element digests computed once per netlist
+ * (digestNetlist). A cell's digest is FNV-1a 64-bit over an explicit
+ * little-endian encoding of its kind, name, port widths, connectivity
+ * (input CellIds), constant/DFF power-on value and slice offset; a
+ * memory's digest covers its name, geometry, initial contents and the
+ * digests of its write-port cells in priority order. Nothing depends
+ * on pointers or std::hash, so every value is stable across platforms
+ * and process runs.
+ *
+ * The fold takes the in-cone elements in id order and chains each
+ * element's id and digest through a bijective mixer, so it hashes the
+ * sequence of (id, digest) pairs, not a multiset of digests: two
+ * identical cells cannot cancel out, and the same content at other
+ * ids hashes differently. Cell identifiers also appear inside the
+ * digests (as input references): an edit that renumbers cells
+ * conservatively invalidates every cone that mentions them, which can
+ * only cost re-solves, never soundness.
  */
 
 #ifndef R2U_NETLIST_HASH_HH
@@ -30,6 +38,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/bits.hh"
 #include "netlist/coi.hh"
@@ -82,25 +91,34 @@ class Fnv64
     uint64_t h_ = 14695981039346656037ull;
 };
 
-/**
- * Whole-netlist content hash: every cell (kind, name, width,
- * connectivity, value, slice offset, memory binding) and every memory
- * (geometry, initial contents, write-port order). Equal-count designs
- * with different logic hash differently.
- */
-uint64_t structuralHash(const Netlist &nl);
+/** Content digest of every cell and memory of one netlist. */
+struct Digests
+{
+    std::vector<uint64_t> cells; ///< indexed by CellId
+    /** Indexed by MemId; each covers the memory's write-port cells. */
+    std::vector<uint64_t> mems;
+};
+
+/** One pass over @p nl: each cell, then each memory, hashed once. */
+Digests digestNetlist(const Netlist &nl);
 
 /**
- * Content hash of one cone of influence: the in-cone cells and
- * memories only, each prefixed with its id. Cells outside the cone
- * cannot influence any wire a demand-driven unrolling of the seeds
- * materializes (see nl::computeCoi), so an edit confined to them
- * leaves the hash — and any verdict keyed by it — intact.
+ * Whole-netlist content hash: the cell and memory counts, then every
+ * cell and every memory digest. Equal-count designs with different
+ * logic hash differently.
  */
-uint64_t coneHash(const Netlist &nl, const Coi &coi);
+uint64_t structuralHash(const Digests &digests);
 
-/** Convenience: computeCoi(nl, seeds) then hash the cone. */
-uint64_t coneHash(const Netlist &nl, const CoiSeeds &seeds);
+/**
+ * Content hash of one cone of influence (computed over the netlist
+ * @p digests describe): the digests of its in-cone cells and memories
+ * only. Cells outside the cone cannot influence any wire a
+ * demand-driven unrolling of the seeds materializes (see
+ * nl::computeCoi), so an edit confined to them leaves the hash — and
+ * any verdict keyed by it — intact. MemWrite cells are never members
+ * of Coi::cells; an in-cone memory's digest covers them.
+ */
+uint64_t coneHash(const Digests &digests, const Coi &coi);
 
 } // namespace r2u::nl
 

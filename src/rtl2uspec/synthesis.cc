@@ -44,7 +44,8 @@ class Synthesizer
         R2U_ASSERT(!md.cores.empty() && !md.instrs.empty(),
                    "metadata needs cores and instruction types");
         base_seeds_ = buildBaseSeeds();
-        netlist_hash_ = nl::structuralHash(nl_);
+        digests_ = nl::digestNetlist(nl_);
+        netlist_hash_ = nl::structuralHash(digests_);
         property_env_hash_ = propertyEnvHash();
         bmc::EngineOptions eopts;
         eopts.jobs = opts.jobs;
@@ -503,15 +504,21 @@ class Synthesizer
                              extra.cells.end());
         q.seeds.mems.insert(q.seeds.mems.end(), extra.mems.begin(),
                             extra.mems.end());
-        q.contentHash = queryContentHash(idx, q.seeds);
-        q.baseHash = queryBaseHash(idx, q.seeds);
+        // One cone per query: its size is the SVA's reported COI and
+        // its hash the content ingredient of both keys.
+        nl::Coi coi = nl::computeCoi(nl_, q.seeds);
+        out_.svas[idx].coiCells = coi.numCells();
+        uint64_t cone =
+            full_unroll_ ? netlist_hash_ : nl::coneHash(digests_, coi);
+        q.contentHash = queryContentHash(idx, cone);
+        q.baseHash = queryBaseHash(idx, cone);
         engine_->enqueue(std::move(q));
         pending_.push_back(idx);
     }
 
     /**
-     * Content-derived identity of one SVA query: the hash of the COI
-     * slice its property can read (the whole netlist under
+     * Content-derived identity of one SVA query: @p cone, the hash of
+     * the COI slice its property can read (the whole netlist under
      * --full-unroll, where every query sees every cell), the property
      * environment, the bound/unroll mode, and the SVA's identity and
      * rendered text. This is the journal-key ingredient and the
@@ -519,11 +526,10 @@ class Synthesizer
      * the solver would decide the same question.
      */
     uint64_t
-    queryContentHash(size_t idx, const nl::CoiSeeds &seeds) const
+    queryContentHash(size_t idx, uint64_t cone) const
     {
         nl::Fnv64 h;
-        h.u64(full_unroll_ ? netlist_hash_
-                           : nl::coneHash(nl_, seeds));
+        h.u64(cone);
         h.u64(property_env_hash_);
         h.u32(md_.bound);
         h.byte(full_unroll_ ? 1 : 0);
@@ -543,11 +549,10 @@ class Synthesizer
      * reuse the proof (journal/cache lookupUnbounded).
      */
     uint64_t
-    queryBaseHash(size_t idx, const nl::CoiSeeds &seeds) const
+    queryBaseHash(size_t idx, uint64_t cone) const
     {
         nl::Fnv64 h;
-        h.u64(full_unroll_ ? netlist_hash_
-                           : nl::coneHash(nl_, seeds));
+        h.u64(cone);
         h.u64(property_env_hash_);
         h.byte(full_unroll_ ? 1 : 0);
         const SvaRecord &sva = out_.svas[idx];
@@ -576,7 +581,6 @@ class Synthesizer
             rec.cnfClauses = results[q].cnfClauses;
             rec.cnfVarsAdded = results[q].cnfVarsAdded;
             rec.cnfClausesAdded = results[q].cnfClausesAdded;
-            rec.coiCells = results[q].coiCells;
             rec.validated = results[q].validated;
             rec.fromJournal = results[q].fromJournal;
             rec.fromCache = results[q].fromCache;
@@ -1871,6 +1875,8 @@ class Synthesizer
     int hbis_ = 0;
     SynthesisResult out_;
     std::string validate_mode_;
+    /** Per-cell and per-memory content digests of nl_, computed once. */
+    nl::Digests digests_;
     /** nl::structuralHash of the whole design (journal binding). */
     uint64_t netlist_hash_ = 0;
     /** propertyEnvHash() of the metadata (per-query key ingredient). */

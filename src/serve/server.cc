@@ -1,10 +1,12 @@
 #include "serve/server.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <future>
 #include <limits>
+#include <optional>
 #include <set>
 
 #include <poll.h>
@@ -48,6 +50,31 @@ okResp(const char *type)
     v.set("ok", json::Value::boolean_(true));
     v.set("type", json::Value::string(type));
     return v;
+}
+
+/**
+ * A heavy request's worker count: @p def when "jobs" is absent,
+ * nullopt when it is present but not an integer in
+ * [0, kMaxRequestJobs] (0 picks every core).
+ */
+std::optional<unsigned>
+requestJobs(const json::Value &req, unsigned def)
+{
+    const json::Value *jobs = req.find("jobs");
+    if (!jobs)
+        return def;
+    if (!jobs->isNum() || jobs->num != std::floor(jobs->num) ||
+        jobs->num < 0 || jobs->num > kMaxRequestJobs)
+        return std::nullopt;
+    return static_cast<unsigned>(jobs->num);
+}
+
+json::Value
+badJobs()
+{
+    return errResp("bad_request",
+                   strfmt("jobs must be an integer in [0, %u]",
+                          kMaxRequestJobs));
 }
 
 } // namespace
@@ -579,6 +606,9 @@ Server::handleSynthesize(const json::Value &req)
                   bound_value > std::numeric_limits<int>::max()))
         return errResp("bad_request",
                        "synthesize bound must be a positive integer");
+    std::optional<unsigned> jobs = requestJobs(req, opts_.defaultJobs);
+    if (!jobs)
+        return badJobs();
 
     rtl2uspec::DesignMetadata md = rtl2uspec::loadMetadata(meta_path);
     if (bound)
@@ -597,8 +627,6 @@ Server::handleSynthesize(const json::Value &req)
     double asked = req.getDouble("timeout", -1.0);
     if (asked > 0 && (budget <= 0 || asked < budget))
         budget = asked;
-    unsigned jobs = static_cast<unsigned>(std::max(
-        int64_t{0}, req.getInt("jobs", opts_.defaultJobs)));
 
     Timer timer;
     rtl2uspec::SynthesisResult synth;
@@ -610,7 +638,7 @@ Server::handleSynthesize(const json::Value &req)
         std::shared_ptr<Inflight> inf =
             beginAttempt(budget, /*uses_heartbeat=*/true);
         rtl2uspec::SynthesisOptions so;
-        so.jobs = jobs;
+        so.jobs = *jobs;
         so.cache = cache_open_ ? &cache_ : nullptr;
         so.journalDir = journal_dir_;
         so.totalTimeoutSeconds = budget > 0 ? budget : -1.0;
@@ -717,6 +745,9 @@ Server::handleCampaign(const json::Value &req)
     std::string model_path = req.getStr("model");
     if (model_path.empty())
         return errResp("bad_request", "campaign needs a model path");
+    std::optional<unsigned> jobs = requestJobs(req, opts_.defaultJobs);
+    if (!jobs)
+        return badJobs();
     uspec::Model model = uspec::Model::parse(readFile(model_path));
 
     std::vector<litmus::Test> tests;
@@ -751,8 +782,6 @@ Server::handleCampaign(const json::Value &req)
     double asked = req.getDouble("timeout", -1.0);
     if (asked > 0 && (budget <= 0 || asked < budget))
         budget = asked;
-    unsigned jobs = static_cast<unsigned>(std::max(
-        int64_t{0}, req.getInt("jobs", opts_.defaultJobs)));
 
     Timer timer;
     check::CampaignResult res;
@@ -762,7 +791,7 @@ Server::handleCampaign(const json::Value &req)
         std::shared_ptr<Inflight> inf =
             beginAttempt(budget, /*uses_heartbeat=*/false);
         check::CampaignOptions co;
-        co.jobs = jobs == 0 ? 1 : jobs;
+        co.jobs = *jobs == 0 ? 1 : *jobs;
         co.stop = &inf->stopFlag;
         try {
             res = check::runCampaign(model, tests, co);

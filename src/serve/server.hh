@@ -67,6 +67,9 @@ class Engine;
 namespace r2u::serve
 {
 
+/** Largest "jobs" a synthesize or campaign request may ask for. */
+constexpr unsigned kMaxRequestJobs = 256;
+
 struct ServerOptions
 {
     /** Unix-domain socket path to bind. */

@@ -73,6 +73,31 @@ flipByte(const std::string &path, uint64_t offset)
     f.write(&c, 1);
 }
 
+/** Overwrite the u32 format version that follows the 4-byte magic. */
+void
+setVersion(const std::string &path, uint32_t version)
+{
+    std::fstream f(path,
+                   std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.is_open()) << path;
+    char raw[4];
+    for (unsigned i = 0; i < 4; i++)
+        raw[i] = static_cast<char>(version >> (8 * i));
+    f.seekp(4);
+    f.write(raw, 4);
+}
+
+/** The u32 format version that follows the 4-byte magic. */
+uint32_t
+versionOf(const std::string &path)
+{
+    std::ifstream f(path, std::ios::binary);
+    unsigned char raw[8] = {};
+    f.read(reinterpret_cast<char *>(raw), 8);
+    return raw[4] | raw[5] << 8 | raw[6] << 16 |
+           static_cast<uint32_t>(raw[7]) << 24;
+}
+
 } // namespace
 
 TEST(Journal, KeyIsDeterministicAndDiscriminates)
@@ -271,6 +296,62 @@ TEST(Journal, BadMagicIsFatal)
     flipByte(path, 0);
     bmc::Journal j;
     EXPECT_THROW(j.open(path, kHash, true), FatalError);
+}
+
+// A journal written by an older format must not be resumed: its keys
+// were computed by other hash functions. --resume names both versions.
+TEST(Journal, OlderVersionIsFatal)
+{
+    std::string path = tempJournal("older.bin");
+    {
+        bmc::Journal j;
+        j.open(path, kHash, false);
+        j.append(makeRecord("a", 3, bmc::Verdict::Proven));
+    }
+    uint32_t current = versionOf(path);
+    ASSERT_GT(current, 1u);
+    setVersion(path, current - 1);
+    bmc::Journal j;
+    try {
+        j.open(path, kHash, true);
+        FAIL() << "an older-version journal was resumed";
+    } catch (const FatalError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("version " + std::to_string(current - 1)),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("expected " + std::to_string(current)),
+                  std::string::npos)
+            << msg;
+    }
+}
+
+// The daemon's per-design journal has no user to blame for a stale
+// file: openShared() warns, starts it fresh under the current
+// version, and journals on.
+TEST(Journal, OpenSharedOlderVersionStartsFresh)
+{
+    std::string path = tempJournal("shared_older.bin");
+    {
+        bmc::Journal j;
+        ASSERT_TRUE(j.openShared(path, kHash));
+        ASSERT_TRUE(j.append(makeRecord("a", 3, bmc::Verdict::Proven)));
+    }
+    uint32_t current = versionOf(path);
+    setVersion(path, current - 1);
+    {
+        bmc::Journal j;
+        ASSERT_TRUE(j.openShared(path, kHash));
+        EXPECT_TRUE(j.isOpen());
+        EXPECT_EQ(j.numLoaded(), 0u);
+        EXPECT_EQ(j.lookup(key("a", 3)), nullptr);
+        EXPECT_TRUE(j.append(makeRecord("b", 3, bmc::Verdict::Refuted)));
+    }
+    EXPECT_EQ(versionOf(path), current);
+    bmc::Journal j;
+    j.open(path, kHash, true);
+    EXPECT_EQ(j.numLoaded(), 1u);
+    EXPECT_NE(j.lookup(key("b", 3)), nullptr);
 }
 
 TEST(Journal, ResumeOnAbsentFileStartsFresh)

@@ -5,7 +5,9 @@
  * same-shaped designs (equal cell/register/memory counts, different
  * logic), and the per-cone hash must track exactly the cone of
  * influence — an edit outside a cone leaves its hash (and any cached
- * verdict keyed by it) intact, an edit inside changes it.
+ * verdict keyed by it) intact, an edit inside changes it. Both hashes
+ * fold the per-cell and per-memory digests of nl::digestNetlist; the
+ * fold must see duplicates and positions, not just a digest multiset.
  *
  * The journal regression at the bottom is the bug this issue fixes:
  * two designs the old count-mixing configHash() could not tell apart
@@ -75,11 +77,21 @@ struct TwoCone
 };
 
 uint64_t
+structural(const nl::Netlist &n)
+{
+    return nl::structuralHash(nl::digestNetlist(n));
+}
+
+uint64_t
+coneOf(const nl::Netlist &n, const nl::CoiSeeds &seeds)
+{
+    return nl::coneHash(nl::digestNetlist(n), nl::computeCoi(n, seeds));
+}
+
+uint64_t
 coneOf(const TwoCone &d, nl::CellId seed)
 {
-    nl::CoiSeeds seeds;
-    seeds.cells.push_back(seed);
-    return nl::coneHash(d.n, seeds);
+    return coneOf(d.n, nl::CoiSeeds{{seed}, {}});
 }
 
 } // namespace
@@ -88,7 +100,7 @@ TEST(NetlistHash, DeterministicAcrossIndependentBuilds)
 {
     TwoCone x(nl::CellKind::And, nl::CellKind::Add, false, false, 7);
     TwoCone y(nl::CellKind::And, nl::CellKind::Add, false, false, 7);
-    EXPECT_EQ(nl::structuralHash(x.n), nl::structuralHash(y.n));
+    EXPECT_EQ(structural(x.n), structural(y.n));
     EXPECT_EQ(coneOf(x, x.ra), coneOf(y, y.ra));
     EXPECT_EQ(coneOf(x, x.rb), coneOf(y, y.rb));
 }
@@ -124,11 +136,11 @@ TEST(NetlistHash, SameShapeDifferentLogicDiscriminates)
     same_counts(init);
     same_counts(wire);
 
-    uint64_t h = nl::structuralHash(base.n);
-    EXPECT_NE(h, nl::structuralHash(kind.n));
-    EXPECT_NE(h, nl::structuralHash(swap.n));
-    EXPECT_NE(h, nl::structuralHash(init.n));
-    EXPECT_NE(h, nl::structuralHash(wire.n));
+    uint64_t h = structural(base.n);
+    EXPECT_NE(h, structural(kind.n));
+    EXPECT_NE(h, structural(swap.n));
+    EXPECT_NE(h, structural(init.n));
+    EXPECT_NE(h, structural(wire.n));
 }
 
 // Editing cone B must not disturb cone A's hash (that is what makes
@@ -163,7 +175,54 @@ TEST(NetlistHash, ConeHashSeesMemoryWritePortRewiring)
     // Seeding the memory directly sees the rewiring too.
     nl::CoiSeeds seeds;
     seeds.mems.push_back(base.mem);
-    EXPECT_NE(nl::coneHash(base.n, seeds), nl::coneHash(wire.n, seeds));
+    EXPECT_NE(coneOf(base.n, seeds), coneOf(wire.n, seeds));
+}
+
+// Two identical cells have equal digests. An order-free XOR fold
+// would cancel them and hash the grown cone like the original one;
+// the id-keyed fold must not.
+TEST(NetlistHash, TwoIdenticalCellsChangeTheConeHash)
+{
+    TwoCone base(nl::CellKind::And, nl::CellKind::Add, false, false, 7);
+    TwoCone grown(nl::CellKind::And, nl::CellKind::Add, false, false, 7);
+    nl::CellId a0 = grown.n.findByName("a0");
+    nl::CellId a1 = grown.n.findByName("a1");
+    nl::CellId x = grown.n.addBinary(nl::CellKind::Xor, a0, a1);
+    nl::CellId y = grown.n.addBinary(nl::CellKind::Xor, a0, a1);
+    nl::Digests d = nl::digestNetlist(grown.n);
+    ASSERT_EQ(d.cells[x], d.cells[y]);
+
+    // The original cells keep their ids and digests.
+    EXPECT_EQ(coneOf(base, base.ra), coneOf(grown, grown.ra));
+    EXPECT_NE(coneOf(base, base.ra),
+              coneOf(grown.n, nl::CoiSeeds{{grown.ra, x, y}, {}}));
+    EXPECT_NE(structural(base.n), structural(grown.n));
+}
+
+// The same digests at swapped ids: one design appends P then Q, the
+// other Q then P. Any fold that ignores order and ids (XOR, sum) sees
+// the same multiset of digests in both cones.
+TEST(NetlistHash, SameDigestsAtSwappedIdsDiffer)
+{
+    auto append = [](TwoCone &d, nl::CellKind first,
+                     nl::CellKind second) {
+        nl::CellId a0 = d.n.findByName("a0");
+        nl::CellId b0 = d.n.findByName("b0");
+        nl::CellId p = d.n.addBinary(first, a0, b0);
+        nl::CellId q = d.n.addBinary(second, a0, b0);
+        return nl::CoiSeeds{{p, q}, {}};
+    };
+    TwoCone x(nl::CellKind::And, nl::CellKind::Add, false, false, 7);
+    TwoCone y(nl::CellKind::And, nl::CellKind::Add, false, false, 7);
+    nl::CoiSeeds sx = append(x, nl::CellKind::And, nl::CellKind::Or);
+    nl::CoiSeeds sy = append(y, nl::CellKind::Or, nl::CellKind::And);
+    nl::Digests dx = nl::digestNetlist(x.n);
+    nl::Digests dy = nl::digestNetlist(y.n);
+    ASSERT_EQ(dx.cells[sx.cells[0]], dy.cells[sy.cells[1]]);
+    ASSERT_EQ(dx.cells[sx.cells[1]], dy.cells[sy.cells[0]]);
+
+    EXPECT_NE(coneOf(x.n, sx), coneOf(y.n, sy));
+    EXPECT_NE(structural(x.n), structural(y.n));
 }
 
 // End-to-end journal regression: a journal produced by one design must
@@ -178,7 +237,7 @@ TEST(NetlistHash, SameShapeDesignRejectsForeignJournal)
     fs::remove(path);
     {
         bmc::Journal j;
-        j.open(path.string(), nl::structuralHash(base.n), false);
+        j.open(path.string(), structural(base.n), false);
         bmc::Journal::Record rec;
         rec.key = bmc::journalKey("sva_a", 3, 0x1234);
         rec.name = "sva_a";
@@ -189,10 +248,10 @@ TEST(NetlistHash, SameShapeDesignRejectsForeignJournal)
     {
         // Same design resumes fine.
         bmc::Journal j;
-        j.open(path.string(), nl::structuralHash(base.n), true);
+        j.open(path.string(), structural(base.n), true);
         EXPECT_EQ(j.numLoaded(), 1u);
     }
     bmc::Journal j;
-    EXPECT_THROW(j.open(path.string(), nl::structuralHash(other.n), true),
+    EXPECT_THROW(j.open(path.string(), structural(other.n), true),
                  FatalError);
 }

@@ -1,7 +1,9 @@
 /**
  * @file
  * End-to-end tests of the rtl2uspec synthesis procedure on the
- * multi-V-scale: DFG extraction and stage labels, per-instruction node
+ * multi-V-scale: DFG extraction (checked edge for edge and DOT byte
+ * for byte against a per-wire DFS reference on the V-scale and on
+ * seeded random netlists) and stage labels, per-instruction node
  * membership (Fig. 3c), the synthesized µspec model's structure, its
  * round-trip through the DSL, MCM verification of the synthesized
  * model on litmus tests, and §6.1 bug discovery on the BUGGY variant.
@@ -12,8 +14,14 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <set>
+
 #include "check/check.hh"
+#include "common/dot.hh"
+#include "common/logging.hh"
 #include "dfg/dfg.hh"
+#include "random_netlist.hh"
 #include "rtl2uspec/synthesis.hh"
 #include "vscale/metadata.hh"
 #include "vscale/vscale.hh"
@@ -23,6 +31,115 @@ using namespace r2u::rtl2uspec;
 
 namespace
 {
+
+/**
+ * Reference for FullDesignDfg::build's one-pass source rows: the state
+ * elements feeding the combinational cone rooted at @p wire, by a DFS
+ * of its own that stops at registers and memory reads (a read adds
+ * its array and keeps walking its address).
+ */
+std::set<dfg::NodeId>
+coneSources(const dfg::FullDesignDfg &d, nl::CellId wire)
+{
+    const nl::Netlist &n = d.netlist();
+    std::set<dfg::NodeId> out;
+    std::vector<nl::CellId> stack{wire};
+    std::set<nl::CellId> seen;
+    while (!stack.empty()) {
+        nl::CellId id = stack.back();
+        stack.pop_back();
+        if (!seen.insert(id).second)
+            continue;
+        const nl::Cell &c = n.cell(id);
+        switch (c.kind) {
+          case nl::CellKind::Dff:
+            out.insert(d.nodeOfReg(id));
+            break;
+          case nl::CellKind::MemRead:
+            out.insert(d.nodeOfMem(c.mem));
+            stack.push_back(c.inputs[0]); // the address cone
+            break;
+          case nl::CellKind::Const:
+          case nl::CellKind::Input:
+            break;
+          default:
+            for (nl::CellId in : c.inputs)
+                stack.push_back(in);
+            break;
+        }
+    }
+    return out;
+}
+
+/** Every node's parents and children, from coneSources(). */
+struct ReferenceEdges
+{
+    std::vector<std::vector<dfg::NodeId>> parents, children;
+};
+
+ReferenceEdges
+referenceEdges(const dfg::FullDesignDfg &d)
+{
+    const nl::Netlist &n = d.netlist();
+    ReferenceEdges ref;
+    ref.parents.resize(d.numNodes());
+    ref.children.resize(d.numNodes());
+    for (size_t id = 0; id < d.numNodes(); id++) {
+        const dfg::Node &node = d.node(static_cast<dfg::NodeId>(id));
+        std::vector<nl::CellId> next_state;
+        if (!node.isMem) {
+            next_state = n.cell(node.reg).inputs;
+        } else {
+            for (nl::CellId port : n.memory(node.mem).writePorts)
+                for (nl::CellId in : n.cell(port).inputs)
+                    next_state.push_back(in);
+        }
+        std::set<dfg::NodeId> srcs;
+        for (nl::CellId in : next_state) {
+            std::set<dfg::NodeId> s = coneSources(d, in);
+            srcs.insert(s.begin(), s.end());
+        }
+        for (dfg::NodeId p : srcs) {
+            ref.parents[id].push_back(p);
+            ref.children[p].push_back(node.id);
+        }
+    }
+    return ref;
+}
+
+/** FullDesignDfg::toDot() over the reference edges. */
+std::string
+referenceDot(const dfg::FullDesignDfg &d, const ReferenceEdges &ref)
+{
+    DotWriter dot("full_design_dfg");
+    for (size_t id = 0; id < d.numNodes(); id++) {
+        const dfg::Node &node = d.node(static_cast<dfg::NodeId>(id));
+        dot.addNode(node.name, node.name,
+                    node.isMem ? "shape=box3d" : "shape=box");
+    }
+    for (size_t id = 0; id < d.numNodes(); id++)
+        for (dfg::NodeId p : ref.parents[id])
+            dot.addEdge(d.node(p).name,
+                        d.node(static_cast<dfg::NodeId>(id)).name);
+    return dot.render();
+}
+
+void
+expectMatchesReference(const nl::Netlist &n)
+{
+    dfg::FullDesignDfg d = dfg::FullDesignDfg::build(n);
+    ReferenceEdges ref = referenceEdges(d);
+    size_t edges = 0;
+    for (size_t id = 0; id < d.numNodes(); id++) {
+        dfg::NodeId node = static_cast<dfg::NodeId>(id);
+        EXPECT_EQ(d.parents(node), ref.parents[id]) << d.node(node).name;
+        EXPECT_EQ(d.children(node), ref.children[id])
+            << d.node(node).name;
+        edges += ref.parents[id].size();
+    }
+    EXPECT_GT(edges, 0u);
+    EXPECT_EQ(d.toDot(), referenceDot(d, ref));
+}
 
 vscale::Config
 formalConfig()
@@ -92,6 +209,43 @@ TEST(Dfg, VscaleParentEdges)
     // Core 1's fetch path is disjoint from core 0's.
     EXPECT_FALSE(has_parent("core_0.inst_DX", "imem_1.mem"));
     EXPECT_FALSE(has_parent("core_0.inst_DX", "core_1.regfile"));
+}
+
+TEST(Dfg, OnePassBuildMatchesPerWireDfsOnVscale)
+{
+    auto design = vscale::elaborateVscale(formalConfig());
+    expectMatchesReference(*design.netlist);
+}
+
+TEST(Dfg, OnePassBuildMatchesPerWireDfsOnRandomNetlists)
+{
+    for (unsigned seed = 1; seed <= 40; seed++) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937 rng(seed);
+        test::RandomDesign d = test::makeRandom(rng);
+        expectMatchesReference(d.netlist);
+    }
+}
+
+// build() walks Netlist::topoOrder(), so a combinational loop is a
+// user error during static analysis, with the netlist's own message.
+TEST(Dfg, CombinationalCycleFailsStaticAnalysis)
+{
+    nl::Netlist n;
+    nl::CellId in = n.addInput("in", 1);
+    nl::CellId a = n.addBinary(nl::CellKind::And, in, in, "loop_a");
+    nl::CellId b = n.addUnary(nl::CellKind::Not, a, "loop_b");
+    n.cell(a).inputs[1] = b; // a = in & ~a
+    n.addDff("r", a, n.addConst(Bits(1, 1)), Bits(1, 0));
+    try {
+        dfg::FullDesignDfg::build(n);
+        FAIL() << "a combinational cycle built a DFG";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "combinational cycle through cell"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Rtl2uspec, AllSvasResolvedAndNoBugsOnFixedDesign)

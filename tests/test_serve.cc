@@ -18,8 +18,10 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -311,6 +313,35 @@ TEST(Serve, PingStatusAndBadRequests)
         EXPECT_EQ(resp.getStr("code"), "bad_request") << "bound " << bound;
     }
 
+    // A jobs value outside [0, kMaxRequestJobs] is refused, never
+    // clamped or wrapped: clamped, -7 would mean every core; wrapped,
+    // 4294967297 would mean one worker; and 100000 would start as many
+    // pool threads. Both heavy request types check it before doing any
+    // work (the campaign's model path does not exist).
+    json::Value campaign = json::Value::object();
+    campaign.set("type", json::Value::string("campaign"));
+    campaign.set("model", json::Value::string("/nonexistent.uarch"));
+    campaign.set("suite", json::Value::boolean_(true));
+    std::vector<json::Value> bad_jobs = {
+        json::Value::number(int64_t{-7}),
+        json::Value::number(int64_t{4294967297}),
+        json::Value::number(int64_t{100000}),
+        json::Value::number(int64_t{kMaxRequestJobs + 1}),
+        json::Value::number(2.5),
+        json::Value::string("4"),
+        json::Value::null()};
+    for (json::Value base : {synthesizeRequest(), campaign}) {
+        for (const json::Value &jobs : bad_jobs) {
+            json::Value r = base;
+            r.set("jobs", jobs);
+            ASSERT_TRUE(client.request(r, resp, &err)) << err;
+            EXPECT_FALSE(resp.getBool("ok")) << r.dump();
+            EXPECT_EQ(resp.getStr("code"), "bad_request") << r.dump();
+            EXPECT_NE(resp.getStr("error").find("jobs"), std::string::npos)
+                << resp.dump();
+        }
+    }
+
     // A frame carrying broken JSON gets an error response on a raw
     // connection, not a dead daemon. Drive the protocol layer by hand.
     int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -426,6 +457,123 @@ TEST(Serve, ChaosSuiteEndsBitIdentical)
     ASSERT_TRUE(resp2.getBool("ok")) << resp2.dump();
     EXPECT_EQ(resp2.getStr("model"), referenceModel());
     EXPECT_GT(resp2.getInt("journal_hits"), 0) << resp2.dump();
+}
+
+// The daemon's per-design journal goes through a format bump: a state
+// dir holding an older-version journal under the same config hash must
+// not make every later synthesize of that design fail. The journal
+// starts fresh, and the request is answered from the verdict cache.
+TEST(Serve, OlderVersionJournalStartsFresh)
+{
+    std::string sock = tempPath("serve_older.sock");
+    std::string state = tempPath("serve_older_state");
+
+    Client client;
+    std::string err;
+    json::Value resp;
+    {
+        ServerOptions opts;
+        opts.socketPath = sock;
+        opts.stateDir = state;
+        TestDaemon daemon(std::move(opts));
+        ASSERT_TRUE(client.requestWithRetry(sock, synthesizeRequest(),
+                                            resp, &err))
+            << err;
+        ASSERT_TRUE(resp.getBool("ok")) << resp.dump();
+    }
+
+    std::vector<fs::path> journals;
+    for (const auto &e : fs::directory_iterator(state + "/journal"))
+        journals.push_back(e.path());
+    ASSERT_EQ(journals.size(), 1u);
+    {
+        // The u32 format version follows the 4-byte magic.
+        std::fstream f(journals[0],
+                       std::ios::in | std::ios::out | std::ios::binary);
+        ASSERT_TRUE(f.is_open());
+        unsigned char raw[8] = {};
+        f.read(reinterpret_cast<char *>(raw), 8);
+        ASSERT_GT(raw[4], 1u);
+        char older = static_cast<char>(raw[4] - 1);
+        f.seekp(4);
+        f.write(&older, 1);
+    }
+
+    ServerOptions opts;
+    opts.socketPath = sock;
+    opts.stateDir = state;
+    TestDaemon daemon(std::move(opts));
+    ASSERT_TRUE(client.requestWithRetry(sock, synthesizeRequest(), resp,
+                                        &err))
+        << err;
+    ASSERT_TRUE(resp.getBool("ok")) << resp.dump();
+    EXPECT_EQ(resp.getStr("model"), referenceModel());
+    EXPECT_EQ(resp.getInt("journal_hits"), 0) << resp.dump();
+    EXPECT_EQ(resp.getInt("cache_misses"), 0) << resp.dump();
+}
+
+// The daemon's two workers serve warm requests at the same time over
+// one shared VerdictCache (and one per-design journal, which only one
+// of them can hold). Run under TSan in CI.
+TEST(Serve, ConcurrentWarmSynthesize)
+{
+    std::string sock = tempPath("serve_warm.sock");
+    std::string state = tempPath("serve_warm_state");
+    const std::string &reference = referenceModel();
+
+    ServerOptions opts;
+    opts.socketPath = sock;
+    opts.stateDir = state;
+    TestDaemon daemon(std::move(opts));
+
+    std::string err;
+    json::Value cold;
+    {
+        Client client;
+        ASSERT_TRUE(client.requestWithRetry(sock, synthesizeRequest(),
+                                            cold, &err))
+            << err;
+    }
+    ASSERT_TRUE(cold.getBool("ok")) << cold.dump();
+    const int64_t svas = cold.getInt("svas");
+    ASSERT_GT(svas, 0);
+
+    constexpr int kClients = 2;
+    constexpr int kRequests = 3;
+    std::vector<json::Value> replies[kClients];
+    std::vector<std::string> errors[kClients];
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; c++) {
+        clients.emplace_back([&, c] {
+            Client client;
+            for (int r = 0; r < kRequests; r++) {
+                json::Value resp;
+                std::string e;
+                if (client.requestWithRetry(sock, synthesizeRequest(),
+                                            resp, &e))
+                    replies[c].push_back(std::move(resp));
+                else
+                    errors[c].push_back(e);
+            }
+        });
+    }
+    for (std::thread &t : clients)
+        t.join();
+
+    for (int c = 0; c < kClients; c++) {
+        EXPECT_TRUE(errors[c].empty()) << errors[c].front();
+        ASSERT_EQ(replies[c].size(), static_cast<size_t>(kRequests));
+        for (const json::Value &resp : replies[c]) {
+            ASSERT_TRUE(resp.getBool("ok")) << resp.dump();
+            EXPECT_EQ(resp.getInt("svas"), svas);
+            EXPECT_EQ(resp.getInt("journal_hits") +
+                          resp.getInt("cache_hits"),
+                      svas)
+                << resp.dump();
+            EXPECT_EQ(resp.getInt("cache_misses"), 0) << resp.dump();
+            EXPECT_EQ(resp.getStr("model"), reference);
+        }
+    }
 }
 
 TEST(Serve, CampaignRoundTrip)

@@ -261,6 +261,48 @@ TEST(VerdictCache, DamagedHeaderStartsFreshNotFatal)
     EXPECT_NE(c2.lookup(0x222), nullptr);
 }
 
+// A cache of an older format holds keys of other hash functions: it
+// warns and starts fresh, like any header it does not recognize.
+TEST(VerdictCache, OlderVersionStartsFresh)
+{
+    std::string dir = tempCacheDir("vc_older");
+    std::string file;
+    {
+        bmc::VerdictCache c;
+        c.open(dir);
+        file = c.filePath();
+        c.append(makeRecord(0x111, "a", bmc::Verdict::Proven, 3));
+    }
+    unsigned char raw[8] = {};
+    {
+        std::ifstream in(file, std::ios::binary);
+        in.read(reinterpret_cast<char *>(raw), 8);
+    }
+    uint32_t current = raw[4] | raw[5] << 8 | raw[6] << 16 |
+                       static_cast<uint32_t>(raw[7]) << 24;
+    ASSERT_GT(current, 1u);
+    {
+        std::fstream f(file,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        char older[4] = {static_cast<char>(current - 1), 0, 0, 0};
+        f.seekp(4);
+        f.write(older, 4);
+    }
+
+    bmc::VerdictCache c;
+    EXPECT_NO_THROW(c.open(dir));
+    ASSERT_TRUE(c.isOpen());
+    EXPECT_EQ(c.numLoaded(), 0u);
+    EXPECT_EQ(c.lookup(0x111), nullptr);
+    EXPECT_TRUE(c.append(
+        makeRecord(0x222, "b", bmc::Verdict::Refuted, 3)));
+
+    bmc::VerdictCache c2;
+    c2.open(dir);
+    EXPECT_EQ(c2.numLoaded(), 1u);
+    EXPECT_NE(c2.lookup(0x222), nullptr);
+}
+
 // hasStaleEntry distinguishes "never solved" from "solved for content
 // that has since changed" — the invalidation counter in the engine
 // hangs off this.
@@ -320,7 +362,8 @@ struct ConeDesign
     {
         nl::CoiSeeds seeds;
         seeds.cells.push_back(regs[i]);
-        return nl::coneHash(n, seeds);
+        return nl::coneHash(nl::digestNetlist(n),
+                            nl::computeCoi(n, seeds));
     }
 };
 

@@ -15,6 +15,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <mutex>
 #include <thread>
 
@@ -64,7 +65,7 @@ usage()
         "                  CNF size, solve time)\n"
         "  --svas          list every evaluated SVA and its verdict\n"
         "  --dfg-dir DIR   write full-design and per-instruction DFG\n"
-        "                  DOT files into DIR\n"
+        "                  DOT files into DIR (created if missing)\n"
         "  --bound N       override the BMC bound from the metadata\n"
         "                  (N >= 1)\n"
         "  --jobs N        SVA-evaluation workers (default: hardware\n"
@@ -269,6 +270,15 @@ main(int argc, char **argv)
     sigaction(SIGTERM, &sa, nullptr);
 
     try {
+        // Like --cache and --cex-vcd: make the directory before the
+        // run, so a bad path fails in milliseconds, not after it.
+        if (!dfg_dir.empty()) {
+            std::error_code ec;
+            std::filesystem::create_directories(dfg_dir, ec);
+            if (ec)
+                fatal("cannot create --dfg-dir %s: %s", dfg_dir.c_str(),
+                      ec.message().c_str());
+        }
         rtl2uspec::DesignMetadata md =
             rtl2uspec::loadMetadata(meta_path);
         if (bound_override > 0)
