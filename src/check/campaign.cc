@@ -108,10 +108,10 @@ solveBucket(const uspec::Model &model, const CampaignOptions &options,
             continue;
         }
         work.space->materialize(k, exec);
-        uhb::SolveResult sr = uhb::solve(model, exec, work.table);
+        uhb::Verdict v = uhb::decide(model, exec, work.table);
         r.explored++;
-        r.branches += sr.branchesExplored;
-        if (sr.observable) {
+        r.branches += v.branchesExplored;
+        if (v.observable) {
             r.observable = true;
             if (options.failFast && non_sc)
                 work.stop.store(true, std::memory_order_relaxed);

@@ -8,6 +8,12 @@
  * as SC-allowed or SC-forbidden, giving the ground truth the check
  * engine's verdicts are validated against (the multi-V-scale's MCM is
  * SC, paper §5.1).
+ *
+ * The search runs on flat states: locations and (thread, reg) slots
+ * are interned once per test, and a state is one packed key of
+ * per-thread pcs, per-location values and per-slot loaded values.
+ * Visited keys live in one hash set, the frontier on an explicit
+ * stack, and Outcome maps are built only for final states.
  */
 
 #ifndef R2U_MCM_SC_REF_HH
@@ -27,7 +33,11 @@ struct Outcome
 {
     /** (thread, reg) -> value loaded. */
     std::map<std::pair<int, int>, int> regs;
-    /** Final memory value per location. */
+    /**
+     * Final memory value per location: every location of
+     * litmus::Test::locations(), 0 when no write reached it (the same
+     * shape check::outcomeOf gives a candidate execution).
+     */
     std::map<std::string, int> mem;
 
     bool operator<(const Outcome &o) const;

@@ -400,41 +400,89 @@ fixpoint(const std::vector<const AxiomInstance *> &conditional, G &g)
 }
 
 /**
- * Depth-first search over the EitherOrdering instances. Frame f of
- * the arena holds the state at recursion depth f; descending into an
- * alternative copies frame f into frame f + 1.
+ * One execution's search. The constructor keeps the table's instances
+ * whose rf antecedents hold on the execution, split by role, fills the
+ * base state (orientation edges, then unconditional instances) and
+ * runs the depth-first search over the EitherOrdering instances. Frame
+ * f of the arena holds the state at recursion depth f; descending into
+ * an alternative copies frame f into frame f + 1.
  */
 class Search
 {
   public:
-    Search(const std::vector<const AxiomInstance *> &conditional,
-           const std::vector<const AxiomInstance *> &eithers,
-           size_t nodes)
-        : conditional_(conditional), eithers_(eithers), nodes_(nodes),
-          words_((nodes + 63) / 64), frame_words_(2 * nodes * words_),
-          arena_(frame_words_), choice_(eithers.size(), 0)
+    Search(const Model &model, const Execution &exec,
+           const InstanceTable &table)
+        : nodes_(exec.ops.size() * model.stageNames.size()),
+          words_((nodes_ + 63) / 64), frame_words_(2 * nodes_ * words_),
+          arena_(frame_words_), mem_(memorySemantics(model, exec))
     {
+        R2U_ASSERT(table.numOps() == exec.ops.size() &&
+                       table.numLocs() == model.stageNames.size(),
+                   "instance table built for %zu ops x %zu stages, "
+                   "solving %zu ops x %zu stages",
+                   table.numOps(), table.numLocs(), exec.ops.size(),
+                   model.stageNames.size());
+        // The static filtering already happened at table build; only
+        // the rf-dependent antecedents remain to be checked here.
+        for (const AxiomInstance &inst : table.instances()) {
+            bool holds = true;
+            for (const auto &[w, r] : inst.rfConds) {
+                if (exec.rf[static_cast<size_t>(r)] != w) {
+                    holds = false;
+                    break;
+                }
+            }
+            if (!holds)
+                continue;
+            if (inst.alternatives.size() > 1)
+                eithers_.push_back(&inst);
+            else if (!inst.edgeConds.empty())
+                conditional_.push_back(&inst);
+            else
+                unconditional_.push_back(&inst);
+        }
+        choice_.assign(eithers_.size(), 0);
+        BitGraph base(frame(0), nodes_, words_);
+        fillBase(base);
+        observable_ = descend(0, 0, base.cycleFound());
     }
-
-    /** The base state, to be filled before run(). */
-    BitGraph base() { return BitGraph(frame(0), nodes_, words_); }
 
     /** True iff an acyclic completion of the base state exists. */
-    bool
-    run(bool base_cyclic)
-    {
-        return descend(0, 0, base_cyclic);
-    }
-
+    bool observable() const { return observable_; }
+    /** Search nodes visited. */
     int branches() const { return branches_; }
-    /** The level of the last search node visited: where the witness
-     *  path ends. */
-    size_t lastLevel() const { return last_level_; }
-    /** Per level, the alternative last descended into. */
-    const std::vector<size_t> &choices() const { return choice_; }
+
+    /**
+     * Replay the decided path on @p g: the same base, a full fixpoint
+     * per level, and at each level the recorded alternative, stopping
+     * at the last visited search node.
+     */
+    void
+    replay(Graph &g, int locs) const
+    {
+        LabeledGraph lg(g, locs);
+        fillBase(lg);
+        for (size_t level = 0;; level++) {
+            fixpoint(conditional_, lg);
+            if (level == last_level_)
+                break;
+            const AxiomInstance &inst = *eithers_[level];
+            if (edgesHold(inst, lg))
+                applyEdges(inst.alternatives[choice_[level]], lg);
+        }
+    }
 
   private:
     uint64_t *frame(size_t f) { return arena_.data() + f * frame_words_; }
+
+    template <class G>
+    void
+    fillBase(G &g) const
+    {
+        applyEdges(mem_, g);
+        for (const AxiomInstance *inst : unconditional_)
+            applyEdges(inst->alternatives[0], g);
+    }
 
     bool
     descend(size_t f, size_t next, bool cyclic)
@@ -474,13 +522,18 @@ class Search
         last_level_ = level;
     }
 
-    const std::vector<const AxiomInstance *> &conditional_;
-    const std::vector<const AxiomInstance *> &eithers_;
     size_t nodes_, words_, frame_words_;
     std::vector<uint64_t> arena_;
+    std::vector<NodeEdge> mem_;
+    std::vector<const AxiomInstance *> unconditional_, conditional_,
+        eithers_;
+    /** Per level, the alternative last descended into. */
     std::vector<size_t> choice_;
     int branches_ = 0;
+    /** The level of the last search node visited: where the witness
+     *  path ends. */
     size_t last_level_ = 0;
+    bool observable_ = false;
 };
 
 } // namespace
@@ -577,66 +630,23 @@ SolveResult
 solve(const Model &model, const Execution &exec,
       const InstanceTable &table)
 {
-    size_t num_ops = exec.ops.size();
-    size_t num_locs = model.stageNames.size();
-    R2U_ASSERT(table.numOps() == num_ops && table.numLocs() == num_locs,
-               "instance table built for %zu ops x %zu stages, solving "
-               "%zu ops x %zu stages",
-               table.numOps(), table.numLocs(), num_ops, num_locs);
-
-    // The static filtering already happened at table build; only the
-    // rf-dependent antecedents remain to be checked per execution.
-    std::vector<const AxiomInstance *> unconditional, conditional,
-        eithers;
-    for (const AxiomInstance &inst : table.instances()) {
-        bool holds = true;
-        for (const auto &[w, r] : inst.rfConds) {
-            if (exec.rf[static_cast<size_t>(r)] != w) {
-                holds = false;
-                break;
-            }
-        }
-        if (!holds)
-            continue;
-        if (inst.alternatives.size() > 1)
-            eithers.push_back(&inst);
-        else if (!inst.edgeConds.empty())
-            conditional.push_back(&inst);
-        else
-            unconditional.push_back(&inst);
-    }
-    std::vector<NodeEdge> mem = memorySemantics(model, exec);
-
-    // The base graph: orientation edges, then unconditional instances.
-    auto fill_base = [&](auto &g) {
-        applyEdges(mem, g);
-        for (const AxiomInstance *inst : unconditional)
-            applyEdges(inst->alternatives[0], g);
-    };
-    Search search(conditional, eithers, num_ops * num_locs);
-    BitGraph base = search.base();
-    fill_base(base);
-
+    Search search(model, exec, table);
     SolveResult result;
-    result.observable = search.run(base.cycleFound());
+    result.observable = search.observable();
     result.branchesExplored = search.branches();
-
-    // Replay the decided path on the labeled graph: the same base, a
-    // full fixpoint per level, and at each level the recorded
-    // alternative, stopping at the last visited search node.
-    result.graph = Graph(num_ops, num_locs);
-    LabeledGraph g(result.graph, static_cast<int>(num_locs));
-    fill_base(g);
-    for (size_t level = 0;; level++) {
-        fixpoint(conditional, g);
-        if (level == search.lastLevel())
-            break;
-        const AxiomInstance &inst = *eithers[level];
-        if (edgesHold(inst, g))
-            applyEdges(inst.alternatives[search.choices()[level]], g);
-    }
+    size_t num_locs = model.stageNames.size();
+    result.graph = Graph(exec.ops.size(), num_locs);
+    search.replay(result.graph, static_cast<int>(num_locs));
     result.edges = result.graph.numEdges();
     return result;
+}
+
+Verdict
+decide(const Model &model, const Execution &exec,
+       const InstanceTable &table)
+{
+    Search search(model, exec, table);
+    return {search.observable(), search.branches()};
 }
 
 } // namespace r2u::uhb

@@ -19,8 +19,9 @@
  * Inserting a -> b closes a cycle iff a == b or b already reaches a;
  * otherwise every row that reaches a (and a's own) ORs in b's closure
  * row and b. A branch therefore costs one copy of the two matrices and
- * no graph traversal. The labeled Graph in SolveResult is built once,
- * after the search, by replaying the decided path (see solve()).
+ * no graph traversal. decide() returns the verdict and the branch
+ * count alone; solve() runs the same search and then builds the
+ * labeled Graph once, by replaying the decided path.
  */
 
 #ifndef R2U_UHB_UHB_HH
@@ -95,6 +96,13 @@ class Graph
     std::vector<std::vector<int>> adj_;     ///< per node
     std::vector<std::vector<std::string>> labels_;
     size_t edge_count_ = 0;
+};
+
+/** The verdict of one search, without a witness. */
+struct Verdict
+{
+    bool observable = false;
+    int branchesExplored = 0;
 };
 
 struct SolveResult
@@ -194,6 +202,15 @@ SolveResult solve(const uspec::Model &model, const Execution &exec);
  */
 SolveResult solve(const uspec::Model &model, const Execution &exec,
                   const InstanceTable &table);
+
+/**
+ * The verdict and branch count of the same search, without the witness
+ * replay, for callers that read nothing else (the campaign's bucket
+ * solves). Equal to solve()'s observable and branchesExplored; the
+ * same table contract and thread safety.
+ */
+Verdict decide(const uspec::Model &model, const Execution &exec,
+               const InstanceTable &table);
 
 } // namespace r2u::uhb
 

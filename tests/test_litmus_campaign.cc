@@ -1,10 +1,11 @@
 /**
  * @file
  * Campaign-engine tests: sequential-vs-parallel and pruned-vs-
- * exhaustive verdict identity over the full standard suite (against a
- * from-scratch seed-style enumerator), determinism of repeated
- * parallel runs, outcome-level pruning accounting, fail-fast, the
- * µhb search against an independent reference (referenceSolve: the
+ * exhaustive verdict identity over the full standard suite and two
+ * coherence stress tests (against a from-scratch seed-style
+ * enumerator), determinism of repeated parallel runs, outcome-level
+ * pruning accounting, fail-fast, the µhb search and its verdict-only
+ * entry against an independent reference (ReferenceSolver: the
  * copy-and-DFS recursion over labeled graphs that the bit-matrix
  * search replaced), and the regression fixes: an SC-allowed
  * interesting outcome is not a failure, per-test DOT
@@ -23,6 +24,7 @@
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "litmus/litmus.hh"
+#include "litmus_shapes.hh"
 #include "mcm/sc_ref.hh"
 #include "uhb/uhb.hh"
 #include "uspec/uspec.hh"
@@ -391,7 +393,8 @@ solveDiff(const uhb::SolveResult &ref, const uhb::SolveResult &got,
  * Solve every candidate of @p test with the shared instance table,
  * with a per-execution table and with the reference, and expect all
  * three to agree on the verdict, the branch count, the edge count and
- * the witness bytes.
+ * the witness bytes; decide() must give the reference's verdict and
+ * branch count.
  */
 void
 expectMatchesReference(const uspec::Model &model, const LTest &test,
@@ -411,6 +414,11 @@ expectMatchesReference(const uspec::Model &model, const LTest &test,
         EXPECT_EQ(solveDiff(ref, uhb::solve(model, exec), model, exec),
                   "")
             << test.name << " candidate " << k << " (per execution)";
+        uhb::Verdict verdict = uhb::decide(model, exec, table);
+        EXPECT_EQ(verdict.observable, ref.observable)
+            << test.name << " candidate " << k << " (decide)";
+        EXPECT_EQ(verdict.branchesExplored, ref.branchesExplored)
+            << test.name << " candidate " << k << " (decide)";
         stats.candidates++;
         stats.observable += ref.observable;
         stats.branched += ref.branchesExplored > 1;
@@ -508,19 +516,35 @@ sbRing(int threads)
     return t;
 }
 
-/** Seed-style reference: enumerate + solve everything, no campaign. */
-std::vector<std::string>
-referenceOutcomes(const uspec::Model &model, const LTest &test)
+/**
+ * Seed-style reference: enumerate every candidate and solve it with the
+ * table-free uhb::solve, no campaign; the verdict flags follow from the
+ * observable outcomes and the SC ones.
+ */
+check::TestResult
+referenceVerdict(const uspec::Model &model, const LTest &test)
 {
     std::set<mcm::Outcome> observable;
     check::forEachExecution(test, [&](const uhb::Execution &exec) {
         if (uhb::solve(model, exec).observable)
             observable.insert(check::outcomeOf(test, exec));
     });
-    std::vector<std::string> out;
-    for (const mcm::Outcome &o : observable)
-        out.push_back(o.toString());
-    return out;
+    std::set<mcm::Outcome> sc = mcm::enumerateSC(test);
+    check::TestResult r;
+    r.name = test.name;
+    r.pass = true;
+    for (const mcm::Outcome &o : observable) {
+        r.outcomes.push_back(o.toString());
+        r.interestingObservable |= o.satisfies(test.interesting);
+        if (!sc.count(o)) {
+            r.pass = false;
+            r.violations.push_back(o.toString());
+        }
+    }
+    for (const mcm::Outcome &o : sc)
+        r.interestingScAllowed |= o.satisfies(test.interesting);
+    r.tight = r.pass && observable.size() == sc.size();
+    return r;
 }
 
 void
@@ -540,7 +564,12 @@ expectSameVerdicts(const check::TestResult &a, const check::TestResult &b)
 
 TEST(Campaign, VerdictIdentityAcrossJobsAndPruningFullSuite)
 {
+    // The suite plus two coherence stress tests: 600 and 576
+    // candidates over a handful of outcomes, so pruning skips most of
+    // them.
     auto suite = litmus::standardSuite();
+    suite.push_back(test::cohStress(4, 2));
+    suite.push_back(test::mixedStress(3));
     check::CampaignOptions seq_ex, par_ex, seq_pr, par_pr;
     seq_ex.jobs = 1, seq_ex.prune = false;
     par_ex.jobs = 4, par_ex.prune = false;
@@ -553,10 +582,10 @@ TEST(Campaign, VerdictIdentityAcrossJobsAndPruningFullSuite)
     ASSERT_EQ(a.tests.size(), suite.size());
     for (size_t i = 0; i < suite.size(); i++) {
         // The sequential exhaustive campaign matches a from-scratch
-        // seed-style enumerate-and-solve sweep...
-        EXPECT_EQ(a.tests[i].outcomes,
-                  referenceOutcomes(scModel(), suite[i]))
-            << suite[i].name;
+        // seed-style enumerate-and-solve sweep: outcomes, pass, tight
+        // and both interesting flags...
+        expectSameVerdicts(referenceVerdict(scModel(), suite[i]),
+                           a.tests[i]);
         // ...and every other configuration matches it.
         expectSameVerdicts(a.tests[i], b.tests[i]);
         expectSameVerdicts(a.tests[i], c.tests[i]);
@@ -567,6 +596,11 @@ TEST(Campaign, VerdictIdentityAcrossJobsAndPruningFullSuite)
         EXPECT_EQ(b.tests[i].executionsExplored,
                   b.tests[i].executionsTotal);
     }
+    // On the stress tests, pruning skips most candidates.
+    for (size_t i = suite.size() - 2; i < suite.size(); i++)
+        EXPECT_GT(c.tests[i].executionsPruned,
+                  c.tests[i].executionsExplored)
+            << suite[i].name;
     EXPECT_EQ(a.failures, 0);
     EXPECT_EQ(d.failures, 0);
 }
