@@ -9,12 +9,11 @@
 #ifndef R2U_BENCH_BENCH_UTIL_HH
 #define R2U_BENCH_BENCH_UTIL_HH
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
+#include "common/logging.hh"
 #include "common/strutil.hh"
 #include "rtl2uspec/synthesis.hh"
 #include "vscale/metadata.hh"
@@ -52,43 +51,12 @@ banner(const std::string &title)
 
 /** Elaborate + synthesize the (fixed) multi-V-scale once. */
 inline rtl2uspec::SynthesisResult
-synthesizeVscale(bool buggy = false, unsigned jobs = 0,
-                 bool full_unroll = false)
+synthesizeVscale(bool buggy = false)
 {
     vscale::Config cfg = formalConfig();
     cfg.buggy = buggy;
     auto design = vscale::elaborateVscale(cfg);
-    auto md = vscale::vscaleMetadata(cfg);
-    rtl2uspec::SynthesisOptions opts;
-    opts.jobs = jobs;
-    opts.fullUnroll = full_unroll;
-    return rtl2uspec::synthesize(design, md, opts);
-}
-
-/** Same, but with caller-tweaked options (SAT-config comparisons). */
-inline rtl2uspec::SynthesisResult
-synthesizeVscaleWith(const rtl2uspec::SynthesisOptions &opts,
-                     bool buggy = false)
-{
-    vscale::Config cfg = formalConfig();
-    cfg.buggy = buggy;
-    auto design = vscale::elaborateVscale(cfg);
-    auto md = vscale::vscaleMetadata(cfg);
-    return rtl2uspec::synthesize(design, md, opts);
-}
-
-/** Linear-interpolated percentile (p in [0, 1]) of a sample. */
-inline double
-percentile(std::vector<double> xs, double p)
-{
-    if (xs.empty())
-        return 0.0;
-    std::sort(xs.begin(), xs.end());
-    double idx = p * static_cast<double>(xs.size() - 1);
-    size_t lo = static_cast<size_t>(idx);
-    size_t hi = std::min(lo + 1, xs.size() - 1);
-    double frac = idx - static_cast<double>(lo);
-    return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+    return rtl2uspec::synthesize(design, vscale::vscaleMetadata(cfg));
 }
 
 } // namespace r2u::bench

@@ -56,7 +56,6 @@ applyLimits(sat::Solver &solver, const SolveLimits &limits)
     if (limits.config)
         solver.setConfig(*limits.config);
     solver.setConflictBudget(limits.conflicts);
-    solver.setPropagationBudget(limits.propagations);
     solver.setDeadline(limits.seconds);
     solver.setExternalInterrupt(limits.cancel);
 }
@@ -68,8 +67,6 @@ sourceFromStop(sat::StopReason reason)
       case sat::StopReason::None: return VerdictSource::Solve;
       case sat::StopReason::ConflictBudget:
         return VerdictSource::ConflictBudget;
-      case sat::StopReason::PropagationBudget:
-        return VerdictSource::PropagationBudget;
       case sat::StopReason::Deadline:
         return VerdictSource::QueryDeadline;
       case sat::StopReason::Interrupt:
@@ -393,19 +390,12 @@ checkInductive(const nl::Netlist &netlist,
 
     // The limits are a total across both solves: the step gets
     // whatever the base case left over.
-    auto remaining = [&](uint64_t spent_conflicts,
-                         uint64_t spent_propagations) {
+    auto remaining = [&](uint64_t spent_conflicts) {
         SolveLimits rem = limits;
         if (rem.conflicts >= 0) {
             rem.conflicts -= static_cast<int64_t>(spent_conflicts);
             if (rem.conflicts < 0)
                 rem.conflicts = 0;
-        }
-        if (rem.propagations >= 0) {
-            rem.propagations -=
-                static_cast<int64_t>(spent_propagations);
-            if (rem.propagations < 0)
-                rem.propagations = 0;
         }
         if (rem.seconds >= 0) {
             rem.seconds -= timer.seconds();
@@ -450,8 +440,7 @@ checkInductive(const nl::Netlist &netlist,
         for (unsigned f = 0; f < k; f++)
             ctx.assume(~prop(ctx, f));
         ctx.solver().addClause(prop(ctx, k));
-        applyLimits(ctx.solver(),
-                    remaining(result.conflicts, result.propagations));
+        applyLimits(ctx.solver(), remaining(result.conflicts));
         sat::Result r = ctx.solver().solve();
         result.conflicts += ctx.solver().stats().conflicts;
         result.propagations += ctx.solver().stats().propagations;

@@ -46,7 +46,9 @@ enum class VerdictSource : uint8_t {
     Solve = 0,             ///< definite verdict on the first attempt
     Retry = 1,             ///< definite verdict on an escalated retry
     ConflictBudget = 2,    ///< Unknown: conflict budget exhausted
-    PropagationBudget = 3, ///< Unknown: propagation budget exhausted
+    /** Unknown: propagation budget exhausted. Nothing sets such a
+     *  budget any more; the code stays so old records still decode. */
+    PropagationBudget = 3,
     QueryDeadline = 4,     ///< Unknown: per-query deadline passed
     TotalDeadline = 5,     ///< Unknown: batch/total deadline passed mid-solve
     Cancelled = 6,         ///< Unknown: never solved (cancelled while queued)
@@ -84,9 +86,8 @@ const char *engineKindName(EngineKind kind);
  */
 struct SolveLimits
 {
-    int64_t conflicts = -1;    ///< conflict budget (<0: unlimited)
-    int64_t propagations = -1; ///< propagation budget (<0: unlimited)
-    double seconds = -1.0;     ///< wall-clock deadline (<0: none)
+    int64_t conflicts = -1; ///< conflict budget (<0: unlimited)
+    double seconds = -1.0;  ///< wall-clock deadline (<0: none)
     /** Optional shared stop flag polled during the solve. */
     const std::atomic<bool> *cancel = nullptr;
     /**

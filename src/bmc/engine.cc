@@ -189,13 +189,6 @@ Engine::attemptLimits(const Query &query, unsigned attempt,
                          : static_cast<int64_t>(
                                static_cast<double>(base) * esc);
     }
-    if (eopts_.propagationBudget >= 0) {
-        int64_t base = std::max<int64_t>(eopts_.propagationBudget, 1);
-        limits.propagations =
-            attempt == 0 ? eopts_.propagationBudget
-                         : static_cast<int64_t>(
-                               static_cast<double>(base) * esc);
-    }
 
     double query_deadline = -1.0;
     if (eopts_.querySeconds >= 0)
@@ -226,7 +219,6 @@ Engine::shouldRetry(const CheckResult &result, unsigned attempt) const
         return false;
     switch (result.source) {
       case VerdictSource::ConflictBudget:
-      case VerdictSource::PropagationBudget:
       case VerdictSource::QueryDeadline:
         return true;
       default:
@@ -975,7 +967,7 @@ Engine::drain()
     }
 
     for (const auto &w : workers) {
-        stats_.contexts += w->contexts_built;
+        stats_.unrollContexts += w->contexts_built;
         stats_.contextsSeeded += w->contexts_seeded;
     }
     for (const CheckResult &r : results)

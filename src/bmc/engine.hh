@@ -95,8 +95,6 @@ struct EngineOptions
     unsigned jobs = 0;
     /** Default solver conflict budget per query (<0: unlimited). */
     int64_t conflictBudget = -1;
-    /** Solver propagation budget per query (<0: unlimited). */
-    int64_t propagationBudget = -1;
     /** Per-query wall-clock deadline in seconds (<0: none). */
     double querySeconds = -1.0;
     /**
@@ -109,11 +107,11 @@ struct EngineOptions
     double totalSeconds = -1.0;
     /**
      * Retry-with-escalating-budget policy: when > 1, a query that
-     * comes back Unknown from its conflict/propagation budget or its
-     * per-query deadline is re-solved with every budget multiplied by
-     * this factor per retry (cheap first pass, escalate the
-     * stragglers). <= 1 disables retries. TotalDeadline, Cancelled,
-     * and Interrupted Unknowns are never retried.
+     * comes back Unknown from its conflict budget or its per-query
+     * deadline is re-solved with both multiplied by this factor per
+     * retry (cheap first pass, escalate the stragglers). <= 1
+     * disables retries. TotalDeadline, Cancelled, and Interrupted
+     * Unknowns are never retried.
      */
     double retryEscalation = 0.0;
     /** Maximum escalated retries per query. */
@@ -228,14 +226,19 @@ struct Query
     static constexpr int64_t kInheritBudget = INT64_MIN;
 };
 
+/**
+ * Run counters of an Engine, summed over every drain(). The synthesis
+ * result derives from this struct, so each counter is declared here
+ * once and read by the CLI, the run report and the benchmark alike.
+ */
 struct EngineStats
 {
     uint64_t queries = 0;
     /**
      * Incremental contexts built (== transition-relation unrolls): at
-     * most one per worker per bound per drain().
+     * most one per worker per bound per drain(), at any jobs count.
      */
-    uint64_t contexts = 0;
+    uint64_t unrollContexts = 0;
     /**
      * Contexts warm-started from a sibling's bit-blasted CNF
      * (PropCtx::seedFrom) instead of re-encoding the transition

@@ -280,19 +280,6 @@ Pdr::solve(std::vector<Lit> assumptions)
     } else {
         solver.setConflictBudget(-1);
     }
-    if (popts_.limits.propagations >= 0) {
-        int64_t remaining =
-            popts_.limits.propagations -
-            static_cast<int64_t>(solver.stats().propagations);
-        if (remaining <= 0) {
-            stopped_ = true;
-            stop_source_ = VerdictSource::PropagationBudget;
-            return sat::Result::Unknown;
-        }
-        solver.setPropagationBudget(remaining);
-    } else {
-        solver.setPropagationBudget(-1);
-    }
     if (has_deadline_) {
         double remaining =
             std::chrono::duration<double>(

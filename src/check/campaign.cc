@@ -7,6 +7,7 @@
 #include <optional>
 #include <thread>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "common/thread_pool.hh"
@@ -175,22 +176,6 @@ mergeTest(const uspec::Model &model, TestWork &work)
     return res;
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (c == '\n') {
-            out += "\\n";
-            continue;
-        }
-        out += c;
-    }
-    return out;
-}
-
 } // namespace
 
 CampaignResult
@@ -276,51 +261,57 @@ CampaignResult::summary() const
 std::string
 CampaignResult::jsonReport() const
 {
-    std::string out = "{\n";
-    out += strfmt("  \"jobs\": %u,\n", jobs);
-    out += strfmt("  \"prune\": %s,\n", prune ? "true" : "false");
-    out += strfmt("  \"fail_fast\": %s,\n", failFast ? "true" : "false");
-    out += strfmt("  \"interrupted\": %s,\n",
-                  interrupted ? "true" : "false");
-    out += strfmt("  \"tests\": %zu,\n", tests.size());
-    out += strfmt("  \"failures\": %d,\n", failures);
-    out += strfmt("  \"executions\": {\"total\": %lld, \"explored\": "
-                  "%lld, \"pruned\": %lld},\n",
-                  executionsTotal, executionsExplored, executionsPruned);
-    out += strfmt("  \"branches\": %lld,\n", branches);
-    out += strfmt("  \"wall_ms\": %.3f,\n", ms);
-    out += "  \"results\": [\n";
-    for (size_t i = 0; i < tests.size(); i++) {
-        const TestResult &t = tests[i];
-        out += strfmt(
-            "    {\"name\": \"%s\", \"ok\": %s, \"pass\": %s, "
-            "\"tight\": %s, \"interesting_observable\": %s, "
-            "\"interesting_sc_allowed\": %s, "
-            "\"sc_allowed_outcomes\": %d, \"observable_outcomes\": %d, "
-            "\"executions\": {\"total\": %d, \"explored\": %d, "
-            "\"pruned\": %d}, \"branches\": %lld, \"ms\": %.3f",
-            jsonEscape(t.name).c_str(), t.ok() ? "true" : "false",
-            t.pass ? "true" : "false", t.tight ? "true" : "false",
-            t.interestingObservable ? "true" : "false",
-            t.interestingScAllowed ? "true" : "false",
-            t.scAllowedOutcomes, t.observableOutcomes,
-            t.executionsTotal, t.executionsExplored, t.executionsPruned,
-            t.branches, t.ms);
-        out += ", \"outcomes\": [";
-        for (size_t j = 0; j < t.outcomes.size(); j++) {
-            out += j ? ", " : "";
-            out += "\"" + jsonEscape(t.outcomes[j]) + "\"";
-        }
-        out += "], \"violations\": [";
-        for (size_t j = 0; j < t.violations.size(); j++) {
-            out += j ? ", " : "";
-            out += "\"" + jsonEscape(t.violations[j]) + "\"";
-        }
-        out += strfmt("]}%s\n", i + 1 < tests.size() ? "," : "");
+    using json::Value;
+    auto num = [](auto n) { return Value::number(n); };
+    auto flag = [](bool b) { return Value::boolean_(b); };
+    auto strings = [](const std::vector<std::string> &xs) {
+        Value arr = Value::array();
+        for (const auto &x : xs)
+            arr.push(Value::string(x));
+        return arr;
+    };
+    auto executions = [&](auto total, auto explored, auto pruned) {
+        Value v = Value::object();
+        v.set("total", num(total))
+            .set("explored", num(explored))
+            .set("pruned", num(pruned));
+        return v;
+    };
+
+    Value results = Value::array();
+    for (const TestResult &t : tests) {
+        Value r = Value::object();
+        r.set("name", Value::string(t.name))
+            .set("ok", flag(t.ok()))
+            .set("pass", flag(t.pass))
+            .set("tight", flag(t.tight))
+            .set("interesting_observable", flag(t.interestingObservable))
+            .set("interesting_sc_allowed", flag(t.interestingScAllowed))
+            .set("sc_allowed_outcomes", num(t.scAllowedOutcomes))
+            .set("observable_outcomes", num(t.observableOutcomes))
+            .set("executions",
+                 executions(t.executionsTotal, t.executionsExplored,
+                            t.executionsPruned))
+            .set("branches", num(t.branches))
+            .set("ms", num(t.ms))
+            .set("outcomes", strings(t.outcomes))
+            .set("violations", strings(t.violations));
+        results.push(std::move(r));
     }
-    out += "  ]\n";
-    out += "}\n";
-    return out;
+
+    Value out = Value::object();
+    out.set("jobs", num(jobs))
+        .set("prune", flag(prune))
+        .set("fail_fast", flag(failFast))
+        .set("interrupted", flag(interrupted))
+        .set("tests", num(tests.size()))
+        .set("failures", num(failures))
+        .set("executions", executions(executionsTotal, executionsExplored,
+                                      executionsPruned))
+        .set("branches", num(branches))
+        .set("wall_ms", num(ms))
+        .set("results", std::move(results));
+    return out.dump() + "\n";
 }
 
 std::string

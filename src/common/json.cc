@@ -1,4 +1,4 @@
-#include "serve/json.hh"
+#include "common/json.hh"
 
 #include <cmath>
 #include <cstdio>
@@ -6,7 +6,7 @@
 
 #include "common/logging.hh"
 
-namespace r2u::serve::json
+namespace r2u::json
 {
 
 Value
@@ -482,4 +482,4 @@ Value::parse(const std::string &text, Value &out, std::string *err)
     return true;
 }
 
-} // namespace r2u::serve::json
+} // namespace r2u::json

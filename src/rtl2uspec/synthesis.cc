@@ -4,6 +4,7 @@
 #include <filesystem>
 
 #include "bmc/engine.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "common/timer.hh"
@@ -53,7 +54,6 @@ class Synthesizer
             opts.conflictBudget == SynthesisOptions::kInheritBudget
                 ? md_.conflictBudget
                 : opts.conflictBudget;
-        eopts.propagationBudget = opts.propagationBudget;
         eopts.querySeconds = opts.queryTimeoutSeconds;
         eopts.totalSeconds = opts.totalTimeoutSeconds;
         eopts.retryEscalation = opts.retryEscalation;
@@ -143,34 +143,12 @@ class Synthesizer
         attributionChecks();
         interInstruction();
         out_.proofSeconds = phase.seconds();
-        out_.jobs = engine_->jobs();
-        out_.unrollContexts = engine_->stats().contexts;
-        out_.contextsSeeded = engine_->stats().contextsSeeded;
-        out_.fullUnroll = full_unroll_;
         const bmc::EngineStats &estats = engine_->stats();
+        static_cast<bmc::EngineStats &>(out_) = estats;
+        out_.jobs = engine_->jobs();
+        out_.fullUnroll = full_unroll_;
         out_.validateMode = validate_mode_;
-        out_.replays = estats.replays;
-        out_.proofRechecks = estats.proofRechecks;
-        out_.recheckInconclusive = estats.recheckInconclusive;
-        out_.validationMismatches = estats.validationMismatches;
-        out_.validationFailures = estats.validationFailures;
-        out_.journalHits = estats.journalHits;
-        out_.journalAppends = estats.journalAppends;
-        out_.cacheHits = estats.cacheHits;
-        out_.cacheMisses = estats.cacheMisses;
-        out_.cacheInvalidations = estats.cacheInvalidations;
-        out_.cacheAppends = estats.cacheAppends;
-        out_.replaySeconds = estats.replaySeconds;
-        out_.recheckSeconds = estats.recheckSeconds;
-        out_.validateSeconds = estats.validateSeconds;
         out_.engineMode = bmc::engineChoiceName(engine_->options().engine);
-        out_.engineRaces = estats.engineRaces;
-        out_.bmcWins = estats.bmcWins;
-        out_.kindWins = estats.kindWins;
-        out_.pdrWins = estats.pdrWins;
-        out_.unboundedProofs = estats.unboundedProofs;
-        out_.pdrFrames = estats.pdrFrames;
-        out_.pdrObligations = estats.pdrObligations;
         if (estats.engineRaces > 0)
             inform("rtl2uspec: engine race: %zu race(s); wins "
                    "bmc=%zu kind=%zu pdr=%zu; %zu unbounded proof(s)",
@@ -179,8 +157,6 @@ class Synthesizer
                    static_cast<size_t>(estats.kindWins),
                    static_cast<size_t>(estats.pdrWins),
                    static_cast<size_t>(estats.unboundedProofs));
-        out_.inprocessRuns = estats.inprocessRuns;
-        out_.inprocessClausesRemoved = estats.inprocessClausesRemoved;
         if (out_.cacheEnabled)
             inform("rtl2uspec: cache: %zu hit(s), %zu miss(es) "
                    "(%zu invalidated), %zu verdict(s) appended",
@@ -212,9 +188,9 @@ class Synthesizer
                "%zu transition-relation unroll(s) (%zu warm-seeded), "
                "%zu steal(s), %.0f CNF vars/query mean (%s)",
                out_.svas.size(), engine_->jobs(),
-               static_cast<size_t>(engine_->stats().contexts),
-               static_cast<size_t>(engine_->stats().contextsSeeded),
-               static_cast<size_t>(engine_->stats().steals),
+               static_cast<size_t>(estats.unrollContexts),
+               static_cast<size_t>(estats.contextsSeeded),
+               static_cast<size_t>(estats.steals),
                out_.meanCnfVars,
                full_unroll_ ? "full unroll" : "COI-sliced");
 
@@ -1988,131 +1964,106 @@ SynthesisResult::report() const
     return out;
 }
 
-namespace
-{
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strfmt("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
-} // namespace
-
 std::string
 SynthesisResult::jsonReport() const
 {
-    std::string out = "{\n";
-    out += strfmt("  \"jobs\": %u,\n", jobs);
-    out += strfmt("  \"full_unroll\": %s,\n",
-                  fullUnroll ? "true" : "false");
-    out += strfmt("  \"sva_count\": %zu,\n", svas.size());
-    out += strfmt("  \"unroll_contexts\": %zu,\n",
-                  static_cast<size_t>(unrollContexts));
-    out += strfmt("  \"contexts_seeded\": %zu,\n",
-                  static_cast<size_t>(contextsSeeded));
-    out += strfmt("  \"unknown_svas\": %zu,\n",
-                  static_cast<size_t>(unknownSvas));
-    out += strfmt("  \"bug_count\": %zu,\n", bugs.size());
-    out += strfmt(
-        "  \"timings\": {\"static_s\": %.6f, \"proof_s\": %.6f, "
-        "\"post_s\": %.6f, \"total_s\": %.6f},\n",
-        staticSeconds, proofSeconds, postSeconds, totalSeconds);
-    out += strfmt(
-        "  \"validation\": {\"mode\": \"%s\", \"replays\": %zu, "
-        "\"proof_rechecks\": %zu, \"recheck_inconclusive\": %zu, "
-        "\"mismatches\": %zu, \"validation_failures\": %zu, "
-        "\"journal_hits\": %zu, \"journal_appends\": %zu, "
-        "\"replay_s\": %.6f, \"recheck_s\": %.6f, "
-        "\"validate_s\": %.6f},\n",
-        validateMode.c_str(), static_cast<size_t>(replays),
-        static_cast<size_t>(proofRechecks),
-        static_cast<size_t>(recheckInconclusive),
-        static_cast<size_t>(validationMismatches),
-        static_cast<size_t>(validationFailures),
-        static_cast<size_t>(journalHits),
-        static_cast<size_t>(journalAppends), replaySeconds,
-        recheckSeconds, validateSeconds);
-    out += strfmt(
-        "  \"cache\": {\"enabled\": %s, \"hits\": %zu, "
-        "\"misses\": %zu, \"invalidations\": %zu, "
-        "\"appends\": %zu},\n",
-        cacheEnabled ? "true" : "false",
-        static_cast<size_t>(cacheHits),
-        static_cast<size_t>(cacheMisses),
-        static_cast<size_t>(cacheInvalidations),
-        static_cast<size_t>(cacheAppends));
-    out += strfmt(
-        "  \"engine\": {\"mode\": \"%s\", \"races\": %zu, "
-        "\"bmc_wins\": %zu, \"kind_wins\": %zu, \"pdr_wins\": %zu, "
-        "\"unbounded_proofs\": %zu, \"pdr_frames\": %zu, "
-        "\"pdr_obligations\": %zu},\n",
-        engineMode.c_str(), static_cast<size_t>(engineRaces),
-        static_cast<size_t>(bmcWins), static_cast<size_t>(kindWins),
-        static_cast<size_t>(pdrWins),
-        static_cast<size_t>(unboundedProofs),
-        static_cast<size_t>(pdrFrames),
-        static_cast<size_t>(pdrObligations));
-    out += strfmt(
-        "  \"simplify\": {\"inprocess_runs\": %zu, "
-        "\"inprocess_clauses_removed\": %zu},\n",
-        static_cast<size_t>(inprocessRuns),
-        static_cast<size_t>(inprocessClausesRemoved));
-    out += "  \"degraded\": [";
-    for (size_t i = 0; i < degraded.size(); i++) {
-        out += i ? ", " : "";
-        out += "\"" + jsonEscape(degraded[i]) + "\"";
+    using json::Value;
+    auto num = [](auto n) { return Value::number(n); };
+    auto flag = [](bool b) { return Value::boolean_(b); };
+
+    Value timings = Value::object();
+    timings.set("static_s", num(staticSeconds))
+        .set("proof_s", num(proofSeconds))
+        .set("post_s", num(postSeconds))
+        .set("total_s", num(totalSeconds));
+    Value validation = Value::object();
+    validation.set("mode", Value::string(validateMode))
+        .set("replays", num(replays))
+        .set("proof_rechecks", num(proofRechecks))
+        .set("recheck_inconclusive", num(recheckInconclusive))
+        .set("mismatches", num(validationMismatches))
+        .set("validation_failures", num(validationFailures))
+        .set("journal_hits", num(journalHits))
+        .set("journal_appends", num(journalAppends))
+        .set("replay_s", num(replaySeconds))
+        .set("recheck_s", num(recheckSeconds))
+        .set("validate_s", num(validateSeconds));
+    Value cache = Value::object();
+    cache.set("enabled", flag(cacheEnabled))
+        .set("hits", num(cacheHits))
+        .set("misses", num(cacheMisses))
+        .set("invalidations", num(cacheInvalidations))
+        .set("appends", num(cacheAppends));
+    Value engine = Value::object();
+    engine.set("mode", Value::string(engineMode))
+        .set("races", num(engineRaces))
+        .set("bmc_wins", num(bmcWins))
+        .set("kind_wins", num(kindWins))
+        .set("pdr_wins", num(pdrWins))
+        .set("unbounded_proofs", num(unboundedProofs))
+        .set("pdr_frames", num(pdrFrames))
+        .set("pdr_obligations", num(pdrObligations));
+    Value simplify = Value::object();
+    simplify.set("inprocess_runs", num(inprocessRuns))
+        .set("inprocess_clauses_removed", num(inprocessClausesRemoved));
+    Value categories = Value::object();
+    for (const auto &[name, cs] : stats) {
+        Value cat = Value::object();
+        cat.set("svas", num(cs.svas))
+            .set("seconds", num(cs.seconds))
+            .set("hyp_local", num(cs.hypLocal))
+            .set("hyp_global", num(cs.hypGlobal))
+            .set("hbi_local", num(cs.hbiLocal))
+            .set("hbi_global", num(cs.hbiGlobal));
+        categories.set(name, std::move(cat));
     }
-    out += "],\n";
-    out += "  \"svas\": [\n";
-    for (size_t i = 0; i < svas.size(); i++) {
-        const SvaRecord &r = svas[i];
-        out += strfmt(
-            "    {\"name\": \"%s\", \"category\": \"%s\", "
-            "\"verdict\": \"%s\", \"source\": \"%s\", "
-            "\"retries\": %u, \"seconds\": %.6f, "
-            "\"conflicts\": %zu, \"propagations\": %zu, "
-            "\"cnf_vars\": %zu, \"cnf_clauses\": %zu, "
-            "\"validated\": %s, \"from_journal\": %s, "
-            "\"from_cache\": %s, "
-            "\"engine\": \"%s\", \"engine_raced\": %s, "
-            "\"unbounded\": %s, "
-            "\"degraded\": %s%s%s%s}%s\n",
-            jsonEscape(r.name).c_str(), r.category.c_str(),
-            bmc::verdictName(r.verdict),
-            bmc::verdictSourceName(r.source), r.retries, r.seconds,
-            static_cast<size_t>(r.conflicts),
-            static_cast<size_t>(r.propagations), r.cnfVars,
-            r.cnfClauses, r.validated ? "true" : "false",
-            r.fromJournal ? "true" : "false",
-            r.fromCache ? "true" : "false",
-            r.engine.c_str(), r.engineRaced ? "true" : "false",
-            r.unbounded ? "true" : "false",
-            r.degraded ? "true" : "false",
-            r.degraded ? ", \"degrade_note\": \"" : "",
-            r.degraded ? jsonEscape(r.degradeNote).c_str() : "",
-            r.degraded ? "\"" : "",
-            i + 1 < svas.size() ? "," : "");
+    Value notes = Value::array();
+    for (const auto &note : degraded)
+        notes.push(Value::string(note));
+    Value records = Value::array();
+    for (const SvaRecord &r : svas) {
+        Value rec = Value::object();
+        rec.set("name", Value::string(r.name))
+            .set("category", Value::string(r.category))
+            .set("verdict", Value::string(bmc::verdictName(r.verdict)))
+            .set("source",
+                 Value::string(bmc::verdictSourceName(r.source)))
+            .set("retries", num(r.retries))
+            .set("seconds", num(r.seconds))
+            .set("conflicts", num(r.conflicts))
+            .set("propagations", num(r.propagations))
+            .set("cnf_vars", num(r.cnfVars))
+            .set("cnf_clauses", num(r.cnfClauses))
+            .set("coi_cells", num(r.coiCells))
+            .set("validated", flag(r.validated))
+            .set("from_journal", flag(r.fromJournal))
+            .set("from_cache", flag(r.fromCache))
+            .set("engine", Value::string(r.engine))
+            .set("engine_raced", flag(r.engineRaced))
+            .set("unbounded", flag(r.unbounded))
+            .set("degraded", flag(r.degraded));
+        if (r.degraded)
+            rec.set("degrade_note", Value::string(r.degradeNote));
+        records.push(std::move(rec));
     }
-    out += "  ]\n";
-    out += "}\n";
-    return out;
+
+    Value out = Value::object();
+    out.set("jobs", num(jobs))
+        .set("full_unroll", flag(fullUnroll))
+        .set("sva_count", num(svas.size()))
+        .set("unroll_contexts", num(unrollContexts))
+        .set("contexts_seeded", num(contextsSeeded))
+        .set("unknown_svas", num(unknownSvas))
+        .set("bug_count", num(bugs.size()))
+        .set("timings", std::move(timings))
+        .set("validation", std::move(validation))
+        .set("cache", std::move(cache))
+        .set("engine", std::move(engine))
+        .set("simplify", std::move(simplify))
+        .set("categories", std::move(categories))
+        .set("degraded", std::move(notes))
+        .set("svas", std::move(records));
+    return out.dump() + "\n";
 }
 
 SynthesisResult

@@ -59,7 +59,8 @@ struct SvaRecord
 
     /** Proof engine that produced the verdict ("bmc", "kind", "pdr"). */
     std::string engine = "bmc";
-    /** A PDR/k-induction challenger raced the BMC solve. */
+    /** The sequential PDR pre-pass ran ahead of the BMC solve
+     *  (--engine race). */
     bool engineRaced = false;
     /** Proven at *every* bound (PDR fixpoint / closed induction). */
     bool unbounded = false;
@@ -87,11 +88,11 @@ struct SynthesisOptions
 {
     /**
      * Worker count for SVA evaluation (the paper's proof-farm
-     * dimension): 0 picks std::thread::hardware_concurrency(); 1 is
-     * the classic sequential path (fresh solver per SVA); >= 2 runs
-     * the parallel engine with per-worker incremental solver
-     * contexts. Verdicts and the emitted model are identical either
-     * way.
+     * dimension): 0 picks std::thread::hardware_concurrency(). Every
+     * value runs the incremental engine with one solver context per
+     * worker per bound; 1 is one worker on the calling thread, in
+     * enqueue order. Verdicts and the emitted model are identical at
+     * any value.
      */
     unsigned jobs = 0;
     /**
@@ -108,8 +109,6 @@ struct SynthesisOptions
      * yields Unknown verdicts that degrade the model conservatively.
      */
     int64_t conflictBudget = kInheritBudget;
-    /** Per-SVA solver propagation budget (<0: unlimited). */
-    int64_t propagationBudget = -1;
     /** Per-SVA wall-clock deadline in seconds (<0: none). */
     double queryTimeoutSeconds = -1.0;
     /** Whole-run wall-clock deadline in seconds (<0: none). */
@@ -197,7 +196,14 @@ struct SynthesisOptions
     static constexpr int64_t kInheritBudget = INT64_MIN;
 };
 
-struct SynthesisResult
+/**
+ * Everything one synthesis run produces. The engine's run counters
+ * (unroll contexts, validation, journal, cache, proof engines,
+ * inprocessing) are inherited from bmc::EngineStats as the engine
+ * counted them; the fields below are what only the synthesis
+ * frontend knows.
+ */
+struct SynthesisResult : bmc::EngineStats
 {
     uspec::Model model;
     std::vector<SvaRecord> svas;
@@ -210,16 +216,6 @@ struct SynthesisResult
     /** Mean per-query solver CNF size across all SVAs. */
     double meanCnfVars = 0.0;
     double meanCnfClauses = 0.0;
-    /**
-     * Transition-relation unrolls built: one per SVA on the
-     * sequential path, one per worker per bound on the parallel path.
-     */
-    uint64_t unrollContexts = 0;
-    /**
-     * Of those, contexts warm-started by cloning the first worker's
-     * bit-blasted clause database instead of re-unrolling the design.
-     */
-    uint64_t contextsSeeded = 0;
 
     /** Design bugs found (attribution checks refuted, paper §6.1). */
     std::vector<std::string> bugs;
@@ -227,52 +223,12 @@ struct SynthesisResult
     /** SVAs whose final verdict stayed Unknown. */
     uint64_t unknownSvas = 0;
 
-    // --- trust-but-verify validation accounting (run level) ---
     /** Active validation mode ("off", "replay", "sample", "full"). */
     std::string validateMode = "off";
-    uint64_t replays = 0;
-    uint64_t proofRechecks = 0;
-    uint64_t recheckInconclusive = 0;
-    uint64_t validationMismatches = 0;
-    /** Verdicts degraded to Unknown by the validation layer. */
-    uint64_t validationFailures = 0;
-    /** SVAs answered from the resume journal without solving. */
-    uint64_t journalHits = 0;
-    uint64_t journalAppends = 0;
-
-    // --- cross-run verdict cache accounting (run level) ---
-    /** True when a --cache directory was in use this run. */
+    /** True when a verdict cache (--cache or a shared one) was in use. */
     bool cacheEnabled = false;
-    /** SVAs answered from the verdict cache without solving. */
-    uint64_t cacheHits = 0;
-    /** Hashed SVA queries the cache could not answer. */
-    uint64_t cacheMisses = 0;
-    /** Misses caused by a content change to a previously cached query
-     *  (same SVA name + bound, different cone/property hash). */
-    uint64_t cacheInvalidations = 0;
-    /** Verdicts durably appended to the cache this run. */
-    uint64_t cacheAppends = 0;
-
-    // --- proof-engine accounting (run level) ---
     /** Resolved --engine mode ("bmc", "kind", "pdr", "race"). */
     std::string engineMode = "race";
-    /** Queries that ran the PDR pre-pass (--engine race). */
-    uint64_t engineRaces = 0;
-    /** Definite verdicts per winning engine (solved this run). */
-    uint64_t bmcWins = 0;
-    uint64_t kindWins = 0;
-    uint64_t pdrWins = 0;
-    /** Proofs valid at every bound (PDR fixpoint / closed induction). */
-    uint64_t unboundedProofs = 0;
-    /** PDR work totals across winning and completed PDR runs. */
-    uint64_t pdrFrames = 0;
-    uint64_t pdrObligations = 0;
-    /** Inprocessing passes inside incremental solver contexts. */
-    uint64_t inprocessRuns = 0;
-    uint64_t inprocessClausesRemoved = 0;
-    double replaySeconds = 0.0;
-    double recheckSeconds = 0.0;
-    double validateSeconds = 0.0;
     /**
      * Human-readable record of every conservative degradation an
      * Unknown verdict forced (one entry per degraded SVA; also

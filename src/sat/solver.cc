@@ -14,7 +14,6 @@ stopReasonName(StopReason reason)
     switch (reason) {
       case StopReason::None: return "none";
       case StopReason::ConflictBudget: return "conflict-budget";
-      case StopReason::PropagationBudget: return "propagation-budget";
       case StopReason::Deadline: return "deadline";
       case StopReason::Interrupt: return "interrupt";
     }
@@ -138,7 +137,6 @@ Solver::propagate()
     while (qhead_ < trail_.size()) {
         Lit p = trail_[qhead_++];
         stats_.propagations++;
-        propagations_this_solve_++;
         std::vector<Watcher> &ws = watches_[p.x];
         size_t i = 0, j = 0;
         while (i < ws.size()) {
@@ -702,9 +700,6 @@ Solver::stopCheck()
     if (conflict_budget_ >= 0 &&
         conflicts_this_solve_ >= conflict_budget_)
         return StopReason::ConflictBudget;
-    if (propagation_budget_ >= 0 &&
-        propagations_this_solve_ >= propagation_budget_)
-        return StopReason::PropagationBudget;
     if (has_deadline_ && --stop_check_countdown_ <= 0) {
         constexpr int kStopCheckInterval = 256;
         stop_check_countdown_ = kStopCheckInterval;
@@ -727,7 +722,6 @@ Solver::solve(const std::vector<Lit> &assumptions)
         return Result::Unsat;
     assumptions_ = assumptions;
     conflicts_this_solve_ = 0;
-    propagations_this_solve_ = 0;
     has_deadline_ = deadline_seconds_ >= 0.0;
     if (has_deadline_) {
         deadline_point_ =

@@ -76,11 +76,10 @@ enum class Result { Sat, Unsat, Unknown };
 
 /** Why a solve() gave up with Result::Unknown (None otherwise). */
 enum class StopReason : uint8_t {
-    None,              ///< ran to completion (Sat or Unsat)
-    ConflictBudget,    ///< conflict budget exhausted
-    PropagationBudget, ///< propagation budget exhausted
-    Deadline,          ///< wall-clock deadline passed
-    Interrupt,         ///< interrupt() or the external flag fired
+    None,           ///< ran to completion (Sat or Unsat)
+    ConflictBudget, ///< conflict budget exhausted
+    Deadline,       ///< wall-clock deadline passed
+    Interrupt,      ///< interrupt() or the external flag fired
 };
 
 const char *stopReasonName(StopReason reason);
@@ -182,12 +181,6 @@ class Solver
 
     /** Limit total conflicts for one solve() call; <0 means no limit. */
     void setConflictBudget(int64_t budget) { conflict_budget_ = budget; }
-
-    /** Limit total propagations for one solve(); <0 means no limit. */
-    void setPropagationBudget(int64_t budget)
-    {
-        propagation_budget_ = budget;
-    }
 
     /**
      * Wall-clock deadline for one solve(), in seconds from the start
@@ -397,8 +390,6 @@ class Solver
 
     int64_t conflict_budget_ = -1;
     int64_t conflicts_this_solve_ = 0;
-    int64_t propagation_budget_ = -1;
-    int64_t propagations_this_solve_ = 0;
     double deadline_seconds_ = -1.0;
     bool has_deadline_ = false;
     std::chrono::steady_clock::time_point deadline_point_;

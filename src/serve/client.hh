@@ -20,7 +20,7 @@
 
 #include <string>
 
-#include "serve/json.hh"
+#include "common/json.hh"
 
 namespace r2u::serve
 {

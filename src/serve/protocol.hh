@@ -3,7 +3,7 @@
  * Length-prefixed frame codec for the synthesis-service socket.
  *
  * One frame = u32 little-endian payload length + payload bytes (a
- * single JSON document, see serve/json.hh). The prefix makes message
+ * single JSON document, see common/json.hh). The prefix makes message
  * boundaries explicit over a stream socket, so a reader never has to
  * guess where a document ends, and a hard cap on the length rejects a
  * garbage prefix (a client speaking the wrong protocol) before it

@@ -55,9 +55,9 @@
 #include <vector>
 
 #include "bmc/journal.hh"
+#include "common/json.hh"
 #include "common/thread_pool.hh"
 #include "serve/chaos.hh"
-#include "serve/json.hh"
 
 namespace r2u::bmc
 {

@@ -157,10 +157,10 @@ TEST_P(EngineRandomTest, IncrementalMatchesFresh)
         // one batch: at most one per worker per batch here (single
         // bound), never one per query — exactly one per batch at
         // jobs 1, where no seed is published.
-        EXPECT_GE(engine.stats().contexts, 2u);
-        EXPECT_LE(engine.stats().contexts, 2u * jobs);
+        EXPECT_GE(engine.stats().unrollContexts, 2u);
+        EXPECT_LE(engine.stats().unrollContexts, 2u * jobs);
         if (jobs == 1) {
-            EXPECT_EQ(engine.stats().contexts, 2u);
+            EXPECT_EQ(engine.stats().unrollContexts, 2u);
             EXPECT_EQ(engine.stats().contextsSeeded, 0u);
         }
     }

@@ -21,6 +21,7 @@
 
 #include "check/campaign.hh"
 #include "check/check.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "litmus/litmus.hh"
@@ -671,23 +672,33 @@ TEST(Campaign, FailFastStillReportsViolation)
 
 TEST(Campaign, JsonReportParsesAndCounts)
 {
+    // Test names and locations come from user files: a control byte in
+    // either must leave the report valid JSON (it used to be written
+    // raw, and `json.load` refused the file).
     auto suite = litmus::standardSuite();
     suite.resize(4);
+    suite.insert(suite.begin(), LTest::parse("name a\x01" "b\n"
+                                             "thread 0\n"
+                                             "w x\x01 1\n"));
     check::CampaignOptions opts;
     opts.jobs = 2;
     auto res = check::runCampaign(scModel(), suite, opts);
-    std::string json = res.jsonReport();
-    EXPECT_NE(json.find("\"jobs\": 2"), std::string::npos);
-    EXPECT_NE(json.find("\"tests\": 4"), std::string::npos);
-    EXPECT_NE(json.find("\"failures\": 0"), std::string::npos);
-    EXPECT_NE(json.find("\"name\": \"mp\""), std::string::npos);
-    // Crude structural check: balanced braces/brackets.
-    int depth = 0;
-    for (char c : json) {
-        depth += (c == '{' || c == '[') - (c == '}' || c == ']');
-        ASSERT_GE(depth, 0);
-    }
-    EXPECT_EQ(depth, 0);
+    json::Value report;
+    std::string err;
+    ASSERT_TRUE(json::Value::parse(res.jsonReport(), report, &err))
+        << err;
+    EXPECT_EQ(report.getInt("jobs"), 2);
+    EXPECT_EQ(report.getInt("tests"), 5);
+    EXPECT_EQ(report.getInt("failures"), 0);
+    const json::Value *results = report.find("results");
+    ASSERT_NE(results, nullptr);
+    ASSERT_EQ(results->arr.size(), 5u);
+    EXPECT_EQ(results->arr[0].getStr("name"), "a\x01" "b");
+    const json::Value *outcomes = results->arr[0].find("outcomes");
+    ASSERT_NE(outcomes, nullptr);
+    ASSERT_EQ(outcomes->arr.size(), 1u);
+    EXPECT_EQ(outcomes->arr[0].asStr(), "x\x01=1");
+    EXPECT_EQ(results->arr[1].getStr("name"), suite[1].name);
 }
 
 // Regression (uspec_check verdict): a litmus test whose interesting

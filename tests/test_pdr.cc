@@ -272,7 +272,7 @@ TEST(PdrRace, ChallengerWinAttribution)
         EXPECT_LT(res.conflicts, 10000u);
         EXPECT_EQ(res.cnfVarsAdded, 0u);
 
-        EXPECT_EQ(engine.stats().contexts, 0u);
+        EXPECT_EQ(engine.stats().unrollContexts, 0u);
         EXPECT_EQ(engine.stats().engineRaces, 1u);
         EXPECT_EQ(engine.stats().bmcWins, 0u);
         EXPECT_EQ(engine.stats().kindWins, 0u);

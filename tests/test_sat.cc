@@ -297,18 +297,6 @@ TEST(Sat, ConflictBudgetSetsStopReason)
     EXPECT_EQ(s.stopReason(), StopReason::None);
 }
 
-TEST(Sat, PropagationBudgetReturnsUnknown)
-{
-    Solver s;
-    addPigeonhole(s, 8, 7);
-    s.setPropagationBudget(200);
-    EXPECT_EQ(s.solve(), Result::Unknown);
-    EXPECT_EQ(s.stopReason(), StopReason::PropagationBudget);
-    s.setPropagationBudget(-1);
-    EXPECT_EQ(s.solve(), Result::Unsat);
-    EXPECT_EQ(s.stopReason(), StopReason::None);
-}
-
 TEST(Sat, DeadlineReturnsUnknown)
 {
     // Hard enough that a 1 ms deadline always fires well before the
@@ -381,8 +369,6 @@ TEST(Sat, StopReasonNames)
     EXPECT_STREQ(stopReasonName(StopReason::None), "none");
     EXPECT_STREQ(stopReasonName(StopReason::ConflictBudget),
                  "conflict-budget");
-    EXPECT_STREQ(stopReasonName(StopReason::PropagationBudget),
-                 "propagation-budget");
     EXPECT_STREQ(stopReasonName(StopReason::Deadline), "deadline");
     EXPECT_STREQ(stopReasonName(StopReason::Interrupt), "interrupt");
 }

@@ -1,12 +1,11 @@
 /**
  * @file
- * Tests for the resilient synthesis service (ISSUE 10): the JSON wire
- * codec, the length-prefixed frame protocol, the chaos spec, and —
- * against a real in-process Server — admission control ("overloaded"
- * replies), the full chaos suite (solver stall -> watchdog interrupt
- * -> bounded retry; torn cache append -> rollback + disable; dropped
- * connection -> client reconnect/re-issue), and warm restart from the
- * persistent state dir. The acceptance property throughout: a daemon
+ * Tests for the resilient synthesis service: the length-prefixed frame
+ * protocol, the chaos spec, and — against a real in-process Server —
+ * admission control ("overloaded" replies), the full chaos suite
+ * (solver stall -> watchdog interrupt -> bounded retry; torn cache
+ * append -> rollback + disable; dropped connection -> client
+ * reconnect/re-issue), and warm restart from the persistent state dir. The acceptance property throughout: a daemon
  * under chaos returns a model bit-identical to a fault-free run.
  *
  * kill -9 crash recovery needs a real process boundary and lives in
@@ -28,13 +27,13 @@
 #include <unistd.h>
 
 #include "check/campaign.hh"
+#include "common/json.hh"
 #include "common/strutil.hh"
 #include "litmus/litmus.hh"
 #include "rtl2uspec/metadata_io.hh"
 #include "rtl2uspec/synthesis.hh"
 #include "serve/chaos.hh"
 #include "serve/client.hh"
-#include "serve/json.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
 #include "verilog/elaborate.hh"
@@ -42,74 +41,6 @@
 using namespace r2u;
 using namespace r2u::serve;
 namespace fs = std::filesystem;
-
-// ---------------------------------------------------------------------
-// JSON codec
-// ---------------------------------------------------------------------
-
-TEST(Json, BuildDumpParseRoundTrip)
-{
-    json::Value v = json::Value::object();
-    v.set("ok", json::Value::boolean_(true));
-    v.set("n", json::Value::number(int64_t{42}));
-    v.set("pi", json::Value::number(3.5));
-    v.set("s", json::Value::string("hi \"there\"\n"));
-    json::Value arr = json::Value::array();
-    arr.push(json::Value::number(int64_t{1}));
-    arr.push(json::Value::null());
-    v.set("a", std::move(arr));
-
-    std::string text = v.dump();
-    json::Value back;
-    std::string err;
-    ASSERT_TRUE(json::Value::parse(text, back, &err)) << err;
-    EXPECT_TRUE(back.getBool("ok"));
-    EXPECT_EQ(back.getInt("n"), 42);
-    EXPECT_DOUBLE_EQ(back.getDouble("pi"), 3.5);
-    EXPECT_EQ(back.getStr("s"), "hi \"there\"\n");
-    ASSERT_NE(back.find("a"), nullptr);
-    ASSERT_EQ(back.find("a")->arr.size(), 2u);
-    EXPECT_EQ(back.find("a")->arr[0].asInt(), 1);
-    EXPECT_TRUE(back.find("a")->arr[1].isNull());
-    // Integral doubles must print as integers (hash strings aside,
-    // counts travel as JSON numbers).
-    EXPECT_NE(text.find("\"n\":42"), std::string::npos) << text;
-}
-
-TEST(Json, SetReplacesAndPreservesOrder)
-{
-    json::Value v = json::Value::object();
-    v.set("a", json::Value::number(int64_t{1}));
-    v.set("b", json::Value::number(int64_t{2}));
-    v.set("a", json::Value::number(int64_t{3}));
-    EXPECT_EQ(v.dump(), "{\"a\":3,\"b\":2}");
-}
-
-TEST(Json, ParseRejectsMalformedInput)
-{
-    json::Value out;
-    std::string err;
-    EXPECT_FALSE(json::Value::parse("", out, &err));
-    EXPECT_FALSE(json::Value::parse("{", out, &err));
-    EXPECT_FALSE(json::Value::parse("{\"a\":1,}", out, &err));
-    EXPECT_FALSE(json::Value::parse("{\"a\":1} trailing", out, &err));
-    EXPECT_FALSE(json::Value::parse("{\"a\":1,\"a\":2}", out, &err))
-        << "duplicate keys must be rejected";
-    EXPECT_FALSE(json::Value::parse("\"raw\tcontrol\"", out, &err));
-    // Depth bomb: deeply nested arrays must fail, not overflow.
-    std::string bomb(1000, '[');
-    EXPECT_FALSE(json::Value::parse(bomb, out, &err));
-}
-
-TEST(Json, ParseHandlesEscapes)
-{
-    json::Value out;
-    std::string err;
-    ASSERT_TRUE(json::Value::parse(
-        "\"a\\n\\t\\\"\\\\ \\u0041\\u00e9\"", out, &err))
-        << err;
-    EXPECT_EQ(out.asStr(), "a\n\t\"\\ A\xc3\xa9");
-}
 
 // ---------------------------------------------------------------------
 // Chaos spec

@@ -480,7 +480,7 @@ TEST(VerdictCache, EngineReplayAndPartialInvalidation)
         EXPECT_EQ(engine.stats().cacheMisses, 0u);
         EXPECT_EQ(engine.stats().cacheAppends, 0u);
         // Nothing solved: no unroll context was ever built.
-        EXPECT_EQ(engine.stats().contexts, 0u);
+        EXPECT_EQ(engine.stats().unrollContexts, 0u);
     }
 
     // Edit one cone (same element counts). Only its two queries miss
@@ -515,7 +515,7 @@ TEST(VerdictCache, EngineReplayAndPartialInvalidation)
         EXPECT_EQ(engine.stats().cacheAppends, 2u);
         // One incremental context per bound per batch: the edited
         // cone's two re-solved queries share a single unroll.
-        EXPECT_EQ(engine.stats().contexts, 1u);
+        EXPECT_EQ(engine.stats().unrollContexts, 1u);
     }
 }
 

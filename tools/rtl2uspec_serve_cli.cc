@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "serve/client.hh"
@@ -94,6 +95,7 @@ int
 runClient(const std::string &socket_path, const std::string &json_arg,
           unsigned attempts)
 {
+    using namespace r2u;
     using namespace r2u::serve;
 
     std::string text = json_arg;
