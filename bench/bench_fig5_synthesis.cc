@@ -11,8 +11,8 @@
  * out/BENCH_fig5.json.
  *
  * Usage: bench_fig5_synthesis [--jobs N]. Every other synthesis
- * option, and every comparison run (--full-unroll, --no-inprocess,
- * --engine, other --jobs values), is the rtl2uspec CLI's.
+ * option, and every comparison run (--full-unroll, --engine bmc,
+ * other --jobs values), is the rtl2uspec CLI's.
  */
 
 #include <cstdio>

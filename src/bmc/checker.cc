@@ -1,5 +1,7 @@
 #include "bmc/checker.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "common/timer.hh"
 
@@ -44,7 +46,6 @@ engineKindName(EngineKind kind)
 {
     switch (kind) {
       case EngineKind::Bmc: return "bmc";
-      case EngineKind::KInduction: return "kind";
       case EngineKind::Pdr: return "pdr";
     }
     return "?";
@@ -53,8 +54,6 @@ engineKindName(EngineKind kind)
 void
 applyLimits(sat::Solver &solver, const SolveLimits &limits)
 {
-    if (limits.config)
-        solver.setConfig(*limits.config);
     solver.setConflictBudget(limits.conflicts);
     solver.setDeadline(limits.seconds);
     solver.setExternalInterrupt(limits.cancel);
@@ -337,9 +336,6 @@ checkProperty(const nl::Netlist &netlist,
     result.seconds = timer.seconds();
     result.conflicts = ctx.solver().stats().conflicts;
     result.propagations = ctx.solver().stats().propagations;
-    result.inprocessRuns = ctx.solver().stats().simplifyRuns;
-    result.inprocessClausesRemoved =
-        ctx.solver().stats().simplifyClausesRemoved;
     result.cnfVars = static_cast<size_t>(ctx.solver().numVars());
     result.cnfClauses = static_cast<size_t>(ctx.solver().numClauses());
     result.cnfVarsAdded = result.cnfVars - vars_before;
@@ -370,40 +366,10 @@ checkInductive(const nl::Netlist &netlist,
                unsigned base_bound, const FramePropertyFn &prop,
                int64_t conflict_budget)
 {
-    SolveLimits limits;
-    limits.conflicts = conflict_budget;
-    return checkInductive(netlist, signals, std::move(options), k,
-                          base_bound, prop, limits);
-}
-
-InductiveResult
-checkInductive(const nl::Netlist &netlist,
-               const std::unordered_map<std::string, nl::CellId> &signals,
-               Unroller::Options options, unsigned k,
-               unsigned base_bound, const FramePropertyFn &prop,
-               const SolveLimits &limits)
-{
     Timer timer;
     InductiveResult result;
     result.k = k;
     R2U_ASSERT(k >= 1 && base_bound >= k, "bad induction parameters");
-
-    // The limits are a total across both solves: the step gets
-    // whatever the base case left over.
-    auto remaining = [&](uint64_t spent_conflicts) {
-        SolveLimits rem = limits;
-        if (rem.conflicts >= 0) {
-            rem.conflicts -= static_cast<int64_t>(spent_conflicts);
-            if (rem.conflicts < 0)
-                rem.conflicts = 0;
-        }
-        if (rem.seconds >= 0) {
-            rem.seconds -= timer.seconds();
-            if (rem.seconds < 0)
-                rem.seconds = 0;
-        }
-        return rem;
-    };
 
     // --- base case: BMC from the initial state ---
     {
@@ -414,7 +380,7 @@ checkInductive(const nl::Netlist &netlist,
         for (unsigned f = 0; f < base_bound; f++)
             bad = ctx.cnf().mkOr(bad, prop(ctx, f));
         ctx.solver().addClause(bad);
-        applyLimits(ctx.solver(), limits);
+        ctx.solver().setConflictBudget(conflict_budget);
         sat::Result r = ctx.solver().solve();
         result.conflicts = ctx.solver().stats().conflicts;
         result.propagations = ctx.solver().stats().propagations;
@@ -440,7 +406,13 @@ checkInductive(const nl::Netlist &netlist,
         for (unsigned f = 0; f < k; f++)
             ctx.assume(~prop(ctx, f));
         ctx.solver().addClause(prop(ctx, k));
-        applyLimits(ctx.solver(), remaining(result.conflicts));
+        // The budget is a total across both solves: the step gets
+        // whatever the base case left over.
+        if (conflict_budget >= 0)
+            ctx.solver().setConflictBudget(std::max<int64_t>(
+                conflict_budget -
+                    static_cast<int64_t>(result.conflicts),
+                0));
         sat::Result r = ctx.solver().solve();
         result.conflicts += ctx.solver().stats().conflicts;
         result.propagations += ctx.solver().stats().propagations;

@@ -71,18 +71,19 @@ enum class VerdictSource : uint8_t {
 const char *verdictSourceName(VerdictSource source);
 
 /**
- * Which checking algorithm produced a verdict. BMC is the incumbent;
- * k-induction and PDR can return *unbounded* Proven verdicts (valid at
- * every bound, not just the query's).
+ * Which checking algorithm produced a verdict: the incremental BMC
+ * solve, or the IC3/PDR pre-pass, whose Proven verdicts can be
+ * *unbounded* (valid at every bound, not just the query's).
  */
-enum class EngineKind : uint8_t { Bmc, KInduction, Pdr };
+enum class EngineKind : uint8_t { Bmc, Pdr };
 
 const char *engineKindName(EngineKind kind);
 
 /**
  * Resource limits for one solve. Defaults impose nothing; the BMC
- * engine layers per-query deadlines, retry escalation, and a shared
- * cancellation flag on top of these.
+ * engine sets per-query deadlines (escalated on retries) and a shared
+ * cancellation flag. Every solver searches with the same
+ * configuration, so a limit is all a caller can set.
  */
 struct SolveLimits
 {
@@ -90,14 +91,6 @@ struct SolveLimits
     double seconds = -1.0;  ///< wall-clock deadline (<0: none)
     /** Optional shared stop flag polled during the solve. */
     const std::atomic<bool> *cancel = nullptr;
-    /**
-     * Optional solver configuration (inprocessing cadence, restart
-     * unit) applied before the solve. The engine routes its config
-     * through here so quarantine and proof re-check solves search
-     * identically to the incremental contexts. nullptr keeps the
-     * solver's current config.
-     */
-    const sat::SolverConfig *config = nullptr;
 };
 
 struct TraceStep
@@ -274,8 +267,8 @@ struct CheckResult
     bool engineRaced = false;
     /** Algorithm that produced this verdict. */
     EngineKind engine = EngineKind::Bmc;
-    /** Proven for every bound (PDR convergence or a closed induction
-     *  step), not just CheckResult::bound. */
+    /** Proven for every bound (PDR convergence), not just
+     *  CheckResult::bound. */
     bool unbounded = false;
     /** PDR: highest frame level fully cleared of bad states. */
     unsigned pdrFrames = 0;
@@ -309,12 +302,6 @@ struct CheckResult
     /** Diagnostic bundle on mismatch (trace + CNF stats) or recovery
      *  note; empty when validation passed cleanly. */
     std::string validationNote;
-
-    // --- inprocessing accounting (bmc::Engine) ---
-    /** In-search simplifyDB() passes in the query's context. */
-    uint64_t inprocessRuns = 0;
-    /** Clauses removed by those simplifyDB() passes. */
-    uint64_t inprocessClausesRemoved = 0;
 };
 
 /** Builds a property and returns its violation literal. */
@@ -387,9 +374,8 @@ struct InductiveResult
     /**
      * True iff the base-case BMC solve at base_bound came back Unsat —
      * i.e. the property holds at that bound even when the induction
-     * step failed. --engine kind maps this onto a bounded Proven
-     * verdict; InductiveResult::verdict itself stays Unknown when the
-     * property is not k-inductive, for backward compatibility.
+     * step failed; InductiveResult::verdict stays Unknown when the
+     * property is not k-inductive.
      */
     bool baseProven = false;
     /** Budget class when a solve came back Unknown. */
@@ -408,24 +394,13 @@ struct InductiveResult
  * consecutive frames from an arbitrary state and asserts it in the
  * next. Refuted results carry a real trace; Unknown means the
  * property is not k-inductive at this k (it may still hold).
+ * @p conflict_budget is a total across both solves (<0: none).
  */
 InductiveResult checkInductive(
     const nl::Netlist &netlist,
     const std::unordered_map<std::string, nl::CellId> &signals,
     Unroller::Options options, unsigned k, unsigned base_bound,
     const FramePropertyFn &prop, int64_t conflict_budget = -1);
-
-/**
- * k-induction under full solve limits (budgets, deadline, shared
- * cancellation flag), the overload --engine kind uses. The
- * budgets are totals across both the base case and the induction
- * step.
- */
-InductiveResult checkInductive(
-    const nl::Netlist &netlist,
-    const std::unordered_map<std::string, nl::CellId> &signals,
-    Unroller::Options options, unsigned k, unsigned base_bound,
-    const FramePropertyFn &prop, const SolveLimits &limits);
 
 } // namespace r2u::bmc
 

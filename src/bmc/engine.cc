@@ -40,10 +40,6 @@ engineChoiceName(EngineChoice choice)
     switch (choice) {
       case EngineChoice::Bmc:
         return "bmc";
-      case EngineChoice::KInduction:
-        return "kind";
-      case EngineChoice::Pdr:
-        return "pdr";
       case EngineChoice::Race:
         return "race";
     }
@@ -106,7 +102,6 @@ struct Engine::Worker
                 seed_builder_for.insert(bound);
             }
         }
-        ctx->solver().setConfig(engine.solver_config_);
         it = contexts.emplace(bound, std::move(ctx)).first;
         contexts_built++;
         return *it->second;
@@ -122,8 +117,6 @@ Engine::Engine(const nl::Netlist &netlist,
       jobs_(resolveJobs(engine_options.jobs))
 {
     R2U_ASSERT(bound_ > 0, "engine needs a positive default bound");
-    if (!eopts_.inprocess)
-        solver_config_.inprocessPeriod = 0;
     if (!eopts_.cexVcdDir.empty()) {
         std::error_code ec;
         std::filesystem::create_directories(eopts_.cexVcdDir, ec);
@@ -176,7 +169,6 @@ Engine::attemptLimits(const Query &query, unsigned attempt,
 
     limits = SolveLimits{};
     limits.cancel = &cancel_;
-    limits.config = &solver_config_;
     double esc = escFactor(attempt);
 
     // Attempt 0 uses the configured budgets verbatim (a budget of 0 is
@@ -258,100 +250,6 @@ refineSource(CheckResult &result, bool total_binding)
         result.source = VerdictSource::Retry;
     }
 }
-
-} // namespace
-
-CheckResult
-Engine::runProofEngine(const Query &query)
-{
-    CheckResult result;
-    result.bound = query.bound;
-    SolveLimits limits;
-    bool total_binding = false;
-    // Single-engine mode is diagnostic (--engine pdr / --engine kind):
-    // one attempt with the configured budgets, no retry ladder — an
-    // Unknown here is the answer the user asked this engine for.
-    if (!attemptLimits(query, 0, limits, total_binding))
-        return cancelledResult(query.bound);
-
-    bool refuted = false;
-    if (eopts_.engine == EngineChoice::Pdr) {
-        PdrOptions popts;
-        popts.bound = query.bound;
-        popts.limits = limits;
-        PdrResult pr = checkPdr(nl_, signals_, options_, query.seeds,
-                                query.frameProp, popts);
-        result.verdict = pr.verdict;
-        result.source = pr.source;
-        result.engine = EngineKind::Pdr;
-        result.unbounded = pr.unbounded;
-        result.pdrFrames = pr.frames;
-        result.pdrObligations = pr.obligations;
-        result.conflicts = pr.conflicts;
-        result.propagations = pr.propagations;
-        result.cnfVars = pr.cnfVars;
-        result.cnfClauses = pr.cnfClauses;
-        result.seconds = pr.seconds;
-        refuted = pr.verdict == Verdict::Refuted;
-    } else {
-        InductiveResult ir =
-            checkInductive(nl_, signals_, options_, query.bound,
-                           query.bound, query.frameProp, limits);
-        result.engine = EngineKind::KInduction;
-        result.conflicts = ir.conflicts;
-        result.propagations = ir.propagations;
-        if (ir.verdict == Verdict::Proven) {
-            result.verdict = Verdict::Proven;
-            result.source = VerdictSource::Solve;
-            result.unbounded = ir.inductive;
-        } else if (ir.verdict == Verdict::Refuted) {
-            refuted = true;
-        } else if (ir.baseProven) {
-            // Base case closed at the bound but the step did not:
-            // exactly BMC's bounded Proven.
-            result.verdict = Verdict::Proven;
-            result.source = VerdictSource::Solve;
-        } else {
-            result.verdict = Verdict::Unknown;
-            result.source = ir.source;
-        }
-    }
-
-    if (refuted) {
-        // Neither proof engine carries a trace in the engine's format;
-        // concretize the refutation through the plain BMC path so
-        // --validate replay, --cex-vcd, and quarantine see the same
-        // trace shape regardless of which engine found the bug first.
-        CheckResult cex = checkProperty(nl_, signals_, options_,
-                                        query.bound, query.prop, limits);
-        result.conflicts += cex.conflicts;
-        result.propagations += cex.propagations;
-        result.seconds += cex.seconds;
-        if (cex.verdict == Verdict::Refuted) {
-            result.verdict = Verdict::Refuted;
-            result.source = VerdictSource::Solve;
-            result.trace = std::move(cex.trace);
-        } else if (cex.verdict == Verdict::Proven) {
-            warn("engine disagreement on '%s': %s refuted but BMC "
-                 "proved at bound %u — degrading to Unknown",
-                 query.name.c_str(), engineKindName(result.engine),
-                 query.bound);
-            result.verdict = Verdict::Unknown;
-            result.source = VerdictSource::ValidationFailed;
-        } else {
-            // The concretizing solve ran out of budget; an
-            // unreplayable refutation must not be trusted.
-            result.verdict = Verdict::Unknown;
-            result.source = cex.source;
-        }
-    }
-
-    refineSource(result, total_binding);
-    return result;
-}
-
-namespace
-{
 
 /**
  * The end of the quarantine road: neither the original evidence nor a
@@ -791,9 +689,6 @@ Engine::runIncremental(Worker &worker, const Query &query)
     sat::Solver &solver = ctx.solver();
     uint64_t conflicts_before = solver.stats().conflicts;
     uint64_t props_before = solver.stats().propagations;
-    uint64_t simp_runs_before = solver.stats().simplifyRuns;
-    uint64_t simp_removed_before =
-        solver.stats().simplifyClausesRemoved;
     size_t vars_before = static_cast<size_t>(solver.numVars());
     size_t clauses_before = static_cast<size_t>(solver.numClauses());
 
@@ -837,10 +732,6 @@ Engine::runIncremental(Worker &worker, const Query &query)
     result.seconds = timer.seconds();
     result.conflicts = solver.stats().conflicts - conflicts_before;
     result.propagations = solver.stats().propagations - props_before;
-    result.inprocessRuns =
-        solver.stats().simplifyRuns - simp_runs_before;
-    result.inprocessClausesRemoved =
-        solver.stats().simplifyClausesRemoved - simp_removed_before;
     result.cnfVars = static_cast<size_t>(solver.numVars());
     result.cnfClauses = static_cast<size_t>(solver.numClauses());
     result.cnfVarsAdded = result.cnfVars - vars_before;
@@ -900,9 +791,6 @@ Engine::drain()
               case EngineKind::Bmc:
                 stats_.bmcWins++;
                 break;
-              case EngineKind::KInduction:
-                stats_.kindWins++;
-                break;
               case EngineKind::Pdr:
                 stats_.pdrWins++;
                 break;
@@ -912,8 +800,6 @@ Engine::drain()
             stats_.unboundedProofs++;
         stats_.pdrFrames += r.pdrFrames;
         stats_.pdrObligations += r.pdrObligations;
-        stats_.inprocessRuns += r.inprocessRuns;
-        stats_.inprocessClausesRemoved += r.inprocessClausesRemoved;
     };
 
     // Worker contexts live for this batch only: a context accumulates
@@ -927,15 +813,7 @@ Engine::drain()
     std::vector<std::exception_ptr> errors(batch.size());
     auto serve = [&](size_t i, Worker &worker) {
         try {
-            // Single-engine diagnostic modes (--engine pdr / --engine
-            // kind) replace BMC entirely for queries that provide the
-            // frame-local property form; queries without it always
-            // run BMC.
-            bool proof_only = batch[i].frameProp &&
-                              (eopts_.engine == EngineChoice::Pdr ||
-                               eopts_.engine == EngineChoice::KInduction);
-            results[i] = proof_only ? runProofEngine(batch[i])
-                                    : runIncremental(worker, batch[i]);
+            results[i] = runIncremental(worker, batch[i]);
             postProcess(i, batch[i], results[i]);
         } catch (...) {
             errors[i] = std::current_exception();

@@ -71,21 +71,18 @@ const char *validateModeName(ValidateMode mode);
 enum class SolveStage : uint8_t { Primary, Quarantine };
 
 /**
- * Proof-engine selection for queries that provide a frame-local
- * property (Query::frameProp):
- *  - Bmc: incumbent bounded model checking only (reference behavior).
- *  - KInduction: k-induction only (base case supplies the bounded
- *    verdict; a closed step upgrades it to unbounded).
- *  - Pdr: IC3/PDR only (see bmc/pdr.hh).
- *  - Race: per query, a sequential IC3/PDR pre-pass on the worker's
- *    thread, within the query's bound and limits. A PDR Proven
- *    answers the query; anything else falls through to the
+ * Proof path for queries that provide a frame-local property
+ * (Query::frameProp):
+ *  - Bmc: the incremental BMC solve alone (the reference path).
+ *  - Race: per query, a sequential IC3/PDR pre-pass (bmc/pdr.hh) on
+ *    the worker's thread, within the query's bound and limits. A PDR
+ *    Proven answers the query; anything else falls through to the
  *    incremental BMC solve, which owns every refutation and trace —
  *    so the synthesized model stays bit-identical to --engine bmc at
  *    any jobs count.
  * Queries without frameProp always run plain BMC.
  */
-enum class EngineChoice : uint8_t { Bmc, KInduction, Pdr, Race };
+enum class EngineChoice : uint8_t { Bmc, Race };
 
 const char *engineChoiceName(EngineChoice choice);
 
@@ -157,19 +154,10 @@ struct EngineOptions
         faultHook;
 
     /**
-     * In-search inprocessing: every solver runs simplifyDB() — drop
-     * level-0-satisfied clauses, strip level-0-false literals, compact
-     * the clause arena — at solve entry when new root facts landed and
-     * every few restarts. Off (--no-inprocess): no simplifyDB() passes.
-     * Verdicts are the same either way.
-     */
-    bool inprocess = true;
-
-    /**
-     * Proof-engine selection for frame-local queries (see
-     * EngineChoice). The default runs the IC3/PDR pre-pass ahead of
-     * the incremental BMC solve, harvesting unbounded proofs when PDR
-     * converges.
+     * Proof path for frame-local queries (see EngineChoice). The
+     * default runs the IC3/PDR pre-pass ahead of the incremental BMC
+     * solve, harvesting unbounded proofs when PDR converges; Bmc skips
+     * the pre-pass.
      */
     EngineChoice engine = EngineChoice::Race;
 };
@@ -206,20 +194,20 @@ struct Query
 
     /**
      * Bound-independent content identity: contentHash with the bound
-     * left out of the mix. Unbounded Proven verdicts (PDR convergence,
-     * closed induction) are keyed by this too, so a journal/cache hit
-     * can satisfy the same cone + property at *any* bound. 0 means
-     * "unhashed" (no unbounded reuse).
+     * left out of the mix. Unbounded Proven verdicts (PDR convergence)
+     * are keyed by this too, so a journal/cache hit can satisfy the
+     * same cone + property at *any* bound. 0 means "unhashed" (no
+     * unbounded reuse).
      */
     uint64_t baseHash = 0;
 
     /**
      * Frame-local formulation of the property (optional): returns the
      * "bad at this frame" literal reading only frame f and frame-f
-     * inputs. When set and EngineOptions::engine != Bmc, the query is
-     * eligible for the k-induction/PDR proof engines; `prop` must be
-     * its bounded equivalent (the OR of frameProp over every frame of
-     * the bound), which the engines' verdicts are aligned with.
+     * inputs. When set and EngineOptions::engine is Race, the query
+     * runs the PDR pre-pass; `prop` must be its bounded equivalent (the
+     * OR of frameProp over every frame of the bound), which PDR's
+     * verdicts are aligned with.
      */
     FramePropertyFn frameProp;
 
@@ -283,20 +271,12 @@ struct EngineStats
     /** Total validation wall time (replays + re-checks + policy). */
     double validateSeconds = 0.0;
 
-    // --- inprocessing (see EngineOptions::inprocess) ---
-    /** In-search simplifyDB() passes across all queries. */
-    uint64_t inprocessRuns = 0;
-    /** Clauses removed by those passes. */
-    uint64_t inprocessClausesRemoved = 0;
-
-    // --- proof engines (see EngineChoice) ---
+    // --- proof paths (see EngineChoice) ---
     /** Queries that ran the PDR pre-pass (EngineChoice::Race). */
     uint64_t engineRaces = 0;
-    /** Verdicts produced by plain BMC (incumbent or only engine). */
+    /** Verdicts produced by the incremental BMC solve. */
     uint64_t bmcWins = 0;
-    /** Verdicts produced by k-induction. */
-    uint64_t kindWins = 0;
-    /** Verdicts produced by IC3/PDR. */
+    /** Verdicts produced by the IC3/PDR pre-pass. */
     uint64_t pdrWins = 0;
     /** Proven verdicts valid at every bound, not just the query's. */
     uint64_t unboundedProofs = 0;
@@ -367,13 +347,6 @@ class Engine
      * before the exception propagates.
      */
     CheckResult runIncremental(Worker &worker, const Query &query);
-    /**
-     * Single-engine KInduction/Pdr path for a frame-local query
-     * (EngineOptions::engine). PDR refutations are concretized through
-     * a plain BMC re-solve (guaranteed Sat at the bound) so the trace
-     * machinery — replay, VCD, quarantine — works unchanged.
-     */
-    CheckResult runProofEngine(const Query &query);
 
     /**
      * Everything between "the solver answered" and "the caller sees
@@ -453,9 +426,6 @@ class Engine
     unsigned bound_;
     EngineOptions eopts_;
     unsigned jobs_;
-    /** The solver configuration of every context and re-solve, with
-     *  EngineOptions::inprocess folded in. */
-    sat::SolverConfig solver_config_;
 
     std::atomic<bool> cancel_{false};
     bool has_total_deadline_ = false;

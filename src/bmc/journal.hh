@@ -72,9 +72,9 @@ uint64_t journalKey(const std::string &name, unsigned bound,
 /**
  * Bound-independent sibling of journalKey(): the same FNV-1a chain
  * with the bound left out. Unbounded Proven verdicts (PDR frame
- * convergence, a closed induction step) hold at *every* bound, so they
- * are additionally indexed under this key and can answer a later query
- * for the same cone + property at any bound (see lookupUnbounded).
+ * convergence) hold at *every* bound, so they are additionally indexed
+ * under this key and can answer a later query for the same cone +
+ * property at any bound (see lookupUnbounded).
  * Callers without a bound-independent content hash pass 0 and get no
  * unbounded reuse.
  */
@@ -100,9 +100,9 @@ class Journal
         bool validated = false;
         /**
          * Proof generality: true for a Proven verdict valid at every
-         * bound (PDR convergence or a closed induction step), false
-         * for bound-specific verdicts. Bounded records only ever
-         * answer an exact (name, bound, content) key match.
+         * bound (PDR convergence), false for bound-specific verdicts.
+         * Bounded records only ever answer an exact (name, bound,
+         * content) key match.
          */
         bool unbounded = false;
         unsigned bound = 0;

@@ -1,5 +1,6 @@
 #include "common/json.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -179,8 +180,8 @@ Value::dump() const
         return boolean ? "true" : "false";
     case Kind::Num: {
         // Integral values print without a fraction (the common case
-        // for counters and exit codes); everything else round-trips
-        // through %.17g.
+        // for counters and exit codes); everything else in the
+        // shortest form that parses back to the same double.
         if (std::isfinite(num) && num == std::floor(num) &&
             std::fabs(num) < 9.0e15) {
             char buf[32];
@@ -191,8 +192,8 @@ Value::dump() const
         if (!std::isfinite(num))
             return "null"; // JSON has no Inf/NaN
         char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.17g", num);
-        return buf;
+        auto res = std::to_chars(buf, buf + sizeof(buf), num);
+        return std::string(buf, res.ptr);
     }
     case Kind::Str:
         return "\"" + escape(str) + "\"";

@@ -58,7 +58,6 @@ class Synthesizer
         eopts.totalSeconds = opts.totalTimeoutSeconds;
         eopts.retryEscalation = opts.retryEscalation;
         eopts.maxRetries = opts.maxRetries;
-        eopts.inprocess = opts.inprocess;
         eopts.engine = opts.engine;
         validate_mode_ = bmc::validateModeName(opts.validate);
         eopts.validate = opts.validate;
@@ -151,10 +150,9 @@ class Synthesizer
         out_.engineMode = bmc::engineChoiceName(engine_->options().engine);
         if (estats.engineRaces > 0)
             inform("rtl2uspec: engine race: %zu race(s); wins "
-                   "bmc=%zu kind=%zu pdr=%zu; %zu unbounded proof(s)",
+                   "bmc=%zu pdr=%zu; %zu unbounded proof(s)",
                    static_cast<size_t>(estats.engineRaces),
                    static_cast<size_t>(estats.bmcWins),
-                   static_cast<size_t>(estats.kindWins),
                    static_cast<size_t>(estats.pdrWins),
                    static_cast<size_t>(estats.unboundedProofs));
         if (out_.cacheEnabled)
@@ -520,9 +518,9 @@ class Synthesizer
     /**
      * Bound-independent sibling of queryContentHash(): identical
      * ingredients with the unroll bound left out. An *unbounded*
-     * Proven verdict (PDR fixpoint, closed induction step) is keyed
-     * under this hash too, so a later run at a different bound can
-     * reuse the proof (journal/cache lookupUnbounded).
+     * Proven verdict (PDR fixpoint) is keyed under this hash too, so
+     * a later run at a different bound can reuse the proof
+     * (journal/cache lookupUnbounded).
      */
     uint64_t
     queryBaseHash(size_t idx, uint64_t cone) const
@@ -1926,21 +1924,15 @@ SynthesisResult::report() const
     }
     if (engineRaces > 0 || engineMode != "bmc")
         out += strfmt("engine (%s): %zu race(s); wins bmc=%zu "
-                      "kind=%zu pdr=%zu; %zu unbounded proof(s), "
+                      "pdr=%zu; %zu unbounded proof(s), "
                       "%zu PDR frame(s) / %zu obligation(s)\n",
                       engineMode.c_str(),
                       static_cast<size_t>(engineRaces),
                       static_cast<size_t>(bmcWins),
-                      static_cast<size_t>(kindWins),
                       static_cast<size_t>(pdrWins),
                       static_cast<size_t>(unboundedProofs),
                       static_cast<size_t>(pdrFrames),
                       static_cast<size_t>(pdrObligations));
-    if (inprocessRuns > 0)
-        out += strfmt("simplify: %zu inprocessing pass(es) removed "
-                      "%zu clause(s)\n",
-                      static_cast<size_t>(inprocessRuns),
-                      static_cast<size_t>(inprocessClausesRemoved));
     if (journalHits > 0 || journalAppends > 0)
         out += strfmt("journal: %zu verdict(s) resumed, %zu appended\n",
                       static_cast<size_t>(journalHits),
@@ -1998,14 +1990,10 @@ SynthesisResult::jsonReport() const
     engine.set("mode", Value::string(engineMode))
         .set("races", num(engineRaces))
         .set("bmc_wins", num(bmcWins))
-        .set("kind_wins", num(kindWins))
         .set("pdr_wins", num(pdrWins))
         .set("unbounded_proofs", num(unboundedProofs))
         .set("pdr_frames", num(pdrFrames))
         .set("pdr_obligations", num(pdrObligations));
-    Value simplify = Value::object();
-    simplify.set("inprocess_runs", num(inprocessRuns))
-        .set("inprocess_clauses_removed", num(inprocessClausesRemoved));
     Value categories = Value::object();
     for (const auto &[name, cs] : stats) {
         Value cat = Value::object();
@@ -2059,7 +2047,6 @@ SynthesisResult::jsonReport() const
         .set("validation", std::move(validation))
         .set("cache", std::move(cache))
         .set("engine", std::move(engine))
-        .set("simplify", std::move(simplify))
         .set("categories", std::move(categories))
         .set("degraded", std::move(notes))
         .set("svas", std::move(records));

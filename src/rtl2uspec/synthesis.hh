@@ -57,12 +57,13 @@ struct SvaRecord
     /** Verdict replayed from the cross-run verdict cache. */
     bool fromCache = false;
 
-    /** Proof engine that produced the verdict ("bmc", "kind", "pdr"). */
+    /** Proof path that produced the verdict: "bmc" (the incremental
+     *  solve) or "pdr" (the pre-pass). */
     std::string engine = "bmc";
     /** The sequential PDR pre-pass ran ahead of the BMC solve
      *  (--engine race). */
     bool engineRaced = false;
-    /** Proven at *every* bound (PDR fixpoint / closed induction). */
+    /** Proven at *every* bound (PDR fixpoint). */
     bool unbounded = false;
 
     /** Solver CNF footprint when this query finished (COI-sliced
@@ -122,25 +123,16 @@ struct SynthesisOptions
     unsigned maxRetries = 3;
 
     /**
-     * Proof-engine selection (--engine {bmc,kind,pdr,race}). The
-     * default runs an IC3/PDR pre-pass ahead of the incremental BMC
-     * solve of every frame-local query: a PDR proof answers the
-     * query, anything else falls through to BMC. Verdicts —
-     * and therefore the emitted model — are identical across engines
-     * at the metadata bound; race/pdr/kind can additionally return
-     * *unbounded* proofs (recorded in the report and reusable at any
-     * bound via the verdict cache). Queries whose property is not
-     * frame-local always fall back to plain BMC.
+     * Proof path (--engine {bmc,race}). The default runs an IC3/PDR
+     * pre-pass ahead of the incremental BMC solve of every frame-local
+     * query: a PDR proof answers the query, anything else falls
+     * through to BMC. Verdicts — and therefore the emitted model — are
+     * identical either way; race can additionally return *unbounded*
+     * proofs (recorded in the report and reusable at any bound via the
+     * verdict cache). Queries whose property is not frame-local always
+     * run plain BMC.
      */
     bmc::EngineChoice engine = bmc::EngineChoice::Race;
-    /**
-     * In-search inprocessing (--no-inprocess turns it off): the
-     * solver's simplifyDB() passes, which drop level-0-satisfied
-     * clauses and level-0-false literals at solve entry and every few
-     * restarts (see bmc::EngineOptions::inprocess). Verdicts and the
-     * emitted model are the same either way.
-     */
-    bool inprocess = true;
 
     /**
      * Trust-but-verify verdict validation (bmc::ValidateMode): the
@@ -198,13 +190,22 @@ struct SynthesisOptions
 
 /**
  * Everything one synthesis run produces. The engine's run counters
- * (unroll contexts, validation, journal, cache, proof engines,
- * inprocessing) are inherited from bmc::EngineStats as the engine
- * counted them; the fields below are what only the synthesis
- * frontend knows.
+ * (unroll contexts, validation, journal, cache, proof paths) are
+ * inherited from bmc::EngineStats as the engine counted them; the
+ * fields below are what only the synthesis frontend knows.
  */
 struct SynthesisResult : bmc::EngineStats
 {
+    /**
+     * Always 0: k-induction wins and in-search inprocessing no longer
+     * exist. The benchmark (perfbench/src/synth.cc) is the only
+     * reader; these go when the next change to the benchmark retires
+     * its bmc.kind_wins and sat.inprocess_* metrics.
+     */
+    static constexpr uint64_t kindWins = 0;
+    static constexpr uint64_t inprocessRuns = 0;
+    static constexpr uint64_t inprocessClausesRemoved = 0;
+
     uspec::Model model;
     std::vector<SvaRecord> svas;
     std::map<std::string, CategoryStats> stats;
@@ -227,7 +228,7 @@ struct SynthesisResult : bmc::EngineStats
     std::string validateMode = "off";
     /** True when a verdict cache (--cache or a shared one) was in use. */
     bool cacheEnabled = false;
-    /** Resolved --engine mode ("bmc", "kind", "pdr", "race"). */
+    /** Resolved --engine mode ("bmc" or "race"). */
     std::string engineMode = "race";
     /**
      * Human-readable record of every conservative degradation an

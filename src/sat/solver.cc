@@ -472,6 +472,7 @@ Solver::reduceDB()
         int cref = removable[i];
         detachClause(cref);
         clause(cref).markDeleted();
+        wasted_ += kClauseHeader + clause(cref).size();
         stats_.removedClauses++;
     }
     keep.insert(keep.end(), removable.begin() + nremove,
@@ -492,79 +493,16 @@ Solver::reduceDB()
 }
 
 void
-Solver::simplifyDB()
+Solver::garbageCollect()
 {
-    R2U_ASSERT(decisionLevel() == 0, "simplifyDB above root level");
-    if (!ok_)
-        return;
-    if (propagate() != -1) {
-        ok_ = false;
-        return;
-    }
-    stats_.simplifyRuns++;
-
-    // Level-0 assignments are facts; their reason clauses may be about
-    // to disappear, so forget them.
+    R2U_ASSERT(decisionLevel() == 0, "garbageCollect above root level");
+    compactions_++;
+    // Level-0 assignments are facts that conflict analysis never walks
+    // back through; their reason crefs are about to move, so forget
+    // them.
     for (Lit l : trail_)
         reason_[var(l)] = -1;
 
-    uint64_t removed = 0, lits_removed = 0;
-    for (int cref : crefs_) {
-        Clause c = clause(cref);
-        if (c.deleted())
-            continue; // tombstone
-        bool satisfied = false;
-        for (Lit l : c) {
-            if (value(l) == LBool::True) {
-                satisfied = true;
-                break;
-            }
-        }
-        if (satisfied) {
-            c.markDeleted();
-            removed++;
-            continue;
-        }
-        uint32_t j = 0;
-        for (Lit l : c)
-            if (value(l) != LBool::False)
-                c[j++] = l;
-        lits_removed += c.size() - j;
-        c.shrink(j);
-        if (j == 0) {
-            ok_ = false;
-            return;
-        }
-        if (j == 1) {
-            uncheckedEnqueue(c[0], -1);
-            c.markDeleted();
-            removed++;
-        }
-    }
-    stats_.simplifyClausesRemoved += removed;
-    stats_.simplifyLitsRemoved += lits_removed;
-
-    // Reclaim the tombstones' arena space (reason crefs were forgotten
-    // above, and the watch lists are about to be rebuilt, so this is
-    // the one point where remapping is free), then rebuild every watch
-    // list.
-    garbageCollect();
-    for (auto &ws : watches_)
-        ws.clear();
-    for (int cref : crefs_)
-        if (clause(cref).size() >= 2)
-            attachClause(cref);
-
-    // New units found above still need propagating (qhead_ is behind
-    // any literal enqueued during the sweep).
-    if (propagate() != -1)
-        ok_ = false;
-    trail_at_last_simplify_ = trail_.size();
-}
-
-void
-Solver::garbageCollect()
-{
     // Slide every live clause down over the tombstones, inside arena_
     // itself. crefs_ is in allocation order, i.e. ascending offsets, so
     // a clause only ever moves to an offset at or below its own and
@@ -590,6 +528,14 @@ Solver::garbageCollect()
     }
     crefs_.resize(kept);
     arena_.resize(out);
+    wasted_ = 0;
+
+    // Every watcher names a moved cref: re-watch each clause on the
+    // same two literals it watched before.
+    for (auto &ws : watches_)
+        ws.clear();
+    for (int cref : crefs_)
+        attachClause(cref);
 }
 
 int64_t
@@ -732,47 +678,21 @@ Solver::solve(const std::vector<Lit> &assumptions)
     }
     stop_check_countdown_ = 1; // read the clock on the first check
     max_learnts_ =
-        cfg_.maxLearntsOverride > 0.0
-            ? cfg_.maxLearntsOverride
+        max_learnts_override_ > 0.0
+            ? max_learnts_override_
             : std::max<double>(
                   static_cast<double>(crefs_.size()) / 3.0, 1000.0);
 
-    // Root facts added since the last inprocessing pass (an
-    // incremental caller retiring a query with a unit ~act, or units
-    // learned in the previous solve) satisfy whole swaths of the
-    // clause DB; collect them now so this query's propagation does
-    // not wade through dead clauses. The trigger is trail growth, so
-    // back-to-back solves with no new facts skip the sweep.
-    if (cfg_.inprocessPeriod != 0 &&
-        trail_.size() > trail_at_last_simplify_) {
-        restarts_since_simplify_ = 0;
-        simplifyDB();
-        if (!ok_) {
-            cancelUntil(0);
-            assumptions_.clear();
-            return Result::Unsat;
-        }
-    }
-
     Result status = Result::Unknown;
-    int64_t restart = 0;
-    while (status == Result::Unknown) {
-        status = search(luby(restart++) * cfg_.lubyUnit);
-        if (status != Result::Unknown)
-            break;
-        if (stop_reason_ != StopReason::None)
-            break;
-        // Restart boundary, back at level 0: the deterministic point
-        // for database inprocessing.
-        if (cfg_.inprocessPeriod != 0 &&
-            ++restarts_since_simplify_ >= cfg_.inprocessPeriod) {
-            restarts_since_simplify_ = 0;
-            simplifyDB();
-            if (!ok_) {
-                status = Result::Unsat;
-                break;
-            }
-        }
+    for (int64_t restart = 0;
+         status == Result::Unknown && stop_reason_ == StopReason::None;
+         restart++) {
+        // Level 0, at solve entry or a restart boundary: the one point
+        // where reclaiming reduceDB()'s tombstones is safe.
+        if (static_cast<double>(wasted_) >
+            kGarbageFrac * static_cast<double>(arena_.size()))
+            garbageCollect();
+        status = search(luby(restart) * kLubyUnit);
     }
     cancelUntil(0);
     assumptions_.clear();
@@ -805,8 +725,8 @@ Solver::cloneFrom(const Solver &other)
     R2U_ASSERT(other.decisionLevel() == 0,
                "cloneFrom of a solver above root level");
     ok_ = other.ok_;
-    cfg_ = other.cfg_;
     arena_ = other.arena_;
+    wasted_ = other.wasted_;
     crefs_ = other.crefs_;
     learnts_ = other.learnts_;
     watches_ = other.watches_;
@@ -824,14 +744,12 @@ Solver::cloneFrom(const Solver &other)
     var_inc_ = other.var_inc_;
     cla_inc_ = other.cla_inc_;
     added_clauses_ = other.added_clauses_;
-    trail_at_last_simplify_ = other.trail_at_last_simplify_;
     // Per-solve transients start fresh: budgets, deadline, interrupt
     // wiring, model, and statistics stay this solver's own.
     model_.clear();
     conflict_core_.clear();
     assumptions_.clear();
     stop_reason_ = StopReason::None;
-    restarts_since_simplify_ = 0;
 }
 
 bool

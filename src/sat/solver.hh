@@ -10,16 +10,15 @@
  * Features: two-watched-literal propagation, VSIDS decision heuristic
  * with an indexed max-heap, phase saving, first-UIP conflict analysis
  * with local clause minimization, Luby restarts, activity-ranked
- * learnt-clause database reduction, level-0 clause-database
- * inprocessing between restarts, and solving under assumptions (used
- * for incremental BMC).
+ * learnt-clause database reduction with in-place arena compaction, and
+ * solving under assumptions (used for incremental BMC). There is one
+ * search configuration; nothing tunes it per solver.
  *
- * A solve() can be bounded by a conflict budget, a propagation budget,
- * and a wall-clock deadline (checked periodically), and stopped
- * asynchronously from another thread via interrupt() or a shared
- * external flag — the machinery behind the BMC layer's per-query and
- * total timeouts. Every early exit returns Result::Unknown and records
- * why in stopReason().
+ * A solve() can be bounded by a conflict budget and a wall-clock
+ * deadline (checked periodically), and stopped asynchronously from
+ * another thread via interrupt() or a shared external flag — the
+ * machinery behind the BMC layer's per-query and total timeouts. Every
+ * early exit returns Result::Unknown and records why in stopReason().
  */
 
 #ifndef R2U_SAT_SOLVER_HH
@@ -84,27 +83,6 @@ enum class StopReason : uint8_t {
 
 const char *stopReasonName(StopReason reason);
 
-/**
- * Per-solver search configuration. The default is the tuned
- * configuration every BMC context runs; --no-inprocess zeroes
- * inprocessPeriod.
- */
-struct SolverConfig
-{
-    /** Luby restarts: conflicts per restart = luby(i) * lubyUnit. */
-    int64_t lubyUnit = 100;
-
-    /**
-     * Run simplifyDB() — remove level-0-satisfied clauses and strip
-     * level-0-false literals, rebuilding the watch lists — every this
-     * many restarts (0 disables inprocessing).
-     */
-    unsigned inprocessPeriod = 8;
-
-    /** Test seam: fixed learnt-clause cap (0 = automatic sizing). */
-    double maxLearntsOverride = 0.0;
-};
-
 /** Aggregate search statistics, exposed for benches and logging. */
 struct SolverStats
 {
@@ -114,11 +92,6 @@ struct SolverStats
     uint64_t restarts = 0;
     uint64_t learntLiterals = 0;
     uint64_t removedClauses = 0;
-
-    // --- inprocessing (simplifyDB) ---
-    uint64_t simplifyRuns = 0;
-    uint64_t simplifyClausesRemoved = 0;
-    uint64_t simplifyLitsRemoved = 0;
 };
 
 class Solver
@@ -128,13 +101,6 @@ class Solver
 
     Solver(const Solver &) = delete;
     Solver &operator=(const Solver &) = delete;
-
-    /**
-     * Replace the search configuration. Must not be called mid-solve;
-     * typically set once right after construction.
-     */
-    void setConfig(const SolverConfig &config) { cfg_ = config; }
-    const SolverConfig &config() const { return cfg_; }
 
     /** Create a fresh variable and return its index. */
     Var newVar();
@@ -240,7 +206,7 @@ class Solver
     bool okay() const { return ok_; }
 
   private:
-    /** White-box arena checks (tests/test_sat.cc). */
+    /** White-box arena checks and the learnt-cap seam (tests/). */
     friend struct SolverTestPeer;
 
     // --- clause arena ---
@@ -252,10 +218,9 @@ class Solver
     // Keeping header and literals contiguous — instead of one heap
     // vector per clause — is what makes propagate() cache-friendly
     // (one line fetch for short clauses), and lets cloneFrom() copy
-    // the whole database as a single flat memcpy. Deleted clauses are
-    // tombstoned in place and reclaimed when simplifyDB() compacts
-    // the arena in place (it rebuilds all watch lists anyway, so
-    // remapping crefs there is free).
+    // the whole database as a single flat memcpy. reduceDB() tombstones
+    // evicted clauses in place; garbageCollect() slides the live ones
+    // down over them once the tombstones pass kGarbageFrac of the arena.
     static constexpr uint32_t kClauseHeader = 2;
     static constexpr uint32_t kFlagLearnt = 1;
     static constexpr uint32_t kFlagDeleted = 2;
@@ -275,8 +240,6 @@ class Solver
         {
             p[0] = on ? (p[0] | kFlagLocked) : (p[0] & ~kFlagLocked);
         }
-        /** Drop trailing literals (space reclaimed at compaction). */
-        void shrink(uint32_t n) { p[0] = (n << 3) | (p[0] & 7u); }
         float activity() const
         {
             float a;
@@ -327,9 +290,11 @@ class Solver
     Lit pickBranchLit();
     Result search(int64_t conflicts_before_restart);
     void reduceDB();
-    void simplifyDB();
-    /** Compact the arena in place, dropping tombstones (level 0 only;
-     *  callers must rebuild watch lists — crefs are remapped). */
+    /**
+     * Level 0 only: forget the level-0 reasons, slide every live clause
+     * down over the tombstones inside the arena (crefs are remapped)
+     * and rebuild the watch lists.
+     */
     void garbageCollect();
 
     // --- VSIDS heap ---
@@ -348,6 +313,15 @@ class Solver
     /** VSIDS variable and clause activity decay factors. */
     static constexpr double kVarDecay = 0.95;
     static constexpr double kClaDecay = 0.999;
+    /** Luby restarts: conflicts per restart = luby(i) * kLubyUnit. */
+    static constexpr int64_t kLubyUnit = 100;
+    /**
+     * MiniSat's garbage_frac: at level 0 (solve entry or a restart
+     * boundary), compact once tombstoned words exceed this share of
+     * the arena. Without it a long solve keeps every learnt clause it
+     * ever evicted.
+     */
+    static constexpr double kGarbageFrac = 0.2;
 
     /**
      * Poll every stop condition. The deadline clock is only read every
@@ -359,8 +333,9 @@ class Solver
 
     // --- state ---
     bool ok_ = true;
-    SolverConfig cfg_;
     std::vector<uint32_t> arena_; // flat clause storage (see Clause)
+    /** Arena words held by tombstones (reclaimed by garbageCollect). */
+    size_t wasted_ = 0;
     std::vector<int> crefs_;      // all clauses, allocation order
     std::vector<int> learnts_;    // learnt-clause crefs
     std::vector<std::vector<Watcher>> watches_; // indexed by Lit.x
@@ -387,6 +362,11 @@ class Solver
     double var_inc_ = 1.0;
     double cla_inc_ = 1.0;
     double max_learnts_ = 0;
+    /** Test seam (SolverTestPeer): fixed learnt-clause cap; 0 sizes
+     *  the cap from the problem. */
+    double max_learnts_override_ = 0.0;
+    /** garbageCollect() runs, for SolverTestPeer only. */
+    uint64_t compactions_ = 0;
 
     int64_t conflict_budget_ = -1;
     int64_t conflicts_this_solve_ = 0;
@@ -398,10 +378,6 @@ class Solver
     const std::atomic<bool> *ext_interrupt_ = nullptr;
     StopReason stop_reason_ = StopReason::None;
     uint64_t added_clauses_ = 0;
-    uint64_t restarts_since_simplify_ = 0;
-    /** Level-0 trail size when simplifyDB() last ran (solve-entry
-     *  trigger: new root facts mean satisfied clauses to collect). */
-    size_t trail_at_last_simplify_ = 0;
 
     SolverStats stats_;
 

@@ -657,9 +657,11 @@ TEST(BmcEngine, VscaleCacheWarmRunIdentity)
 
     // --validate replay still works end-to-end on a warm run: the
     // cached verdicts carry their validated stamp from the cold run.
-    for (const auto &sva : warm.svas)
-        if (sva.verdict == bmc::Verdict::Refuted)
+    for (const auto &sva : warm.svas) {
+        if (sva.verdict == bmc::Verdict::Refuted) {
             EXPECT_TRUE(sva.validated) << sva.name;
+        }
+    }
 
     // The cache composes with the journal: a journaled warm run
     // prefers this-run restart state but still lands on the same
@@ -734,9 +736,11 @@ TEST(BmcEngine, ValidationModesDoNotChangeTheModel)
     // Every counterexample must have replayed; a proof re-check may in
     // principle come back inconclusive (budget), which keeps the
     // primary verdict without the validated stamp.
-    for (const auto &sva : full.svas)
-        if (sva.verdict == bmc::Verdict::Refuted)
+    for (const auto &sva : full.svas) {
+        if (sva.verdict == bmc::Verdict::Refuted) {
             EXPECT_TRUE(sva.validated) << sva.name;
+        }
+    }
 
     expectSameSynthesis(off, full);
 }

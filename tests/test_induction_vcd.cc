@@ -107,6 +107,9 @@ TEST(Induction, NonInductivePropertyIsUnknown)
         });
     EXPECT_EQ(res.verdict, Verdict::Unknown);
     EXPECT_FALSE(res.inductive);
+    // The bounded base case still closed: the property holds at bound
+    // 4 even though the step does not.
+    EXPECT_TRUE(res.baseProven);
 }
 
 TEST(Vcd, RecordsChangesInStandardFormat)

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <random>
 #include <string>
 
 #include "common/json.hh"
@@ -77,4 +80,32 @@ TEST(Json, ParseHandlesEscapes)
         "\"a\\n\\t\\\"\\\\ \\u0041\\u00e9\"", out, &err))
         << err;
     EXPECT_EQ(out.asStr(), "a\n\t\"\\ A\xc3\xa9");
+}
+
+TEST(Json, NumbersPrintShortestRoundTripForm)
+{
+    EXPECT_EQ(json::Value::number(0.1).dump(), "0.1");
+    EXPECT_EQ(json::Value::number(0.000574101).dump(), "0.000574101");
+
+    // Finite doubles must parse back to the same value: half drawn
+    // from the whole bit range (subnormals and huge magnitudes
+    // included), half shaped like the reports' timings.
+    std::mt19937_64 rng(20261018);
+    std::uniform_real_distribution<double> seconds(0.0, 10.0);
+    for (int i = 0; i < 10000;) {
+        double x = seconds(rng);
+        if (i % 2 == 0) {
+            uint64_t bits = rng();
+            std::memcpy(&x, &bits, sizeof x);
+            if (!std::isfinite(x))
+                continue;
+        }
+        i++;
+        std::string text = json::Value::number(x).dump();
+        json::Value back;
+        std::string err;
+        ASSERT_TRUE(json::Value::parse(text, back, &err))
+            << text << ": " << err;
+        ASSERT_EQ(back.num, x) << text;
+    }
 }

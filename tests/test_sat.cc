@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "sat/solver.hh"
+#include "sat_test_peer.hh"
 
 using namespace r2u::sat;
 
@@ -492,70 +493,19 @@ TEST(Sat, CloneFromReplicatesDatabaseAndVerdicts)
     }
 }
 
-namespace r2u::sat
-{
-
-/** White-box access to the clause arena (a friend of Solver). */
-struct SolverTestPeer
-{
-    static void simplify(Solver &s) { s.simplifyDB(); }
-
-    static const uint32_t *arenaData(const Solver &s)
-    {
-        return s.arena_.data();
-    }
-
-    static bool
-    crefsAscending(const Solver &s)
-    {
-        for (size_t i = 1; i < s.crefs_.size(); i++)
-            if (s.crefs_[i] <= s.crefs_[i - 1])
-                return false;
-        return true;
-    }
-
-    /**
-     * Right after a compaction: the arena is exactly the live clauses,
-     * back to back in crefs_ order, and learnts_ lists precisely the
-     * clauses whose header carries the learnt flag. Returns what is
-     * wrong, or "" when all of that holds.
-     */
-    static std::string
-    compactionProblem(const Solver &s)
-    {
-        size_t at = 0;
-        std::vector<int> learnts;
-        for (int cref : s.crefs_) {
-            if (static_cast<size_t>(cref) != at)
-                return "gap or overlap at cref " + std::to_string(cref);
-            const Solver::Clause c = s.clause(cref);
-            if (c.deleted())
-                return "tombstone at cref " + std::to_string(cref);
-            if (c.learnt())
-                learnts.push_back(cref);
-            at += Solver::kClauseHeader + c.size();
-        }
-        if (at != s.arena_.size())
-            return "arena holds " + std::to_string(s.arena_.size()) +
-                   " words, live clauses " + std::to_string(at);
-        if (learnts != s.learnts_)
-            return "learnts_ differs from the learnt-flagged clauses";
-        return "";
-    }
-};
-
-} // namespace r2u::sat
-
 /**
  * The BMC engine's usage pattern on one long-lived solver: every round
  * adds clauses guarded by a fresh activation literal, solves under it
- * and retires it with a unit, so each round's clauses turn into
- * level-0-satisfied tombstones. A tiny learnt cap and frequent
- * inprocessing make reduceDB() and the in-search simplifyDB() run
- * often too. Every verdict must match a fresh solver on the same
- * formula, and every compaction must leave a tightly packed arena —
- * slid in place, without reallocating — with learnts_ rebuilt from the
- * learnt flag.
+ * and retires it with a unit, and a tiny learnt cap makes reduceDB()
+ * evict clauses all the time. Every verdict must match a fresh solver
+ * on the same formula, and every compaction — forced after each round,
+ * or run by solve() itself once the tombstones pass the garbage
+ * fraction — must leave a tightly packed arena, slid in place without
+ * reallocating, with learnts_ rebuilt from the learnt flag and no
+ * stale reason. The random rounds are too easy to restart, and retired
+ * rounds dominate the arena, so two guarded pigeonhole rounds follow:
+ * one evicts enough for solve() to compact on its own, the other
+ * leaves tombstones below a root fact's reason clause.
  */
 TEST(Sat, InPlaceCompactionAcrossGuardedRounds)
 {
@@ -569,12 +519,8 @@ TEST(Sat, InPlaceCompactionAcrossGuardedRounds)
         return c;
     };
 
-    SolverConfig cfg;
-    cfg.maxLearntsOverride = 20;
-    cfg.inprocessPeriod = 1;
-    cfg.lubyUnit = 8;
     Solver s;
-    s.setConfig(cfg);
+    SolverTestPeer::setMaxLearnts(s, 20);
     for (int i = 0; i < nvars; i++)
         s.newVar();
     std::vector<std::vector<Lit>> base;
@@ -582,6 +528,16 @@ TEST(Sat, InPlaceCompactionAcrossGuardedRounds)
         base.push_back(randomClause());
         s.addClause(base.back());
     }
+
+    // Retire a round and force a compaction: in place, tightly packed.
+    auto retireAndCompact = [&s](Var act) -> std::string {
+        s.addClause(mkLit(act, true));
+        const uint32_t *before = SolverTestPeer::arenaData(s);
+        SolverTestPeer::compact(s);
+        if (SolverTestPeer::arenaData(s) != before)
+            return "arena reallocated";
+        return SolverTestPeer::compactionProblem(s);
+    };
 
     int sat = 0, unsat = 0;
     for (int round = 0; round < kRounds; round++) {
@@ -617,17 +573,55 @@ TEST(Sat, InPlaceCompactionAcrossGuardedRounds)
             unsat++;
         }
 
-        s.addClause(mkLit(act, true)); // retire the round
-        const uint32_t *before = SolverTestPeer::arenaData(s);
-        SolverTestPeer::simplify(s);
-        EXPECT_EQ(SolverTestPeer::arenaData(s), before) << round;
-        ASSERT_EQ(SolverTestPeer::compactionProblem(s), "")
-            << "round " << round;
+        ASSERT_EQ(retireAndCompact(act), "") << "round " << round;
     }
-    // The fixture must exercise both verdicts, evictions and the
-    // in-search compactions, not just the ones called here.
+    // The fixture must exercise both verdicts and evictions.
     EXPECT_GT(sat, 0);
     EXPECT_GT(unsat, 0);
     EXPECT_GT(s.stats().removedClauses, 0u);
-    EXPECT_GT(s.stats().simplifyRuns, static_cast<uint64_t>(kRounds));
+
+    // Pigeonhole n into n-1 over fresh variables, guarded like a
+    // round: UNSAT after many conflicts, with evictions all the way.
+    auto guardedPigeonhole = [&s](int pigeons) {
+        const int holes = pigeons - 1;
+        Var act = s.newVar();
+        Var first = s.numVars();
+        for (int i = 0; i < pigeons * holes; i++)
+            s.newVar();
+        auto in = [&](int p, int h) {
+            return mkLit(first + p * holes + h);
+        };
+        for (int p = 0; p < pigeons; p++) {
+            std::vector<Lit> some{mkLit(act, true)};
+            for (int h = 0; h < holes; h++)
+                some.push_back(in(p, h));
+            s.addClause(some);
+        }
+        for (int h = 0; h < holes; h++)
+            for (int p1 = 0; p1 < pigeons; p1++)
+                for (int p2 = p1 + 1; p2 < pigeons; p2++)
+                    s.addClause(~in(p1, h), ~in(p2, h), mkLit(act, true));
+        return act;
+    };
+
+    // 8 into 7 takes thousands of conflicts: at its restart boundaries
+    // the eviction tombstones pass the garbage fraction.
+    Var act = guardedPigeonhole(8);
+    uint64_t forced = SolverTestPeer::compactions(s);
+    EXPECT_EQ(s.solve({mkLit(act)}), Result::Unsat);
+    EXPECT_GT(SolverTestPeer::compactions(s), forced)
+        << "solve() never compacted on its own";
+    ASSERT_TRUE(SolverTestPeer::crefsAscending(s));
+    EXPECT_EQ(retireAndCompact(act), "");
+
+    // 6 into 5 leaves tombstones under the garbage fraction. A root
+    // fact implied through a clause added after them must not keep its
+    // old reason cref once the forced compaction moves that clause.
+    act = guardedPigeonhole(6);
+    EXPECT_EQ(s.solve({mkLit(act)}), Result::Unsat);
+    Var x = s.newVar(), y = s.newVar();
+    s.addClause(mkLit(x, true), mkLit(y));
+    s.addClause(mkLit(x));
+    EXPECT_EQ(retireAndCompact(act), "");
+    EXPECT_EQ(s.solve({mkLit(y, true)}), Result::Unsat);
 }

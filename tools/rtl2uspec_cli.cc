@@ -82,18 +82,14 @@ usage()
         "                  enables; cheap first pass, escalate)\n"
         "  --max-retries N cap on escalated retries per SVA "
         "(default 3)\n"
-        "  --engine E      proof engine per SVA query: bmc | kind |\n"
-        "                  pdr | race (default race: a PDR pre-pass\n"
-        "                  ahead of the incremental BMC solve; a PDR\n"
-        "                  proof answers the query, anything else\n"
-        "                  falls through to BMC. Verdicts and the\n"
-        "                  emitted model are identical to --engine\n"
-        "                  bmc; PDR can additionally close proofs\n"
-        "                  as unbounded)\n"
-        "  --no-inprocess  disable the solver's in-search inprocessing\n"
-        "                  (simplifyDB passes that drop clauses\n"
-        "                  satisfied at level 0 and literals false at\n"
-        "                  level 0); same verdicts and model\n"
+        "  --engine E      proof path per SVA query: race | bmc\n"
+        "                  (default race: a PDR pre-pass ahead of the\n"
+        "                  incremental BMC solve; a PDR proof answers\n"
+        "                  the query, anything else falls through to\n"
+        "                  BMC, which alone runs under --engine bmc.\n"
+        "                  Verdicts and the emitted model are the\n"
+        "                  same; PDR can additionally close proofs as\n"
+        "                  unbounded)\n"
         "  --validate MODE verdict validation: off | replay | full |\n"
         "                  sample=N (default sample=8: replay every\n"
         "                  counterexample through the reference\n"
@@ -186,18 +182,12 @@ main(int argc, char **argv)
                 std::string e = next();
                 if (e == "bmc") {
                     synth_opts.engine = bmc::EngineChoice::Bmc;
-                } else if (e == "kind") {
-                    synth_opts.engine = bmc::EngineChoice::KInduction;
-                } else if (e == "pdr") {
-                    synth_opts.engine = bmc::EngineChoice::Pdr;
                 } else if (e == "race") {
                     synth_opts.engine = bmc::EngineChoice::Race;
                 } else {
-                    fatal("--engine expects bmc|kind|pdr|race, "
-                          "got '%s'", e.c_str());
+                    fatal("--engine expects bmc|race, got '%s'",
+                          e.c_str());
                 }
-            } else if (arg == "--no-inprocess") {
-                synth_opts.inprocess = false;
             } else if (arg == "--validate") {
                 std::string mode = next();
                 if (mode == "off") {
