@@ -453,124 +453,91 @@ Engine::postProcess(size_t index, const Query &query,
         validateResult(query, result, recheck_proof);
     }
 
-    if (result.verdict != Verdict::Unknown) {
-        Journal::Record rec;
-        rec.name = query.name;
-        rec.verdict = result.verdict;
-        rec.source = result.source;
-        rec.validated = result.validated;
-        rec.bound = result.bound;
-        rec.retries = result.retries;
-        rec.seconds = result.seconds;
-        rec.conflicts = result.conflicts;
-        rec.propagations = result.propagations;
-        // Proof generality: only Proven verdicts can be unbounded, and
-        // the bound-independent secondary key is recorded exactly when
-        // the proof is (a bounded record must never answer another
-        // bound's query).
-        rec.unbounded =
-            result.unbounded && result.verdict == Verdict::Proven;
-        if (eopts_.journal && eopts_.journal->isOpen()) {
-            rec.key = journalKey(query.name, result.bound,
-                                 query.contentHash);
-            rec.baseKey = rec.unbounded
-                              ? journalBaseKey(query.name,
-                                               query.baseHash)
-                              : 0;
-            result.journaled = eopts_.journal->append(rec);
-        }
-        // Cache keys are the raw content hash; unhashed queries
-        // (contentHash 0) are never cached — their identity is not
-        // content-derived, so a cache record would be unsound to
-        // replay in another run.
-        if (eopts_.cache && eopts_.cache->isOpen() &&
-            query.contentHash != 0) {
-            rec.key = query.contentHash;
-            rec.baseKey = rec.unbounded ? query.baseHash : 0;
-            result.cached = eopts_.cache->append(rec);
-        }
-    }
+    // Unhashed queries (contentHash 0) are never stored: their
+    // identity is not content-derived, so a record would be unsound to
+    // replay.
+    if (result.verdict == Verdict::Unknown || query.contentHash == 0)
+        return;
+    VerdictStore::Record rec;
+    rec.key = query.contentHash;
+    rec.name = query.name;
+    rec.verdict = result.verdict;
+    rec.source = result.source;
+    rec.validated = result.validated;
+    rec.bound = result.bound;
+    rec.retries = result.retries;
+    rec.seconds = result.seconds;
+    rec.conflicts = result.conflicts;
+    rec.propagations = result.propagations;
+    // Proof generality: only Proven verdicts can be unbounded, and the
+    // bound-independent secondary key is recorded exactly when the
+    // proof is (a bounded record must never answer another bound's
+    // query).
+    rec.unbounded = result.unbounded && result.verdict == Verdict::Proven;
+    rec.baseKey = rec.unbounded ? query.baseHash : 0;
+    if (eopts_.journal && eopts_.journal->isOpen())
+        result.journaled = eopts_.journal->append(rec);
+    if (eopts_.cache && eopts_.cache->isOpen())
+        result.cached = eopts_.cache->append(rec);
 }
 
 void
-Engine::resolveFromJournal(const std::vector<Query> &batch,
-                           std::vector<CheckResult> &results,
-                           std::vector<char> &done)
+Engine::resolveFromStores(const std::vector<Query> &batch,
+                          std::vector<CheckResult> &results,
+                          std::vector<char> &done)
 {
-    Journal *journal = eopts_.journal;
-    if (!journal || journal->numLoaded() == 0)
+    auto opened = [](VerdictStore *store) {
+        return store && store->isOpen() ? store : nullptr;
+    };
+    VerdictStore *journal = opened(eopts_.journal);
+    VerdictStore *cache = opened(eopts_.cache);
+    if (!journal && !cache)
         return;
+    // Exact key first; on a miss an unbounded Proven proof of the same
+    // cone + property, stored at any bound, still answers.
+    auto find = [](const VerdictStore *store, const Query &q)
+        -> const VerdictStore::Record * {
+        if (!store)
+            return nullptr;
+        const VerdictStore::Record *rec = store->lookup(q.contentHash);
+        return rec ? rec : store->lookupUnbounded(q.baseHash);
+    };
     for (size_t i = 0; i < batch.size(); i++) {
-        const Journal::Record *rec = journal->lookup(journalKey(
-            batch[i].name, batch[i].bound, batch[i].contentHash));
-        if (!rec && batch[i].baseHash != 0) {
-            // Exact (name, bound, content) miss: an unbounded Proven
-            // proof of the same cone + property — journaled at any
-            // bound — still answers this query.
-            rec = journal->lookupUnbounded(
-                journalBaseKey(batch[i].name, batch[i].baseHash));
-        }
-        if (!rec)
+        const Query &q = batch[i];
+        if (q.contentHash == 0)
             continue;
         CheckResult r;
-        r.verdict = rec->verdict;
-        r.source = rec->source;
-        r.bound = rec->unbounded ? batch[i].bound : rec->bound;
-        r.retries = rec->retries;
-        r.seconds = rec->seconds;
-        r.conflicts = rec->conflicts;
-        r.propagations = rec->propagations;
-        r.validated = rec->validated;
-        r.unbounded = rec->unbounded;
-        r.fromJournal = true;
-        if (r.verdict == Verdict::Refuted)
-            r.validationNote = "verdict resumed from journal; the "
-                               "counterexample trace is not stored";
-        results[i] = std::move(r);
-        done[i] = 1;
-    }
-}
-
-void
-Engine::resolveFromCache(const std::vector<Query> &batch,
-                         std::vector<CheckResult> &results,
-                         std::vector<char> &done)
-{
-    VerdictCache *cache = eopts_.cache;
-    if (!cache || !cache->isOpen())
-        return;
-    for (size_t i = 0; i < batch.size(); i++) {
-        if (done[i] || batch[i].contentHash == 0)
-            continue;
-        const Journal::Record *rec =
-            cache->lookup(batch[i].contentHash);
-        if (!rec && batch[i].baseHash != 0) {
-            // Bound-semantics fallback: an unbounded Proven record for
-            // the same cone + property satisfies *any* bound, so a
-            // different requested bound is a hit, not a miss.
-            rec = cache->lookupUnbounded(batch[i].baseHash);
+        // The journal (this configuration's own restart log) outranks
+        // the cross-run cache.
+        const VerdictStore::Record *rec = find(journal, q);
+        r.fromJournal = rec != nullptr;
+        if (!rec) {
+            rec = find(cache, q);
+            r.fromCache = rec != nullptr;
         }
         if (!rec) {
-            stats_.cacheMisses++;
-            if (cache->hasStaleEntry(batch[i].name, batch[i].bound,
-                                     batch[i].contentHash))
-                stats_.cacheInvalidations++;
+            if (cache) {
+                stats_.cacheMisses++;
+                if (cache->hasStaleEntry(q.name, q.bound, q.contentHash))
+                    stats_.cacheInvalidations++;
+            }
             continue;
         }
-        CheckResult r;
         r.verdict = rec->verdict;
         r.source = rec->source;
-        r.bound = rec->unbounded ? batch[i].bound : rec->bound;
+        r.bound = rec->unbounded ? q.bound : rec->bound;
         r.retries = rec->retries;
         r.seconds = rec->seconds;
         r.conflicts = rec->conflicts;
         r.propagations = rec->propagations;
         r.validated = rec->validated;
         r.unbounded = rec->unbounded;
-        r.fromCache = true;
         if (r.verdict == Verdict::Refuted)
-            r.validationNote = "verdict replayed from verdict cache; "
-                               "the counterexample trace is not stored";
+            r.validationNote =
+                r.fromJournal ? "verdict resumed from journal; the "
+                                "counterexample trace is not stored"
+                              : "verdict replayed from verdict cache; "
+                                "the counterexample trace is not stored";
         results[i] = std::move(r);
         done[i] = 1;
     }
@@ -750,13 +717,10 @@ Engine::drain()
         return results;
     stats_.queries += batch.size();
 
-    // Resume: queries with a journaled (already-validated) verdict are
-    // answered up front, single-threaded, and never dispatched. The
-    // journal (this run's own restart log) outranks the cross-run
-    // cache; anything it cannot answer falls through to the cache.
+    // Queries with a stored (already-validated) verdict are answered
+    // up front, single-threaded, and never dispatched.
     std::vector<char> done(batch.size(), 0);
-    resolveFromJournal(batch, results, done);
-    resolveFromCache(batch, results, done);
+    resolveFromStores(batch, results, done);
 
     auto accumulate = [this](const CheckResult &r) {
         stats_.cnfVarsAdded += r.cnfVarsAdded;

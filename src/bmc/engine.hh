@@ -124,20 +124,16 @@ struct EngineOptions
     /** Sample mode: re-check every Nth Proven verdict (min 1). */
     unsigned validateSampleN = 8;
     /**
-     * Optional crash-safe run journal (owned by the caller, must
-     * outlive the engine). Definite verdicts are appended after
-     * validation; journaled queries found at drain() time are answered
-     * without solving. nullptr disables journaling.
+     * Optional verdict stores (owned by the caller, must outlive the
+     * engine): the run journal and the cross-run cache. At drain()
+     * time a query whose contentHash (or, for an unbounded proof,
+     * baseHash) is in the journal, else in the cache, is answered
+     * without solving; every new definite verdict is appended to each
+     * open store after validation. Queries with contentHash 0 never
+     * consult or populate either. nullptr disables a store.
      */
-    Journal *journal = nullptr;
-    /**
-     * Optional cross-run verdict cache (owned by the caller, must
-     * outlive the engine). Queries whose contentHash matches a cached
-     * record are answered without solving; new definite verdicts are
-     * appended keyed by their contentHash. Queries with contentHash 0
-     * never consult or populate the cache. nullptr disables caching.
-     */
-    VerdictCache *cache = nullptr;
+    VerdictStore *journal = nullptr;
+    VerdictStore *cache = nullptr;
     /**
      * When non-empty, each refutation's replayed trace is dumped as a
      * VCD waveform under this directory (created on demand) with a
@@ -184,11 +180,9 @@ struct Query
     /**
      * Content-derived identity of this query: a hash of its COI slice,
      * property encoding, and bound (see nl::coneHash and the synthesis
-     * frontend's per-query hashing). Mixed into the journal key so an
-     * edited property or rewired cone cannot resume a stale verdict,
-     * and used verbatim as the verdict-cache key. 0 means "unhashed":
-     * the journal key degrades to name+bound (still guarded by the
-     * journal's config hash) and the cache is bypassed entirely.
+     * frontend's per-query hashing). The journal and cache key, so an
+     * edited property or rewired cone cannot replay a stale verdict.
+     * 0 means "unhashed": both stores are bypassed entirely.
      */
     uint64_t contentHash = 0;
 
@@ -352,8 +346,8 @@ class Engine
      * Everything between "the solver answered" and "the caller sees
      * the result": fault-injection seam, verdict validation per
      * EngineOptions::validate (with quarantine + degradation on
-     * mismatch), and the journal append. Thread-safe; runs on the
-     * worker that solved the query.
+     * mismatch), and the journal and cache appends. Thread-safe; runs
+     * on the worker that solved the query.
      */
     void postProcess(size_t index, const Query &query,
                      CheckResult &result);
@@ -373,15 +367,12 @@ class Engine
     /** Deterministic VCD path for a query's counterexample ("" if
      *  --cex-vcd is off). */
     std::string vcdPathFor(const Query &query) const;
-    /** Answer journaled queries in-place; marks them done. */
-    void resolveFromJournal(const std::vector<Query> &batch,
-                            std::vector<CheckResult> &results,
-                            std::vector<char> &done);
-    /** Answer content-cached queries in-place; marks them done and
-     *  tallies the miss/invalidation counters (single-threaded). */
-    void resolveFromCache(const std::vector<Query> &batch,
-                          std::vector<CheckResult> &results,
-                          std::vector<char> &done);
+    /** Answer stored queries in-place from the journal, else the
+     *  cache; marks them done and tallies the cache miss/invalidation
+     *  counters (single-threaded). */
+    void resolveFromStores(const std::vector<Query> &batch,
+                           std::vector<CheckResult> &results,
+                           std::vector<char> &done);
 
     /** retryEscalation^attempt (1.0 when escalation is disabled). */
     double escFactor(unsigned attempt) const;

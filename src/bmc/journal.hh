@@ -1,20 +1,37 @@
 /**
  * @file
- * Crash-safe append-only run journal for validated BMC verdicts.
+ * Crash-safe verdict store: the run journal and the verdict cache.
  *
- * A synthesis run that is killed mid-flight loses hours of solver
- * work; the journal makes every *validated* definite verdict durable
- * the moment it is produced. Records are appended with write()+fsync()
- * under a mutex, each carrying its own FNV-1a checksum, so a crash at
- * any byte offset leaves at worst one torn record at the tail — the
- * loader detects it, drops it, and truncates the file back to the last
- * good offset. On --resume the engine answers journaled queries
- * without re-solving them.
+ * Every validated definite verdict is made durable the moment it is
+ * produced, keyed by its query's content hash (bmc::Query::contentHash:
+ * the COI slice, property encoding, SVA name and bound). One store
+ * serves two lifetimes:
  *
- * Format (all little-endian, native widths — the journal is a local
+ *  - a *journal* is one configuration's restart log (--journal FILE
+ *    and the daemon's per-design <state>/journal/<hash>.r2uj). Its
+ *    header binds it to the producing configuration (the structural
+ *    netlist hash, bound, unroll mode — NOT --jobs: a run may resume at
+ *    any parallelism), and --resume answers journaled queries without
+ *    re-solving them;
+ *  - a *cache* (<dir>/verdicts.r2uc, --cache DIR and the daemon's
+ *    shared store) has no config binding — the keys self-validate — so
+ *    any later run whose query hashes to the same content reuses the
+ *    verdict: an RTL edit re-solves exactly the queries whose cone
+ *    content changed.
+ *
+ * Records are appended with write()+fsync() under a mutex, each
+ * carrying its own FNV-1a checksum, so a crash at any byte offset
+ * leaves at worst one torn record at the tail: the loader stops at the
+ * first short or corrupt frame and truncates the file back to the last
+ * good offset. Appending a key the store already holds is a durable
+ * no-op, so warm re-runs do not grow the file. Every open takes an
+ * exclusive flock() on the file before truncating anything.
+ *
+ * Format (all little-endian, native widths — the store is a local
  * restart aid, not an interchange format):
  *
- *   header:  "R2UJ"  u32 version  u64 configHash
+ *   journal header: "R2UJ"  u32 version  u64 configHash
+ *   cache header:   "R2UC"  u32 version
  *   record:  u32 payloadLen  u64 fnv1a(payload)  payload
  *   payload: u64 key  u64 baseKey  u8 verdict  u8 source  u8 flags
  *            u8 pad  u32 bound  u32 retries  f64 seconds
@@ -23,19 +40,11 @@
  *
  * flags bit0 = verdict was independently validated; bit1 = the proof
  * is unbounded (valid at every bound, indexed under baseKey for
- * bound-independent reuse). configHash binds
- * the journal to the producing configuration (the structural netlist
- * hash, bound, unroll mode — NOT --jobs: a run may resume at any
- * parallelism). Only Proven/Refuted verdicts are journaled; Unknowns
- * are cheap to reproduce and may resolve differently under different
- * budgets. Traces are not stored — a resumed Refuted verdict
- * re-solves only if its consumer needs the counterexample (synthesis
- * keeps the verdict).
- *
- * The same machinery powers the cross-run VerdictCache below: the
- * identical record codec in a directory-scoped file, but keyed purely
- * by query *content* (COI-slice + property + bound hash) instead of
- * being bound to one run's configuration.
+ * bound-independent reuse). Only Proven/Refuted verdicts are stored;
+ * Unknowns are cheap to reproduce and may resolve differently under
+ * different budgets. Traces are not stored — a replayed Refuted
+ * verdict re-solves only if its consumer needs the counterexample
+ * (synthesis keeps the verdict).
  */
 
 #ifndef R2U_BMC_JOURNAL_HH
@@ -46,6 +55,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include <sys/types.h>
 
@@ -54,44 +64,18 @@
 namespace r2u::bmc
 {
 
-/**
- * FNV-1a over a query's identity; the journal's lookup key.
- *
- * @p content_hash is the query's content-derived identity (hash of
- * its COI slice, property encoding, and bound — see nl::coneHash and
- * bmc::Query::contentHash). Mixing it into the key is what prevents
- * the classic stale-resume bug: an SVA whose template was edited but
- * whose name survived, or a same-named query over rewired logic, gets
- * a different key and simply misses instead of resurrecting the old
- * verdict. Callers without a content hash pass 0 and fall back to
- * name + bound keying (protected only by the journal's config hash).
- */
-uint64_t journalKey(const std::string &name, unsigned bound,
-                    uint64_t content_hash);
-
-/**
- * Bound-independent sibling of journalKey(): the same FNV-1a chain
- * with the bound left out. Unbounded Proven verdicts (PDR frame
- * convergence) hold at *every* bound, so they are additionally indexed
- * under this key and can answer a later query for the same cone +
- * property at any bound (see lookupUnbounded).
- * Callers without a bound-independent content hash pass 0 and get no
- * unbounded reuse.
- */
-uint64_t journalBaseKey(const std::string &name, uint64_t base_hash);
-
-class Journal
+class VerdictStore
 {
   public:
     struct Record
     {
+        /** The query's content hash (Query::contentHash). */
         uint64_t key = 0;
         /**
-         * Bound-independent identity (journalBaseKey for the journal,
-         * the raw Query::baseHash for the cache); 0 when the producer
-         * had no bound-independent hash. Meaningful with `unbounded`:
-         * it is the secondary index that lets the proof satisfy other
-         * bounds.
+         * Bound-independent identity (Query::baseHash); 0 when the
+         * producer had no bound-independent hash. Meaningful with
+         * `unbounded`: it is the secondary index that lets the proof
+         * satisfy other bounds.
          */
         uint64_t baseKey = 0;
         std::string name;
@@ -101,8 +85,7 @@ class Journal
         /**
          * Proof generality: true for a Proven verdict valid at every
          * bound (PDR convergence), false for bound-specific verdicts.
-         * Bounded records only ever answer an exact (name, bound,
-         * content) key match.
+         * Bounded records only ever answer an exact key match.
          */
         bool unbounded = false;
         unsigned bound = 0;
@@ -112,42 +95,53 @@ class Journal
         uint64_t propagations = 0;
     };
 
-    Journal() = default;
-    ~Journal();
+    VerdictStore() = default;
+    ~VerdictStore();
 
-    Journal(const Journal &) = delete;
-    Journal &operator=(const Journal &) = delete;
+    VerdictStore(const VerdictStore &) = delete;
+    VerdictStore &operator=(const VerdictStore &) = delete;
 
     /**
-     * Open (creating if absent) a journal bound to @p config_hash.
-     * With @p resume, existing records are loaded for lookup() and any
-     * torn tail is truncated away; without it an existing file is
+     * --journal FILE: open (creating if absent) a journal bound to
+     * @p config_hash. With @p resume, existing records are loaded and
+     * any torn tail is truncated away; without it the file is
      * truncated to empty (a fresh run must not inherit stale
-     * verdicts). fatal() on I/O errors or a header resume cannot use:
+     * verdicts). fatal() when another writer holds the file's lock, on
+     * I/O errors, and, on resume, on a header it cannot use:
      * truncated, bad magic, another format version or another config
      * hash (a journal from a different design/bound/unroll mode must
      * never answer this run's queries).
      */
-    void open(const std::string &path, uint64_t config_hash,
-              bool resume);
+    void openJournal(const std::string &path, uint64_t config_hash,
+                     bool resume);
 
     /**
-     * Like open(resume=true) but takes an exclusive flock() on the
-     * file first and returns false — leaving the journal closed —
-     * when another live process already holds it, instead of letting
-     * two writers interleave frames. Used by the service's shared
-     * state directory, where a second daemon on the same --state DIR
-     * should degrade to running journal-less, not corrupt the store.
-     * A header it cannot resume from (truncated, bad magic, another
-     * format version or another config hash) is not fatal here: no
-     * user asked for this file, so it warns and starts the journal
-     * fresh, as the VerdictCache does.
+     * The daemon's per-design journal: like openJournal(resume=true),
+     * but returns false — leaving the store closed — when another
+     * writer (usually a concurrent request of the same daemon) holds
+     * the lock or the file cannot be opened; that request runs
+     * journal-less. A header it cannot resume from is not fatal here:
+     * no user asked for this file, so it warns and starts it fresh.
      */
     bool openShared(const std::string &path, uint64_t config_hash);
 
+    /**
+     * --cache DIR and the daemon's shared store: open (creating,
+     * including the directory, if absent) <dir>/verdicts.r2uc. An
+     * unusable header is warned about and started fresh — a cache can
+     * only ever cost re-solves, never soundness. When another writer
+     * holds the lock the store opens read-only: lookups are served,
+     * append() is a no-op, and the live writer's file is never
+     * touched. fatal() only on I/O errors.
+     */
+    void openCache(const std::string &dir);
+
     bool isOpen() const { return fd_ >= 0; }
 
-    /** True once an append failure disabled journaling for the run. */
+    /** True when openCache() found the lock held (see there). */
+    bool readOnly() const { return read_only_; }
+
+    /** True once an append failure disabled the store for the run. */
     bool disabled() const { return disabled_; }
 
     /**
@@ -159,144 +153,38 @@ class Journal
      */
     void setWriteFault(std::function<ssize_t(size_t)> hook);
 
-    /** Records loaded from disk at open(resume=true) time. */
-    size_t numLoaded() const { return loaded_.size(); }
-
-    /** Look up a previously journaled verdict. nullptr if absent. */
-    const Record *lookup(uint64_t key) const;
-
-    /**
-     * Look up an *unbounded Proven* verdict by its bound-independent
-     * key (journalBaseKey). Only records flagged unbounded are indexed
-     * here; a hit is valid for the same cone + property at any bound.
-     * nullptr if absent.
-     */
-    const Record *lookupUnbounded(uint64_t base_key) const;
-
-    /**
-     * Durably append one validated verdict (write + fsync under a
-     * mutex; safe from worker threads). Returns false (after a warn)
-     * on I/O failure — the run continues, it just loses resumability.
-     */
-    bool append(const Record &rec);
-
-    /** Records appended by *this* process (excludes loaded ones). */
-    size_t numAppended() const { return appended_; }
-
-  private:
-    /** open(); @p lenient starts a mismatched header fresh. */
-    void openImpl(const std::string &path, uint64_t config_hash,
-                  bool resume, bool lenient);
-
-    int fd_ = -1;
-    /** Held open purely to keep an openShared() flock alive. */
-    int lock_fd_ = -1;
-    std::string path_;
-    std::mutex mu_;
-    std::unordered_map<uint64_t, Record> loaded_;
-    /** baseKey -> unbounded Proven record (element pointers into
-     *  loaded_ are stable: unordered_map is node-based). */
-    std::unordered_map<uint64_t, const Record *> by_base_;
-    size_t appended_ = 0;
-    /** File offset after the last fully-durable frame; append
-     *  failures roll the file back here so a partial frame can never
-     *  poison the records behind it. */
-    off_t end_ = 0;
-    bool disabled_ = false;
-    std::function<ssize_t(size_t)> write_fault_;
-};
-
-/**
- * Content-addressed, cross-run verdict cache (--cache DIR).
- *
- * Where the Journal is one run's linear restart log bound to a single
- * configuration hash, the cache is a shared store keyed purely by
- * query content: the caller keys each record by a hash of the query's
- * COI slice, property encoding, and bound (bmc::Query::contentHash),
- * so a verdict is reusable by *any* later run — same design, a
- * near-identical edit, a different job count — whose query hashes to
- * the same content. An RTL edit re-solves exactly the queries whose
- * cone content changed; everything else replays in microseconds.
- *
- * Storage is the journal's record codec in `<dir>/verdicts.r2uc`
- * ("R2UC" magic, no config binding — the keys self-validate).
- * Appends are write()+fsync() under a mutex; loading is *lenient*
- * where the journal is fatal: a bad magic/version starts the cache
- * fresh, and a torn or corrupt record ends the trusted region (it and
- * everything after it are dropped and truncated away, never trusted).
- * A cache can only ever cost re-solves, not soundness, so it must
- * never abort a run. Duplicate keys resolve to the newest record;
- * appending an already-present key is a durable no-op, so warm re-runs
- * do not grow the file. Only definite verdicts belong in the cache;
- * Unknowns are budget-dependent and are never stored.
- *
- * Concurrency: append() is thread-safe (worker threads); lookup() /
- * hasStaleEntry() lock the same mutex, and returned record pointers
- * stay valid for the cache's lifetime (node-based map).
- */
-class VerdictCache
-{
-  public:
-    VerdictCache() = default;
-    ~VerdictCache();
-
-    VerdictCache(const VerdictCache &) = delete;
-    VerdictCache &operator=(const VerdictCache &) = delete;
-
-    /**
-     * Open (creating, including the directory, if absent) the cache
-     * under @p dir. Existing records are loaded for lookup; corrupt
-     * content is dropped as described above. fatal() only on I/O
-     * errors that prevent the store from operating at all.
-     */
-    void open(const std::string &dir);
-
-    bool isOpen() const { return fd_ >= 0; }
-
-    /**
-     * True when another process held the store's write lock at open()
-     * time. A read-only cache still serves lookups (isOpen() stays
-     * true) but append() is a silent no-op — the second opener of a
-     * shared --cache DIR loses warm-write, never store integrity.
-     */
-    bool readOnly() const { return read_only_; }
-
-    /** True once an append failure disabled caching for the run. */
-    bool disabled() const { return disabled_; }
-
-    /** Same torn-write test/chaos seam as Journal::setWriteFault. */
-    void setWriteFault(std::function<ssize_t(size_t)> hook);
-
-    /** Records loaded from disk at open() time (after dedup). */
+    /** Records the store answers from: loaded at open, plus appends. */
     size_t numLoaded() const;
 
-    /** Cached verdict for a content key. nullptr if absent. */
-    const Journal::Record *lookup(uint64_t key) const;
+    /** Stored verdict for a content key. nullptr if absent. */
+    const Record *lookup(uint64_t key) const;
 
     /**
      * Unbounded-Proven verdict for a bound-independent content key
      * (Query::baseHash). A hit is valid for the same cone + property
      * at any bound. nullptr if absent.
      */
-    const Journal::Record *lookupUnbounded(uint64_t base_key) const;
+    const Record *lookupUnbounded(uint64_t base_key) const;
 
     /**
-     * True when the cache holds a record for the same (name, bound)
-     * under a *different* content key — i.e. this query existed
-     * before but its cone or property content changed since it was
-     * cached. Purely diagnostic (distinguishes an invalidation from a
-     * never-seen miss in the hit/miss accounting).
+     * True when the store holds a record for the same (name, bound)
+     * under a *different* key — i.e. this query existed before but its
+     * cone or property content changed since. Purely diagnostic
+     * (distinguishes an invalidation from a never-seen miss in the
+     * hit/miss accounting).
      */
     bool hasStaleEntry(const std::string &name, unsigned bound,
                        uint64_t key) const;
 
     /**
-     * Durably append one definite verdict keyed by its content hash
-     * (rec.key). Returns true when the record is durable in the cache
-     * — including the already-present case, which writes nothing.
-     * Returns false (after a warn) on I/O failure; the run continues.
+     * Durably append one definite verdict keyed by rec.key (write +
+     * fsync under the mutex; safe from worker threads). Returns true
+     * when the record is durable — including the already-present
+     * case, which writes nothing. Returns false on a read-only store
+     * and (after a warn) on I/O failure, which rolls the file back and
+     * disables the store; the run continues.
      */
-    bool append(const Journal::Record &rec);
+    bool append(const Record &rec);
 
     /** Records physically appended by *this* process. */
     size_t numAppended() const;
@@ -304,18 +192,40 @@ class VerdictCache
     const std::string &filePath() const { return path_; }
 
   private:
+    enum class Lock { Taken, Held, OpenFailed };
+    /** Open @p path read-write into fd_ and try its exclusive flock. */
+    Lock acquire(const std::string &path, const char *what);
+    /** Close fd_ and raise @p why as this store's fatal error. */
+    [[noreturn]] void refuse(const std::string &why);
+    /**
+     * Read the file through fd_ and load every record up to the first
+     * short or corrupt frame; end_ becomes the last good offset (0
+     * when nothing is usable). Returns why @p header rules the file
+     * out, or "".
+     */
+    std::string load(const std::vector<uint8_t> &header);
+    /** Truncate the file to end_; write @p header if that is 0. */
+    void start(const std::vector<uint8_t> &header);
+    /** Add @p rec to the indexes (mu_ held, or still opening). */
+    void index(Record rec);
+
     int fd_ = -1;
+    /** "journal" or "cache", for messages. */
+    const char *what_ = "";
     std::string path_;
     mutable std::mutex mu_;
-    std::unordered_map<uint64_t, Journal::Record> loaded_;
+    std::unordered_map<uint64_t, Record> loaded_;
     /** name -> (bound, key) pairs seen, for invalidation accounting. */
     std::unordered_map<std::string,
                        std::vector<std::pair<unsigned, uint64_t>>>
         by_name_;
-    /** baseKey -> unbounded Proven record (stable element pointers). */
-    std::unordered_map<uint64_t, const Journal::Record *> by_base_;
+    /** baseKey -> unbounded Proven record (element pointers into
+     *  loaded_ are stable: unordered_map is node-based). */
+    std::unordered_map<uint64_t, const Record *> by_base_;
     size_t appended_ = 0;
-    /** Offset after the last durable frame (see Journal::end_). */
+    /** File offset after the last fully-durable frame; append
+     *  failures roll the file back here so a partial frame can never
+     *  poison the records behind it. */
     off_t end_ = 0;
     bool read_only_ = false;
     bool disabled_ = false;

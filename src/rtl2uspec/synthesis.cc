@@ -65,9 +65,9 @@ class Synthesizer
         eopts.cexVcdDir = opts.cexVcdDir;
         eopts.faultHook = opts.faultHook;
         if (!opts.journalPath.empty()) {
-            journal_ = std::make_unique<bmc::Journal>();
-            journal_->open(opts.journalPath, configHash(),
-                           opts.resumeJournal);
+            journal_ = std::make_unique<bmc::VerdictStore>();
+            journal_->openJournal(opts.journalPath, configHash(),
+                                  opts.resumeJournal);
             if (opts.resumeJournal && journal_->numLoaded() > 0)
                 inform("rtl2uspec: resuming from journal %s "
                        "(%zu validated verdicts)",
@@ -88,7 +88,7 @@ class Synthesizer
                  strfmt("%016llx.r2uj",
                         static_cast<unsigned long long>(configHash())))
                     .string();
-            journal_ = std::make_unique<bmc::Journal>();
+            journal_ = std::make_unique<bmc::VerdictStore>();
             if (journal_->openShared(path, configHash())) {
                 if (journal_->numLoaded() > 0)
                     inform("rtl2uspec: resuming from journal %s "
@@ -103,8 +103,8 @@ class Synthesizer
             out_.cacheEnabled = true;
             eopts.cache = opts.cache;
         } else if (!opts.cacheDir.empty()) {
-            cache_ = std::make_unique<bmc::VerdictCache>();
-            cache_->open(opts.cacheDir);
+            cache_ = std::make_unique<bmc::VerdictStore>();
+            cache_->openCache(opts.cacheDir);
             out_.cacheEnabled = true;
             if (cache_->numLoaded() > 0)
                 inform("rtl2uspec: verdict cache %s: %zu cached "
@@ -314,8 +314,8 @@ class Synthesizer
      * journaled verdict is definite and validated, so it holds at any
      * parallelism or budget. Also excludes the metadata/property
      * environment: an edited SVA changes its per-query content hash
-     * (and therefore its journal key), which turns into a plain miss
-     * instead of rejecting the whole journal.
+     * (its journal key), which turns into a plain miss instead of
+     * rejecting the whole journal.
      */
     uint64_t
     configHash() const
@@ -471,7 +471,7 @@ class Synthesizer
         q.prop = std::move(prop);
         // Strictly frame-local form of the same property (prop must be
         // the OR of frame_prop over every frame of the bound): enables
-        // the IC3/PDR pre-pass and the --engine pdr/kind paths.
+        // the IC3/PDR pre-pass of --engine race.
         q.frameProp = std::move(frame_prop);
         q.seeds = base_seeds_;
         q.seeds.cells.insert(q.seeds.cells.end(), extra.cells.begin(),
@@ -479,7 +479,7 @@ class Synthesizer
         q.seeds.mems.insert(q.seeds.mems.end(), extra.mems.begin(),
                             extra.mems.end());
         // One cone per query: its size is the SVA's reported COI and
-        // its hash the content ingredient of both keys.
+        // its hash the content ingredient of both store keys.
         nl::Coi coi = nl::computeCoi(nl_, q.seeds);
         out_.svas[idx].coiCells = coi.numCells();
         uint64_t cone =
@@ -495,9 +495,9 @@ class Synthesizer
      * the COI slice its property can read (the whole netlist under
      * --full-unroll, where every query sees every cell), the property
      * environment, the bound/unroll mode, and the SVA's identity and
-     * rendered text. This is the journal-key ingredient and the
-     * verdict-cache key — two runs produce the same hash exactly when
-     * the solver would decide the same question.
+     * rendered text. This is the journal and verdict-cache key — two
+     * runs produce the same hash exactly when the solver would decide
+     * the same question.
      */
     uint64_t
     queryContentHash(size_t idx, uint64_t cone) const
@@ -1858,9 +1858,9 @@ class Synthesizer
 
     /** Crash-safe verdict journal; declared before engine_ so the
      *  engine (which holds a raw pointer to it) dies first. */
-    std::unique_ptr<bmc::Journal> journal_;
+    std::unique_ptr<bmc::VerdictStore> journal_;
     /** Cross-run verdict cache; same lifetime rule as the journal. */
-    std::unique_ptr<bmc::VerdictCache> cache_;
+    std::unique_ptr<bmc::VerdictStore> cache_;
     /** The BMC query engine serving every SVA in this run. */
     std::unique_ptr<bmc::Engine> engine_;
     /** SynthesisOptions::engineHook (fired in ctor/dtor). */

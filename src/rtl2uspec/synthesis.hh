@@ -161,7 +161,7 @@ struct SynthesisOptions
      * synthesizer neither owns nor closes it, so many concurrent and
      * sequential requests can warm the same in-memory instance.
      */
-    bmc::VerdictCache *cache = nullptr;
+    bmc::VerdictStore *cache = nullptr;
     /**
      * Directory of per-configuration resume journals (the service's
      * crash-recovery state): the run journals into

@@ -138,7 +138,7 @@ Server::start()
         fatal("serve: a socket path is required");
 
     if (!opts_.stateDir.empty()) {
-        cache_.open(opts_.stateDir + "/cache");
+        cache_.openCache(opts_.stateDir + "/cache");
         cache_open_ = true;
         journal_dir_ = opts_.stateDir + "/journal";
         if (cache_.numLoaded() > 0)

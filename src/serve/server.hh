@@ -6,9 +6,10 @@
  * length-prefixed JSON protocol (serve/protocol.hh). Light requests
  * (ping/status/shutdown) are answered on the connection thread; heavy
  * requests (synthesize, campaign) are dispatched onto a work-stealing
- * ThreadPool over a shared cross-request VerdictCache and per-design
- * resume journals, so most traffic — re-checks of near-identical
- * designs — replays verdicts instead of re-solving them.
+ * ThreadPool over a shared cross-request verdict cache and per-design
+ * resume journals (both bmc::VerdictStore), so most traffic —
+ * re-checks of near-identical designs — replays verdicts instead of
+ * re-solving them.
  *
  * Robustness model, in the order things fail:
  *
@@ -75,9 +76,13 @@ struct ServerOptions
     /** Unix-domain socket path to bind. */
     std::string socketPath;
     /**
-     * Persistent state directory ("" = fully in-memory): the shared
-     * verdict cache lives in <stateDir>/cache and per-configuration
-     * resume journals in <stateDir>/journal. This is what makes
+     * Persistent state directory ("" = fully in-memory). Every
+     * verdict is appended to the shared verdict cache in
+     * <stateDir>/cache and to its configuration's resume journal
+     * <stateDir>/journal/<configHash>.r2uj — one record format, two
+     * files. A journal has one writer at a time: a request that finds
+     * it held (usually a concurrent request for the same design) runs
+     * without it and is served by the cache. This is what makes
      * kill -9 recovery work.
      */
     std::string stateDir;
@@ -148,7 +153,7 @@ class Server
     uint64_t overloadedReplies() const { return overloaded_.load(); }
     uint64_t watchdogInterrupts() const { return watchdog_fired_.load(); }
     uint64_t requestRetriesDone() const { return retries_done_.load(); }
-    bmc::VerdictCache *cache()
+    bmc::VerdictStore *cache()
     {
         return cache_open_ ? &cache_ : nullptr;
     }
@@ -214,7 +219,7 @@ class Server
     /** Heavy requests admitted and not yet finished. */
     std::atomic<unsigned> in_service_{0};
 
-    bmc::VerdictCache cache_;
+    bmc::VerdictStore cache_;
     bool cache_open_ = false;
     std::string journal_dir_;
 

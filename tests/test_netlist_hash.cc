@@ -236,10 +236,10 @@ TEST(NetlistHash, SameShapeDesignRejectsForeignJournal)
     fs::path path = fs::path(::testing::TempDir()) / "same_shape.bin";
     fs::remove(path);
     {
-        bmc::Journal j;
-        j.open(path.string(), structural(base.n), false);
-        bmc::Journal::Record rec;
-        rec.key = bmc::journalKey("sva_a", 3, 0x1234);
+        bmc::VerdictStore j;
+        j.openJournal(path.string(), structural(base.n), false);
+        bmc::VerdictStore::Record rec;
+        rec.key = 0x1234; // the query's content hash
         rec.name = "sva_a";
         rec.verdict = bmc::Verdict::Proven;
         rec.bound = 3;
@@ -247,11 +247,11 @@ TEST(NetlistHash, SameShapeDesignRejectsForeignJournal)
     }
     {
         // Same design resumes fine.
-        bmc::Journal j;
-        j.open(path.string(), structural(base.n), true);
+        bmc::VerdictStore j;
+        j.openJournal(path.string(), structural(base.n), true);
         EXPECT_EQ(j.numLoaded(), 1u);
     }
-    bmc::Journal j;
-    EXPECT_THROW(j.open(path.string(), structural(other.n), true),
+    bmc::VerdictStore j;
+    EXPECT_THROW(j.openJournal(path.string(), structural(other.n), true),
                  FatalError);
 }

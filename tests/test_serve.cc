@@ -444,7 +444,7 @@ TEST(Serve, OlderVersionJournalStartsFresh)
 }
 
 // The daemon's two workers serve warm requests at the same time over
-// one shared VerdictCache (and one per-design journal, which only one
+// one shared verdict cache (and one per-design journal, which only one
 // of them can hold). Run under TSan in CI.
 TEST(Serve, ConcurrentWarmSynthesize)
 {

@@ -448,6 +448,7 @@ TEST(ValidateEngine, JournalRoundTripSkipsSolvedQueries)
         bmc::Query q;
         q.name = "php";
         q.bound = kBound;
+        q.contentHash = 0xc3;
         q.conflictBudget = 1;
         q.prop = [](bmc::PropCtx &ctx) {
             auto &cnf = ctx.cnf();
@@ -472,17 +473,22 @@ TEST(ValidateEngine, JournalRoundTripSkipsSolvedQueries)
         };
         return q;
     };
+    // The journal keys every record by its query's content hash.
+    auto hashed = [](bmc::Query q, uint64_t content) {
+        q.contentHash = content;
+        return q;
+    };
 
     {
-        bmc::Journal j;
-        j.open(path, kHash, /*resume=*/false);
+        bmc::VerdictStore j;
+        j.openJournal(path, kHash, /*resume=*/false);
         bmc::EngineOptions eopts;
         eopts.jobs = 1;
         eopts.validate = bmc::ValidateMode::Replay;
         eopts.journal = &j;
         bmc::Engine engine = makeEngine(d, eopts);
-        engine.enqueue(toyQuery("toy cex", refutedProp));
-        engine.enqueue(toyQuery("toy proof", provenProp));
+        engine.enqueue(hashed(toyQuery("toy cex", refutedProp), 0xc1));
+        engine.enqueue(hashed(toyQuery("toy proof", provenProp), 0xc2));
         engine.enqueue(hardQuery());
         auto res = engine.drain();
         ASSERT_EQ(res.size(), 3u);
@@ -497,16 +503,16 @@ TEST(ValidateEngine, JournalRoundTripSkipsSolvedQueries)
     // Resume at a different parallelism: the two definite verdicts
     // come from the journal (no solving, no replaying), the Unknown is
     // re-solved from scratch.
-    bmc::Journal j;
-    j.open(path, kHash, /*resume=*/true);
+    bmc::VerdictStore j;
+    j.openJournal(path, kHash, /*resume=*/true);
     ASSERT_EQ(j.numLoaded(), 2u);
     bmc::EngineOptions eopts;
     eopts.jobs = 2;
     eopts.validate = bmc::ValidateMode::Replay;
     eopts.journal = &j;
     bmc::Engine engine = makeEngine(d, eopts);
-    engine.enqueue(toyQuery("toy cex", refutedProp));
-    engine.enqueue(toyQuery("toy proof", provenProp));
+    engine.enqueue(hashed(toyQuery("toy cex", refutedProp), 0xc1));
+    engine.enqueue(hashed(toyQuery("toy proof", provenProp), 0xc2));
     engine.enqueue(hardQuery());
     auto res = engine.drain();
     ASSERT_EQ(res.size(), 3u);

@@ -1,13 +1,13 @@
 /**
  * @file
- * Tests for the content-addressed verdict cache (ISSUE 8): durable
- * round-trips across reopens, duplicate-append dedup, lenient
- * recovery (torn tails and corrupt records are dropped, a foreign or
- * damaged header starts fresh instead of aborting), stale-entry
- * diagnostics, and — through a real bmc::Engine over a synthetic
- * multi-cone netlist — the acceptance property that editing one cone
- * re-solves only that cone's queries while every other verdict
- * replays from cache.
+ * Tests for the verdict store opened as a content-addressed cache
+ * (openCache): a foreign or damaged header starts fresh instead of
+ * aborting, stale-entry diagnostics, read-only on a held lock, and —
+ * through a real bmc::Engine over a synthetic multi-cone netlist — the
+ * acceptance property that editing one cone re-solves only that cone's
+ * queries while every other verdict replays from cache. Recovery from
+ * torn and corrupt records is shared with the journal and tested on
+ * both in test_journal.cc.
  */
 
 #include <gtest/gtest.h>
@@ -31,18 +31,18 @@ namespace
 {
 
 std::string
-tempCacheDir(const std::string &name)
+tempPath(const std::string &name)
 {
     fs::path p = fs::path(::testing::TempDir()) / name;
     fs::remove_all(p);
     return p.string();
 }
 
-bmc::Journal::Record
+bmc::VerdictStore::Record
 makeRecord(uint64_t key, const std::string &name,
            bmc::Verdict verdict, unsigned bound)
 {
-    bmc::Journal::Record rec;
+    bmc::VerdictStore::Record rec;
     rec.key = key;
     rec.name = name;
     rec.verdict = verdict;
@@ -72,182 +72,24 @@ flipByte(const std::string &path, uint64_t offset)
 
 } // namespace
 
-TEST(VerdictCache, RoundTripPersistsAcrossReopens)
-{
-    std::string dir = tempCacheDir("vc_roundtrip");
-    std::string file;
-    {
-        bmc::VerdictCache c;
-        c.open(dir); // creates the directory
-        ASSERT_TRUE(c.isOpen());
-        file = c.filePath();
-        EXPECT_EQ(c.numLoaded(), 0u);
-        EXPECT_TRUE(c.append(
-            makeRecord(0x111, "a", bmc::Verdict::Proven, 3)));
-        EXPECT_TRUE(c.append(
-            makeRecord(0x222, "b", bmc::Verdict::Refuted, 3)));
-        EXPECT_EQ(c.numAppended(), 2u);
-    }
-    bmc::VerdictCache c;
-    c.open(dir);
-    EXPECT_EQ(c.numLoaded(), 2u);
-    ASSERT_NE(c.lookup(0x111), nullptr);
-    ASSERT_NE(c.lookup(0x222), nullptr);
-    EXPECT_EQ(c.lookup(0x333), nullptr);
-
-    const bmc::Journal::Record &a = *c.lookup(0x111);
-    EXPECT_EQ(a.name, "a");
-    EXPECT_EQ(a.verdict, bmc::Verdict::Proven);
-    EXPECT_TRUE(a.validated);
-    EXPECT_EQ(a.bound, 3u);
-    EXPECT_EQ(a.retries, 1u);
-    EXPECT_DOUBLE_EQ(a.seconds, 0.25);
-    EXPECT_EQ(a.conflicts, 17u);
-    EXPECT_EQ(a.propagations, 1717u);
-    EXPECT_EQ(c.lookup(0x222)->verdict, bmc::Verdict::Refuted);
-    (void)file;
-}
-
-// Cache records share the journal's one-byte source code: Race stays
-// 10, and a record carrying the retired code 9 loads as Solve without
-// cutting off the records behind it.
-TEST(VerdictCache, RetiredSourceCodeLoadsAsSolve)
-{
-    std::string dir = tempCacheDir("vc_sources");
-    {
-        bmc::VerdictCache c;
-        c.open(dir);
-        auto retired = makeRecord(0x901, "retired", bmc::Verdict::Proven, 3);
-        retired.source = static_cast<bmc::VerdictSource>(9);
-        auto race = makeRecord(0xa01, "race", bmc::Verdict::Proven, 3);
-        race.source = bmc::VerdictSource::Race;
-        ASSERT_TRUE(c.append(retired));
-        ASSERT_TRUE(c.append(race));
-        ASSERT_TRUE(
-            c.append(makeRecord(0xb01, "after", bmc::Verdict::Refuted, 3)));
-    }
-    bmc::VerdictCache c;
-    c.open(dir);
-    EXPECT_EQ(c.numLoaded(), 3u);
-    ASSERT_NE(c.lookup(0x901), nullptr);
-    EXPECT_EQ(c.lookup(0x901)->source, bmc::VerdictSource::Solve);
-    ASSERT_NE(c.lookup(0xa01), nullptr);
-    EXPECT_EQ(c.lookup(0xa01)->source, bmc::VerdictSource::Race);
-    ASSERT_NE(c.lookup(0xb01), nullptr);
-    EXPECT_EQ(c.lookup(0xb01)->verdict, bmc::Verdict::Refuted);
-}
-
-// Appending a key the cache already holds is a durable no-op: the
-// file must not grow (shared caches would otherwise bloat on every
-// warm run) and the entry count must not change.
-TEST(VerdictCache, DuplicateAppendIsDeduplicated)
-{
-    std::string dir = tempCacheDir("vc_dedup");
-    std::string file;
-    uint64_t size_after_one = 0;
-    {
-        bmc::VerdictCache c;
-        c.open(dir);
-        ASSERT_TRUE(c.append(
-            makeRecord(0x111, "a", bmc::Verdict::Proven, 3)));
-        file = c.filePath();
-        size_after_one = fs::file_size(file);
-
-        EXPECT_TRUE(c.append(
-            makeRecord(0x111, "a", bmc::Verdict::Proven, 3)));
-        EXPECT_EQ(fs::file_size(file), size_after_one);
-        EXPECT_EQ(c.numAppended(), 1u);
-    } // close: the single-writer flock must be released for c2
-
-    bmc::VerdictCache c2;
-    c2.open(dir);
-    EXPECT_EQ(c2.numLoaded(), 1u);
-    // Dedup also applies to entries loaded from disk, not only to
-    // this process's own appends.
-    EXPECT_TRUE(c2.append(
-        makeRecord(0x111, "a", bmc::Verdict::Proven, 3)));
-    EXPECT_EQ(c2.numAppended(), 0u);
-    EXPECT_EQ(fs::file_size(c2.filePath()), size_after_one);
-}
-
-// A run killed mid-append leaves a torn record at the tail; it must
-// be dropped and the file repaired so later appends land cleanly.
-TEST(VerdictCache, TornTailIsDroppedNotTrusted)
-{
-    std::string dir = tempCacheDir("vc_torn");
-    std::string file;
-    uint64_t size_after_two = 0;
-    {
-        bmc::VerdictCache c;
-        c.open(dir);
-        file = c.filePath();
-        c.append(makeRecord(0x111, "a", bmc::Verdict::Proven, 3));
-        c.append(makeRecord(0x222, "b", bmc::Verdict::Refuted, 3));
-        size_after_two = fs::file_size(file);
-        c.append(makeRecord(0x333, "c", bmc::Verdict::Proven, 3));
-    }
-    fs::resize_file(file, fs::file_size(file) - 5);
-
-    bmc::VerdictCache c;
-    c.open(dir);
-    EXPECT_EQ(c.numLoaded(), 2u);
-    EXPECT_NE(c.lookup(0x111), nullptr);
-    EXPECT_NE(c.lookup(0x222), nullptr);
-    EXPECT_EQ(c.lookup(0x333), nullptr);
-    EXPECT_EQ(fs::file_size(file), size_after_two);
-    EXPECT_TRUE(c.append(
-        makeRecord(0x444, "d", bmc::Verdict::Proven, 3)));
-
-    bmc::VerdictCache c2;
-    c2.open(dir);
-    EXPECT_EQ(c2.numLoaded(), 3u);
-}
-
-// A corrupt byte inside a record fails its checksum: that record and
-// everything after it are dropped, never replayed as verdicts.
-TEST(VerdictCache, CorruptRecordIsSkippedNotTrusted)
-{
-    std::string dir = tempCacheDir("vc_corrupt");
-    std::string file;
-    uint64_t size_after_one = 0;
-    {
-        bmc::VerdictCache c;
-        c.open(dir);
-        file = c.filePath();
-        c.append(makeRecord(0x111, "a", bmc::Verdict::Proven, 3));
-        size_after_one = fs::file_size(file);
-        c.append(makeRecord(0x222, "b", bmc::Verdict::Refuted, 3));
-        c.append(makeRecord(0x333, "c", bmc::Verdict::Proven, 3));
-    }
-    flipByte(file, size_after_one + 14);
-
-    bmc::VerdictCache c;
-    c.open(dir);
-    EXPECT_EQ(c.numLoaded(), 1u);
-    EXPECT_NE(c.lookup(0x111), nullptr);
-    EXPECT_EQ(c.lookup(0x222), nullptr);
-    EXPECT_EQ(c.lookup(0x333), nullptr);
-    EXPECT_EQ(fs::file_size(file), size_after_one);
-}
-
 // Unlike the run journal (whose config mismatch is fatal — resuming
 // the wrong journal means the user pointed --resume at the wrong
 // file), a shared cache with an unrecognized header is just not a
 // cache we can use: warn, start fresh, keep going.
 TEST(VerdictCache, DamagedHeaderStartsFreshNotFatal)
 {
-    std::string dir = tempCacheDir("vc_header");
+    std::string dir = tempPath("vc_header");
     std::string file;
     {
-        bmc::VerdictCache c;
-        c.open(dir);
+        bmc::VerdictStore c;
+        c.openCache(dir);
         file = c.filePath();
         c.append(makeRecord(0x111, "a", bmc::Verdict::Proven, 3));
     }
     flipByte(file, 0); // damage the magic
 
-    bmc::VerdictCache c;
-    EXPECT_NO_THROW(c.open(dir));
+    bmc::VerdictStore c;
+    EXPECT_NO_THROW(c.openCache(dir));
     ASSERT_TRUE(c.isOpen());
     EXPECT_EQ(c.numLoaded(), 0u);
     EXPECT_EQ(c.lookup(0x111), nullptr);
@@ -255,8 +97,8 @@ TEST(VerdictCache, DamagedHeaderStartsFreshNotFatal)
     EXPECT_TRUE(c.append(
         makeRecord(0x222, "b", bmc::Verdict::Refuted, 3)));
 
-    bmc::VerdictCache c2;
-    c2.open(dir);
+    bmc::VerdictStore c2;
+    c2.openCache(dir);
     EXPECT_EQ(c2.numLoaded(), 1u);
     EXPECT_NE(c2.lookup(0x222), nullptr);
 }
@@ -265,11 +107,11 @@ TEST(VerdictCache, DamagedHeaderStartsFreshNotFatal)
 // warns and starts fresh, like any header it does not recognize.
 TEST(VerdictCache, OlderVersionStartsFresh)
 {
-    std::string dir = tempCacheDir("vc_older");
+    std::string dir = tempPath("vc_older");
     std::string file;
     {
-        bmc::VerdictCache c;
-        c.open(dir);
+        bmc::VerdictStore c;
+        c.openCache(dir);
         file = c.filePath();
         c.append(makeRecord(0x111, "a", bmc::Verdict::Proven, 3));
     }
@@ -289,16 +131,16 @@ TEST(VerdictCache, OlderVersionStartsFresh)
         f.write(older, 4);
     }
 
-    bmc::VerdictCache c;
-    EXPECT_NO_THROW(c.open(dir));
+    bmc::VerdictStore c;
+    EXPECT_NO_THROW(c.openCache(dir));
     ASSERT_TRUE(c.isOpen());
     EXPECT_EQ(c.numLoaded(), 0u);
     EXPECT_EQ(c.lookup(0x111), nullptr);
     EXPECT_TRUE(c.append(
         makeRecord(0x222, "b", bmc::Verdict::Refuted, 3)));
 
-    bmc::VerdictCache c2;
-    c2.open(dir);
+    bmc::VerdictStore c2;
+    c2.openCache(dir);
     EXPECT_EQ(c2.numLoaded(), 1u);
     EXPECT_NE(c2.lookup(0x222), nullptr);
 }
@@ -308,9 +150,9 @@ TEST(VerdictCache, OlderVersionStartsFresh)
 // hangs off this.
 TEST(VerdictCache, StaleEntryDetection)
 {
-    std::string dir = tempCacheDir("vc_stale");
-    bmc::VerdictCache c;
-    c.open(dir);
+    std::string dir = tempPath("vc_stale");
+    bmc::VerdictStore c;
+    c.openCache(dir);
     c.append(makeRecord(0x111, "a", bmc::Verdict::Proven, 3));
 
     // Same name+bound, different content hash: stale.
@@ -429,7 +271,7 @@ expectConeVerdicts(const std::vector<bmc::CheckResult> &res)
 // at constant cell counts re-solves exactly that cone's queries.
 TEST(VerdictCache, EngineReplayAndPartialInvalidation)
 {
-    std::string dir = tempCacheDir("vc_engine");
+    std::string dir = tempPath("vc_engine");
     std::unordered_map<std::string, nl::CellId> empty_map;
     const unsigned kFrames = 2;
     const size_t kQueries = 2 * kCones;
@@ -438,8 +280,8 @@ TEST(VerdictCache, EngineReplayAndPartialInvalidation)
 
     // Cold run: every query misses, solves, and is appended.
     {
-        bmc::VerdictCache cache;
-        cache.open(dir);
+        bmc::VerdictStore cache;
+        cache.openCache(dir);
         bmc::EngineOptions opts;
         opts.jobs = 1;
         opts.cache = &cache;
@@ -460,8 +302,8 @@ TEST(VerdictCache, EngineReplayAndPartialInvalidation)
     // Warm run (fresh engine + reopened cache): all hits, no appends,
     // identical verdicts.
     {
-        bmc::VerdictCache cache;
-        cache.open(dir);
+        bmc::VerdictStore cache;
+        cache.openCache(dir);
         EXPECT_EQ(cache.numLoaded(), kQueries);
         bmc::EngineOptions opts;
         opts.jobs = 2;
@@ -495,8 +337,8 @@ TEST(VerdictCache, EngineReplayAndPartialInvalidation)
                 EXPECT_EQ(base.coneHashOf(i), edited.coneHashOf(i));
         }
 
-        bmc::VerdictCache cache;
-        cache.open(dir);
+        bmc::VerdictStore cache;
+        cache.openCache(dir);
         bmc::EngineOptions opts;
         opts.jobs = 1;
         opts.cache = &cache;
@@ -524,12 +366,12 @@ TEST(VerdictCache, EngineReplayAndPartialInvalidation)
 // give-up forever.
 TEST(VerdictCache, UnknownVerdictsAreNotCached)
 {
-    std::string dir = tempCacheDir("vc_unknown");
+    std::string dir = tempPath("vc_unknown");
     std::unordered_map<std::string, nl::CellId> empty_map;
     ConeDesign d(nl::CellKind::And);
 
-    bmc::VerdictCache cache;
-    cache.open(dir);
+    bmc::VerdictStore cache;
+    cache.openCache(dir);
     bmc::EngineOptions opts;
     opts.jobs = 1;
     opts.conflictBudget = 0; // every solve gives up immediately
@@ -553,25 +395,29 @@ TEST(VerdictCache, UnknownVerdictsAreNotCached)
     EXPECT_EQ(engine.stats().cacheAppends, 0u);
     EXPECT_EQ(engine.stats().cacheMisses, 1u);
 
-    bmc::VerdictCache c2;
-    c2.open(dir);
+    bmc::VerdictStore c2;
+    c2.openCache(dir);
     EXPECT_EQ(c2.numLoaded(), 0u);
 }
 
-// A query without a content hash (contentHash == 0) opts out of the
-// cache entirely — it is neither looked up nor stored, and the
-// hit/miss accounting ignores it.
-TEST(VerdictCache, UnhashedQueriesBypassTheCache)
+// A query without a content hash (contentHash == 0) opts out of both
+// stores — it is neither looked up nor stored in the journal or the
+// cache, and the hit/miss accounting ignores it.
+TEST(VerdictCache, UnhashedQueriesBypassJournalAndCache)
 {
-    std::string dir = tempCacheDir("vc_unhashed");
+    std::string dir = tempPath("vc_unhashed");
+    std::string journal_path = tempPath("vc_unhashed.r2uj");
     std::unordered_map<std::string, nl::CellId> empty_map;
     ConeDesign d(nl::CellKind::And);
 
     for (int round = 0; round < 2; round++) {
-        bmc::VerdictCache cache;
-        cache.open(dir);
+        bmc::VerdictStore journal;
+        journal.openJournal(journal_path, 7, /*resume=*/true);
+        bmc::VerdictStore cache;
+        cache.openCache(dir);
         bmc::EngineOptions opts;
         opts.jobs = 1;
+        opts.journal = &journal;
         opts.cache = &cache;
         bmc::Engine engine(d.n, empty_map, {}, 2, opts);
 
@@ -589,11 +435,16 @@ TEST(VerdictCache, UnhashedQueriesBypassTheCache)
         auto res = engine.drain();
         ASSERT_EQ(res.size(), 1u);
         EXPECT_EQ(res[0].verdict, bmc::Verdict::Proven);
+        EXPECT_FALSE(res[0].fromJournal);
+        EXPECT_FALSE(res[0].journaled);
         EXPECT_FALSE(res[0].fromCache);
         EXPECT_FALSE(res[0].cached);
+        EXPECT_EQ(engine.stats().journalHits, 0u);
+        EXPECT_EQ(engine.stats().journalAppends, 0u);
         EXPECT_EQ(engine.stats().cacheHits, 0u);
         EXPECT_EQ(engine.stats().cacheMisses, 0u);
         EXPECT_EQ(engine.stats().cacheAppends, 0u);
+        EXPECT_EQ(journal.numLoaded(), 0u);
         EXPECT_EQ(cache.numLoaded(), 0u);
     }
 }
@@ -605,16 +456,16 @@ TEST(VerdictCache, UnhashedQueriesBypassTheCache)
 // process exercise the real conflict.
 TEST(VerdictCache, SecondOpenerFallsBackToReadOnly)
 {
-    std::string dir = tempCacheDir("vc_flock");
-    bmc::VerdictCache writer;
-    writer.open(dir);
+    std::string dir = tempPath("vc_flock");
+    bmc::VerdictStore writer;
+    writer.openCache(dir);
     ASSERT_TRUE(writer.isOpen());
     EXPECT_FALSE(writer.readOnly());
     ASSERT_TRUE(
         writer.append(makeRecord(0x111, "a", bmc::Verdict::Proven, 3)));
 
-    bmc::VerdictCache reader;
-    reader.open(dir);
+    bmc::VerdictStore reader;
+    reader.openCache(dir);
     EXPECT_TRUE(reader.isOpen());
     EXPECT_TRUE(reader.readOnly());
     // Cached verdicts are served...
@@ -634,54 +485,17 @@ TEST(VerdictCache, SecondOpenerFallsBackToReadOnly)
 
 TEST(VerdictCache, WriteLockReleasedOnClose)
 {
-    std::string dir = tempCacheDir("vc_flock2");
+    std::string dir = tempPath("vc_flock2");
     {
-        bmc::VerdictCache writer;
-        writer.open(dir);
+        bmc::VerdictStore writer;
+        writer.openCache(dir);
         ASSERT_TRUE(writer.append(
             makeRecord(0x111, "a", bmc::Verdict::Proven, 3)));
     }
-    bmc::VerdictCache next;
-    next.open(dir);
+    bmc::VerdictStore next;
+    next.openCache(dir);
     EXPECT_FALSE(next.readOnly());
     EXPECT_EQ(next.numLoaded(), 1u);
     EXPECT_TRUE(
         next.append(makeRecord(0x222, "b", bmc::Verdict::Refuted, 3)));
-}
-
-// A torn append (chaos "torn", or a full disk) must roll the store
-// back to the last durable frame and disable caching for the run —
-// the file stays loadable and every durable verdict survives.
-TEST(VerdictCache, TornAppendRollsBackAndDisables)
-{
-    std::string dir = tempCacheDir("vc_torn_append");
-    std::string file;
-    {
-        bmc::VerdictCache c;
-        c.open(dir);
-        file = c.filePath();
-        ASSERT_TRUE(c.append(
-            makeRecord(0x111, "a", bmc::Verdict::Proven, 3)));
-        uint64_t good = fs::file_size(file);
-
-        c.setWriteFault([](size_t n) {
-            return static_cast<ssize_t>(n / 2);
-        });
-        EXPECT_FALSE(c.append(
-            makeRecord(0x222, "b", bmc::Verdict::Refuted, 3)));
-        EXPECT_TRUE(c.disabled());
-        EXPECT_EQ(fs::file_size(file), good);
-
-        c.setWriteFault(nullptr);
-        EXPECT_FALSE(c.append(
-            makeRecord(0x333, "c", bmc::Verdict::Proven, 3)));
-        EXPECT_EQ(c.numAppended(), 1u);
-        // Lookups keep working from memory after the store degrades.
-        EXPECT_NE(c.lookup(0x111), nullptr);
-    }
-    bmc::VerdictCache c;
-    c.open(dir);
-    EXPECT_EQ(c.numLoaded(), 1u);
-    EXPECT_NE(c.lookup(0x111), nullptr);
-    EXPECT_EQ(c.lookup(0x222), nullptr);
 }

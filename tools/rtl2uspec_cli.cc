@@ -99,17 +99,22 @@ usage()
         "                  quarantined and degrade to Unknown)\n"
         "  --journal FILE  crash-safe run journal: validated verdicts\n"
         "                  are appended (fsync'd, checksummed) as they\n"
-        "                  land\n"
+        "                  land, keyed by each query's content hash;\n"
+        "                  one writer per FILE (a second run on a live\n"
+        "                  journal is an error)\n"
         "  --resume        resume from --journal FILE: journaled\n"
         "                  verdicts are reused instead of re-solved\n"
-        "                  (requires matching design/bound/unroll\n"
-        "                  configuration; any --jobs is fine)\n"
-        "  --cache DIR     cross-run verdict cache: each SVA query is\n"
-        "                  keyed by a content hash of its COI slice,\n"
-        "                  property, and bound; re-synthesis re-solves\n"
-        "                  only queries whose content changed and\n"
-        "                  replays the rest (model is bit-identical;\n"
-        "                  --jobs and budgets do not affect the key)\n"
+        "                  (requires the same journal format and\n"
+        "                  design/bound/unroll configuration; any\n"
+        "                  --jobs is fine)\n"
+        "  --cache DIR     cross-run verdict cache: the same records\n"
+        "                  and keys as the journal (a content hash of\n"
+        "                  each query's COI slice, property, and bound)\n"
+        "                  without the configuration binding;\n"
+        "                  re-synthesis re-solves only queries whose\n"
+        "                  content changed and replays the rest (model\n"
+        "                  is bit-identical; --jobs and budgets do not\n"
+        "                  affect the key)\n"
         "  --cex-vcd DIR   dump each refutation's replayed trace as a\n"
         "                  per-query VCD waveform under DIR\n"
         "  --quiet         suppress progress output\n"

@@ -14,9 +14,10 @@
  *
  * SIGTERM/SIGINT begin a graceful drain: stop accepting, let in-flight
  * requests finish (or degrade once --drain-timeout passes), unlink the
- * socket, exit 0. kill -9 is also survivable: verdicts are fsync'd to
- * the --state dir as they land, so a restarted daemon answers
- * re-issued requests warm from its journals and verdict cache.
+ * socket, exit 0. kill -9 is also survivable: each verdict is fsync'd
+ * as it lands to the --state dir's shared verdict cache and to its
+ * design's resume journal (two files with one record format), so a
+ * restarted daemon answers re-issued requests warm from them.
  */
 
 #include <atomic>
@@ -53,9 +54,12 @@ usage()
         "       rtl2uspec_serve --connect PATH --json REQUEST\n"
         "daemon options:\n"
         "  --socket PATH        Unix-domain socket to listen on\n"
-        "  --state DIR          persistent state dir (verdict cache +\n"
-        "                       per-design resume journals); omitting\n"
-        "                       it runs fully in-memory\n"
+        "  --state DIR          persistent state dir: the shared\n"
+        "                       verdict cache (DIR/cache) and one\n"
+        "                       resume journal per design (DIR/journal;\n"
+        "                       one request writes it at a time, the\n"
+        "                       others run without it); omitting it\n"
+        "                       runs fully in-memory\n"
         "  --workers N          heavy-request executor threads "
         "(default 2)\n"
         "  --default-jobs N     engine jobs per request unless the\n"
