@@ -27,10 +27,7 @@ verdictSourceName(VerdictSource source)
 {
     switch (source) {
       case VerdictSource::Solve: return "solve";
-      case VerdictSource::Retry: return "retry";
       case VerdictSource::ConflictBudget: return "conflict-budget";
-      case VerdictSource::PropagationBudget:
-        return "propagation-budget";
       case VerdictSource::QueryDeadline: return "query-deadline";
       case VerdictSource::TotalDeadline: return "total-deadline";
       case VerdictSource::Cancelled: return "cancelled";

@@ -34,21 +34,17 @@ const char *verdictName(Verdict verdict);
 /**
  * How a query's final verdict came about — in particular, *why* an
  * Unknown is Unknown (which budget or deadline bit). Definite verdicts
- * are Solve (first attempt) or Retry (a budget-escalation retry
- * resolved an earlier Unknown).
+ * are Solve (the incremental BMC solve) or Race (the PDR pre-pass).
  *
- * Journal and cache records store the value as one byte, so every
- * enumerator is pinned. Code 9 is retired: it tagged the definite
- * verdicts of a removed mode that raced diversified SAT solver
- * configurations. Records carrying it decode as Solve.
+ * Journal and cache records store the source of a definite verdict as
+ * one byte, so every enumerator is pinned. Codes 1 and 9 are retired:
+ * they tagged definite verdicts of a removed budget-escalation retry
+ * and of a removed mode that raced diversified SAT solver
+ * configurations. Records carrying them decode as Solve.
  */
 enum class VerdictSource : uint8_t {
-    Solve = 0,             ///< definite verdict on the first attempt
-    Retry = 1,             ///< definite verdict on an escalated retry
+    Solve = 0,             ///< definite verdict of the BMC solve
     ConflictBudget = 2,    ///< Unknown: conflict budget exhausted
-    /** Unknown: propagation budget exhausted. Nothing sets such a
-     *  budget any more; the code stays so old records still decode. */
-    PropagationBudget = 3,
     QueryDeadline = 4,     ///< Unknown: per-query deadline passed
     TotalDeadline = 5,     ///< Unknown: batch/total deadline passed mid-solve
     Cancelled = 6,         ///< Unknown: never solved (cancelled while queued)
@@ -81,7 +77,7 @@ const char *engineKindName(EngineKind kind);
 
 /**
  * Resource limits for one solve. Defaults impose nothing; the BMC
- * engine sets per-query deadlines (escalated on retries) and a shared
+ * engine sets per-query budgets and deadlines and a shared
  * cancellation flag. Every solver searches with the same
  * configuration, so a limit is all a caller can set.
  */
@@ -251,8 +247,6 @@ struct CheckResult
     unsigned bound = 0;
     uint64_t conflicts = 0;
     uint64_t propagations = 0;
-    /** Escalated re-solves this query needed (engine retry policy). */
-    unsigned retries = 0;
     /** Solver totals when the query finished (COI-sliced contexts stay
      *  small; --full-unroll restores the whole-design footprint). */
     size_t cnfVars = 0;

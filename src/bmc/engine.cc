@@ -148,20 +148,9 @@ Engine::enqueue(Query query)
     return batch_.size() - 1;
 }
 
-double
-Engine::escFactor(unsigned attempt) const
-{
-    if (eopts_.retryEscalation <= 1.0)
-        return 1.0;
-    double f = 1.0;
-    for (unsigned i = 0; i < attempt; i++)
-        f *= eopts_.retryEscalation;
-    return f;
-}
-
 bool
-Engine::attemptLimits(const Query &query, unsigned attempt,
-                      SolveLimits &limits, bool &total_binding) const
+Engine::queryLimits(const Query &query, SolveLimits &limits,
+                    bool &total_binding) const
 {
     total_binding = false;
     if (cancel_.load(std::memory_order_relaxed))
@@ -169,23 +158,12 @@ Engine::attemptLimits(const Query &query, unsigned attempt,
 
     limits = SolveLimits{};
     limits.cancel = &cancel_;
-    double esc = escFactor(attempt);
+    // A budget of 0 is a legal "give up immediately".
+    if (query.conflictBudget >= 0)
+        limits.conflicts = query.conflictBudget;
 
-    // Attempt 0 uses the configured budgets verbatim (a budget of 0 is
-    // a legal "give up immediately"); retries escalate from at least 1
-    // so a multiplied budget can never stay stuck at 0.
-    if (query.conflictBudget >= 0) {
-        int64_t base = std::max<int64_t>(query.conflictBudget, 1);
-        limits.conflicts =
-            attempt == 0 ? query.conflictBudget
-                         : static_cast<int64_t>(
-                               static_cast<double>(base) * esc);
-    }
-
-    double query_deadline = -1.0;
-    if (eopts_.querySeconds >= 0)
-        query_deadline = eopts_.querySeconds * esc;
-
+    double query_deadline =
+        eopts_.querySeconds >= 0 ? eopts_.querySeconds : -1.0;
     if (has_total_deadline_) {
         double remaining =
             std::chrono::duration<double>(
@@ -200,24 +178,6 @@ Engine::attemptLimits(const Query &query, unsigned attempt,
     }
     limits.seconds = query_deadline;
     return true;
-}
-
-bool
-Engine::shouldRetry(const CheckResult &result, unsigned attempt) const
-{
-    if (result.verdict != Verdict::Unknown)
-        return false;
-    if (eopts_.retryEscalation <= 1.0 || attempt >= eopts_.maxRetries)
-        return false;
-    switch (result.source) {
-      case VerdictSource::ConflictBudget:
-      case VerdictSource::QueryDeadline:
-        return true;
-      default:
-        // TotalDeadline / Cancelled / Interrupted: more budget will
-        // not help (or the user asked us to stop).
-        return false;
-    }
 }
 
 namespace
@@ -235,20 +195,14 @@ cancelledResult(unsigned bound)
 }
 
 /**
- * Rewrite the checker-level verdict source with engine knowledge:
- * a solver deadline that was really the clamped total deadline, and
- * definite verdicts reached only through retries.
+ * Rewrite the checker-level verdict source with engine knowledge: a
+ * solver deadline that was really the clamped total deadline.
  */
 void
 refineSource(CheckResult &result, bool total_binding)
 {
-    if (result.verdict == Verdict::Unknown) {
-        if (result.source == VerdictSource::QueryDeadline &&
-            total_binding)
-            result.source = VerdictSource::TotalDeadline;
-    } else if (result.retries > 0) {
-        result.source = VerdictSource::Retry;
-    }
+    if (result.source == VerdictSource::QueryDeadline && total_binding)
+        result.source = VerdictSource::TotalDeadline;
 }
 
 /**
@@ -263,11 +217,11 @@ degradeToValidationFailure(CheckResult &result, const std::string &why)
 {
     std::string diag = strfmt(
         "validation failure: %s\n"
-        "primary verdict: %s (%s), bound %u, retries %u\n"
+        "primary verdict: %s (%s), bound %u\n"
         "cnf: %zu vars, %zu clauses (+%zu vars / +%zu clauses this "
         "query)\n",
         why.c_str(), verdictName(result.verdict),
-        verdictSourceName(result.source), result.bound, result.retries,
+        verdictSourceName(result.source), result.bound,
         result.cnfVars, result.cnfClauses, result.cnfVarsAdded,
         result.cnfClausesAdded);
     if (!result.trace.steps.empty())
@@ -299,7 +253,7 @@ Engine::quarantineSolve(const Query &query, bool warm_ok)
 {
     SolveLimits limits;
     bool total_binding = false;
-    if (!attemptLimits(query, 0, limits, total_binding)) {
+    if (!queryLimits(query, limits, total_binding)) {
         CheckResult r = cancelledResult(query.bound);
         if (eopts_.faultHook)
             eopts_.faultHook(query, r, SolveStage::Quarantine);
@@ -465,7 +419,6 @@ Engine::postProcess(size_t index, const Query &query,
     rec.source = result.source;
     rec.validated = result.validated;
     rec.bound = result.bound;
-    rec.retries = result.retries;
     rec.seconds = result.seconds;
     rec.conflicts = result.conflicts;
     rec.propagations = result.propagations;
@@ -526,7 +479,6 @@ Engine::resolveFromStores(const std::vector<Query> &batch,
         r.verdict = rec->verdict;
         r.source = rec->source;
         r.bound = rec->unbounded ? q.bound : rec->bound;
-        r.retries = rec->retries;
         r.seconds = rec->seconds;
         r.conflicts = rec->conflicts;
         r.propagations = rec->propagations;
@@ -594,7 +546,7 @@ Engine::runIncremental(Worker &worker, const Query &query)
 
     SolveLimits limits;
     bool total_binding = false;
-    if (!attemptLimits(query, 0, limits, total_binding))
+    if (!queryLimits(query, limits, total_binding))
         return cancelledResult(query.bound);
 
     // PDR pre-pass (--engine race): within the query's bound and
@@ -624,7 +576,7 @@ Engine::runIncremental(Worker &worker, const Query &query)
         }
         // The BMC solve gets limits of its own; the pre-pass may have
         // spent part of the total deadline.
-        if (!attemptLimits(query, 0, limits, total_binding)) {
+        if (!queryLimits(query, limits, total_binding)) {
             result.verdict = Verdict::Unknown;
             result.source = interrupted() ? VerdictSource::Interrupted
                                           : VerdictSource::TotalDeadline;
@@ -666,35 +618,23 @@ Engine::runIncremental(Worker &worker, const Query &query)
     // the snapshot point for warm-starting sibling contexts.
     maybePublishSeed(worker, ctx, query.bound);
 
-    // Attempt/retry loop on the shared context: a retry just re-solves
-    // with bigger limits — the learnt clauses from the failed attempt
-    // carry over, so escalation resumes rather than restarts the work.
-    unsigned attempt = 0;
-    while (true) {
-        applyLimits(solver, limits);
-        switch (solver.solve({ctx.activation()})) {
-          case sat::Result::Unsat:
-            result.verdict = Verdict::Proven;
-            result.source = VerdictSource::Solve;
-            break;
-          case sat::Result::Unknown:
-            result.verdict = Verdict::Unknown;
-            result.source = sourceFromStop(solver.stopReason());
-            break;
-          case sat::Result::Sat:
-            result.verdict = Verdict::Refuted;
-            result.source = VerdictSource::Solve;
-            result.trace = extractTrace(ctx);
-            break;
-        }
-        result.retries = attempt;
-        refineSource(result, total_binding);
-        if (!shouldRetry(result, attempt))
-            break;
-        attempt++;
-        if (!attemptLimits(query, attempt, limits, total_binding))
-            break; // keep the last attempt's honest Unknown
+    applyLimits(solver, limits);
+    switch (solver.solve({ctx.activation()})) {
+      case sat::Result::Unsat:
+        result.verdict = Verdict::Proven;
+        result.source = VerdictSource::Solve;
+        break;
+      case sat::Result::Unknown:
+        result.verdict = Verdict::Unknown;
+        result.source = sourceFromStop(solver.stopReason());
+        break;
+      case sat::Result::Sat:
+        result.verdict = Verdict::Refuted;
+        result.source = VerdictSource::Solve;
+        result.trace = extractTrace(ctx);
+        break;
     }
+    refineSource(result, total_binding);
 
     result.seconds = timer.seconds();
     result.conflicts = solver.stats().conflicts - conflicts_before;
@@ -725,7 +665,6 @@ Engine::drain()
     auto accumulate = [this](const CheckResult &r) {
         stats_.cnfVarsAdded += r.cnfVarsAdded;
         stats_.cnfClausesAdded += r.cnfClausesAdded;
-        stats_.retries += r.retries;
         if (r.verdict == Verdict::Unknown)
             stats_.unknowns++;
         stats_.replays += r.replays;

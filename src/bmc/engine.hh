@@ -102,17 +102,6 @@ struct EngineOptions
      * still-queued queries come back Cancelled.
      */
     double totalSeconds = -1.0;
-    /**
-     * Retry-with-escalating-budget policy: when > 1, a query that
-     * comes back Unknown from its conflict budget or its per-query
-     * deadline is re-solved with both multiplied by this factor per
-     * retry (cheap first pass, escalate the stragglers). <= 1
-     * disables retries. TotalDeadline, Cancelled, and Interrupted
-     * Unknowns are never retried.
-     */
-    double retryEscalation = 0.0;
-    /** Maximum escalated retries per query. */
-    unsigned maxRetries = 3;
 
     /**
      * Verdict validation policy. The default replays every
@@ -231,8 +220,6 @@ struct EngineStats
     /** Sum of per-query CNF growth across the batch(es). */
     uint64_t cnfVarsAdded = 0;
     uint64_t cnfClausesAdded = 0;
-    /** Escalated re-solves across the batch(es). */
-    uint64_t retries = 0;
     /** Queries whose final verdict stayed Unknown. */
     uint64_t unknowns = 0;
 
@@ -374,21 +361,15 @@ class Engine
                            std::vector<CheckResult> &results,
                            std::vector<char> &done);
 
-    /** retryEscalation^attempt (1.0 when escalation is disabled). */
-    double escFactor(unsigned attempt) const;
-
     /**
-     * Compute the solve limits for one attempt of a query. Returns
-     * false when the query must not be solved at all (engine
-     * interrupted, or the total deadline already passed);
-     * @p total_binding reports whether the clamped total deadline —
-     * rather than the per-query one — is the effective deadline.
+     * Compute the solve limits for a query. Returns false when the
+     * query must not be solved at all (engine interrupted, or the
+     * total deadline already passed); @p total_binding reports whether
+     * the clamped total deadline — rather than the per-query one — is
+     * the effective deadline.
      */
-    bool attemptLimits(const Query &query, unsigned attempt,
-                       SolveLimits &limits, bool &total_binding) const;
-
-    /** Retry policy: escalate this Unknown? (see EngineOptions). */
-    bool shouldRetry(const CheckResult &result, unsigned attempt) const;
+    bool queryLimits(const Query &query, SolveLimits &limits,
+                     bool &total_binding) const;
 
     /**
      * Warm-start seed registry (jobs > 1): the first worker to build

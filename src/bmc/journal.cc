@@ -40,9 +40,10 @@ constexpr size_t kFrameHead = sizeof(uint32_t) + sizeof(uint64_t);
 constexpr size_t kFixedPayload = 8 + 8 + 4 + 4 + 4 + 8 + 8 + 8 + 4;
 constexpr uint8_t kFlagValidated = 0x01;
 constexpr uint8_t kFlagUnbounded = 0x02;
-/** Retired source byte (see VerdictSource): it marked definite,
- *  validated verdicts of a removed solver mode, so it loads as Solve. */
-constexpr uint8_t kRetiredSource = 9;
+/** Retired source bytes (see VerdictSource): they marked definite,
+ *  validated verdicts of removed engine modes, so they load as Solve. */
+constexpr uint8_t kRetiredRetry = 1;
+constexpr uint8_t kRetiredPortfolio = 9;
 
 uint64_t
 fnv1a(const uint8_t *data, size_t n, uint64_t h = 14695981039346656037ull)
@@ -124,7 +125,7 @@ encodePayload(const VerdictStore::Record &rec)
                         (rec.unbounded ? kFlagUnbounded : 0));
     put<uint8_t>(p, 0); // pad
     put<uint32_t>(p, rec.bound);
-    put<uint32_t>(p, rec.retries);
+    put<uint32_t>(p, 0); // retired retry count
     put<double>(p, rec.seconds);
     put<uint64_t>(p, rec.conflicts);
     put<uint64_t>(p, rec.propagations);
@@ -146,18 +147,24 @@ decodePayload(const uint8_t *data, size_t n, VerdictStore::Record &rec)
     uint8_t flags = get<uint8_t>(p);
     get<uint8_t>(p); // pad
     rec.bound = get<uint32_t>(p);
-    rec.retries = get<uint32_t>(p);
+    get<uint32_t>(p); // retired retry count
     rec.seconds = get<double>(p);
     rec.conflicts = get<uint64_t>(p);
     rec.propagations = get<uint64_t>(p);
     uint32_t name_len = get<uint32_t>(p);
-    if (verdict > static_cast<uint8_t>(Verdict::Unknown) ||
-        source > static_cast<uint8_t>(VerdictSource::Race))
-        return false;
     if (n != kFixedPayload + name_len)
         return false;
-    if (source == kRetiredSource)
+    // Only definite verdicts are ever stored, from a source that
+    // produces them; anything else is a frame the loader must not
+    // trust (an Unknown "hit" would never be re-solved).
+    if (verdict != static_cast<uint8_t>(Verdict::Proven) &&
+        verdict != static_cast<uint8_t>(Verdict::Refuted))
+        return false;
+    if (source == kRetiredRetry || source == kRetiredPortfolio)
         source = static_cast<uint8_t>(VerdictSource::Solve);
+    if (source != static_cast<uint8_t>(VerdictSource::Solve) &&
+        source != static_cast<uint8_t>(VerdictSource::Race))
+        return false;
     rec.verdict = static_cast<Verdict>(verdict);
     rec.source = static_cast<VerdictSource>(source);
     rec.validated = (flags & kFlagValidated) != 0;
@@ -334,33 +341,6 @@ VerdictStore::openJournal(const std::string &path, uint64_t config_hash,
             refuse(mismatch);
     }
     start(header); // a fresh run truncates the file to a new header
-}
-
-bool
-VerdictStore::openShared(const std::string &path, uint64_t config_hash)
-{
-    switch (acquire(path, "journal")) {
-      case Lock::OpenFailed:
-        warn("journal %s: open failed: %s — running without a journal",
-             path.c_str(), strerror(errno));
-        return false;
-      case Lock::Held:
-        warn("journal %s: held by another writer — running without a "
-             "journal",
-             path.c_str());
-        ::close(fd_);
-        fd_ = -1;
-        return false;
-      case Lock::Taken:
-        break;
-    }
-    std::vector<uint8_t> header = journalHeader(config_hash);
-    std::string mismatch = load(header);
-    if (!mismatch.empty())
-        warn("journal %s: %s — starting it fresh", path.c_str(),
-             mismatch.c_str());
-    start(header);
-    return true;
 }
 
 void

@@ -7,17 +7,16 @@
  * the COI slice, property encoding, SVA name and bound). One store
  * serves two lifetimes:
  *
- *  - a *journal* is one configuration's restart log (--journal FILE
- *    and the daemon's per-design <state>/journal/<hash>.r2uj). Its
- *    header binds it to the producing configuration (the structural
- *    netlist hash, bound, unroll mode — NOT --jobs: a run may resume at
- *    any parallelism), and --resume answers journaled queries without
- *    re-solving them;
- *  - a *cache* (<dir>/verdicts.r2uc, --cache DIR and the daemon's
- *    shared store) has no config binding — the keys self-validate — so
- *    any later run whose query hashes to the same content reuses the
- *    verdict: an RTL edit re-solves exactly the queries whose cone
- *    content changed.
+ *  - a *journal* is one configuration's restart log (--journal FILE).
+ *    Its header binds it to the producing configuration (the
+ *    structural netlist hash, bound, unroll mode — NOT --jobs: a run
+ *    may resume at any parallelism), and --resume answers journaled
+ *    queries without re-solving them;
+ *  - a *cache* (<dir>/verdicts.r2uc, --cache DIR and the daemon's one
+ *    store, <state>/cache) has no config binding — the keys
+ *    self-validate — so any later run whose query hashes to the same
+ *    content reuses the verdict: an RTL edit re-solves exactly the
+ *    queries whose cone content changed.
  *
  * Records are appended with write()+fsync() under a mutex, each
  * carrying its own FNV-1a checksum, so a crash at any byte offset
@@ -34,15 +33,18 @@
  *   cache header:   "R2UC"  u32 version
  *   record:  u32 payloadLen  u64 fnv1a(payload)  payload
  *   payload: u64 key  u64 baseKey  u8 verdict  u8 source  u8 flags
- *            u8 pad  u32 bound  u32 retries  f64 seconds
+ *            u8 pad  u32 bound  u32 0  f64 seconds
  *            u64 conflicts  u64 propagations
  *            u32 nameLen  name bytes
  *
  * flags bit0 = verdict was independently validated; bit1 = the proof
  * is unbounded (valid at every bound, indexed under baseKey for
- * bound-independent reuse). Only Proven/Refuted verdicts are stored;
+ * bound-independent reuse). The u32 after the bound is unused (a
+ * retired retry count): written as 0, skipped on load. Only
+ * Proven/Refuted verdicts from the Solve or Race source are stored;
  * Unknowns are cheap to reproduce and may resolve differently under
- * different budgets. Traces are not stored — a replayed Refuted
+ * different budgets, so a frame holding one, or any other source
+ * byte, loads as corrupt. Traces are not stored — a replayed Refuted
  * verdict re-solves only if its consumer needs the counterexample
  * (synthesis keeps the verdict).
  */
@@ -89,7 +91,6 @@ class VerdictStore
          */
         bool unbounded = false;
         unsigned bound = 0;
-        unsigned retries = 0;
         double seconds = 0.0;
         uint64_t conflicts = 0;
         uint64_t propagations = 0;
@@ -116,17 +117,7 @@ class VerdictStore
                      bool resume);
 
     /**
-     * The daemon's per-design journal: like openJournal(resume=true),
-     * but returns false — leaving the store closed — when another
-     * writer (usually a concurrent request of the same daemon) holds
-     * the lock or the file cannot be opened; that request runs
-     * journal-less. A header it cannot resume from is not fatal here:
-     * no user asked for this file, so it warns and starts it fresh.
-     */
-    bool openShared(const std::string &path, uint64_t config_hash);
-
-    /**
-     * --cache DIR and the daemon's shared store: open (creating,
+     * --cache DIR and the daemon's store: open (creating,
      * including the directory, if absent) <dir>/verdicts.r2uc. An
      * unusable header is warned about and started fresh — a cache can
      * only ever cost re-solves, never soundness. When another writer

@@ -1,7 +1,6 @@
 #include "rtl2uspec/synthesis.hh"
 
 #include <algorithm>
-#include <filesystem>
 
 #include "bmc/engine.hh"
 #include "common/json.hh"
@@ -56,8 +55,6 @@ class Synthesizer
                 : opts.conflictBudget;
         eopts.querySeconds = opts.queryTimeoutSeconds;
         eopts.totalSeconds = opts.totalTimeoutSeconds;
-        eopts.retryEscalation = opts.retryEscalation;
-        eopts.maxRetries = opts.maxRetries;
         eopts.engine = opts.engine;
         validate_mode_ = bmc::validateModeName(opts.validate);
         eopts.validate = opts.validate;
@@ -73,31 +70,6 @@ class Synthesizer
                        "(%zu validated verdicts)",
                        opts.journalPath.c_str(), journal_->numLoaded());
             eopts.journal = journal_.get();
-        } else if (!opts.journalDir.empty()) {
-            // Service mode: one always-resumed journal per
-            // verdict-relevant configuration, so a daemon restarted
-            // after kill -9 replays everything any earlier request
-            // made durable for this design/bound/unroll combination.
-            std::error_code ec;
-            std::filesystem::create_directories(opts.journalDir, ec);
-            if (ec)
-                fatal("rtl2uspec: cannot create journal dir %s: %s",
-                      opts.journalDir.c_str(), ec.message().c_str());
-            std::string path =
-                (std::filesystem::path(opts.journalDir) /
-                 strfmt("%016llx.r2uj",
-                        static_cast<unsigned long long>(configHash())))
-                    .string();
-            journal_ = std::make_unique<bmc::VerdictStore>();
-            if (journal_->openShared(path, configHash())) {
-                if (journal_->numLoaded() > 0)
-                    inform("rtl2uspec: resuming from journal %s "
-                           "(%zu validated verdicts)",
-                           path.c_str(), journal_->numLoaded());
-                eopts.journal = journal_.get();
-            } else {
-                journal_.reset(); // lock conflict: run journal-less
-            }
         }
         if (opts.cache) {
             out_.cacheEnabled = true;
@@ -550,7 +522,6 @@ class Synthesizer
             rec.seconds = results[q].seconds;
             rec.conflicts = results[q].conflicts;
             rec.propagations = results[q].propagations;
-            rec.retries = results[q].retries;
             rec.cnfVars = results[q].cnfVars;
             rec.cnfClauses = results[q].cnfClauses;
             rec.cnfVarsAdded = results[q].cnfVarsAdded;
@@ -2016,7 +1987,6 @@ SynthesisResult::jsonReport() const
             .set("verdict", Value::string(bmc::verdictName(r.verdict)))
             .set("source",
                  Value::string(bmc::verdictSourceName(r.source)))
-            .set("retries", num(r.retries))
             .set("seconds", num(r.seconds))
             .set("conflicts", num(r.conflicts))
             .set("propagations", num(r.propagations))

@@ -33,13 +33,18 @@ struct SvaRecord
     std::string category; ///< "intra", "spatial", "temporal", "dataflow"
     std::string text;     ///< SVA-style rendering (Fig. 4 flavor)
     bmc::Verdict verdict = bmc::Verdict::Unknown;
-    /** How the verdict came about (which budget/deadline, retries). */
+    /** How the verdict came about (which engine, budget or deadline). */
     bmc::VerdictSource source = bmc::VerdictSource::Solve;
     double seconds = 0.0;
     uint64_t conflicts = 0;
     uint64_t propagations = 0;
-    /** Escalated re-solves this SVA needed (engine retry policy). */
-    unsigned retries = 0;
+    /**
+     * Always 0: each query gets one solve and budget-escalation
+     * retries no longer exist. The benchmark (perfbench/src/synth.cc)
+     * is the only reader; this goes when the next change to the
+     * benchmark retires its bmc.retries metric.
+     */
+    static constexpr unsigned retries = 0;
     /**
      * True when this SVA's Unknown verdict forced a conservative
      * (weaker-model) synthesis choice; degradeNote says which.
@@ -114,13 +119,6 @@ struct SynthesisOptions
     double queryTimeoutSeconds = -1.0;
     /** Whole-run wall-clock deadline in seconds (<0: none). */
     double totalTimeoutSeconds = -1.0;
-    /**
-     * Retry-with-escalating-budget factor (>1 enables; see
-     * bmc::EngineOptions::retryEscalation).
-     */
-    double retryEscalation = 0.0;
-    /** Maximum escalated retries per SVA. */
-    unsigned maxRetries = 3;
 
     /**
      * Proof path (--engine {bmc,race}). The default runs an IC3/PDR
@@ -162,14 +160,6 @@ struct SynthesisOptions
      * sequential requests can warm the same in-memory instance.
      */
     bmc::VerdictStore *cache = nullptr;
-    /**
-     * Directory of per-configuration resume journals (the service's
-     * crash-recovery state): the run journals into
-     * <journalDir>/<configHash>.r2uj with resume semantics and flock
-     * single-writer protection; a lock conflict degrades to running
-     * journal-less with a warning. Ignored when journalPath is set.
-     */
-    std::string journalDir;
     /** Dump each refutation's replayed trace as VCD ("" disables). */
     std::string cexVcdDir;
     /** Fault-injection test seam, forwarded to the engine. */
@@ -254,7 +244,7 @@ struct SynthesisResult : bmc::EngineStats
 
     /**
      * Structured run report (JSON): per-SVA verdict, verdict source,
-     * retries, CNF size, solve time; plus run-level unknown/degraded
+     * CNF size, solve time; plus run-level unknown/degraded
      * accounting. Schema documented in EXPERIMENTS.md.
      */
     std::string jsonReport() const;

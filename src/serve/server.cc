@@ -140,7 +140,6 @@ Server::start()
     if (!opts_.stateDir.empty()) {
         cache_.openCache(opts_.stateDir + "/cache");
         cache_open_ = true;
-        journal_dir_ = opts_.stateDir + "/journal";
         if (cache_.numLoaded() > 0)
             inform("serve: verdict cache: %zu verdict(s) recovered "
                    "from %s",
@@ -314,8 +313,8 @@ Server::serve()
     watchdog_stop_.store(true);
     if (watchdog_.joinable())
         watchdog_.join();
-    // Nothing to flush: journal and cache appends are fsync'd as they
-    // land, which is exactly what makes kill -9 recovery work.
+    // Nothing to flush: cache appends are fsync'd as they land, which
+    // is exactly what makes kill -9 recovery work.
     inform("serve: drained (%llu request(s) served, %llu overloaded, "
            "%llu watchdog interrupt(s))",
            static_cast<unsigned long long>(requests_.load()),
@@ -640,7 +639,6 @@ Server::handleSynthesize(const json::Value &req)
         rtl2uspec::SynthesisOptions so;
         so.jobs = *jobs;
         so.cache = cache_open_ ? &cache_ : nullptr;
-        so.journalDir = journal_dir_;
         so.totalTimeoutSeconds = budget > 0 ? budget : -1.0;
         so.engineHook = [inf](bmc::Engine *engine) {
             std::lock_guard<std::mutex> lock(inf->engineMu);
@@ -728,9 +726,6 @@ Server::handleSynthesize(const json::Value &req)
     resp.set("cache_hits", json::Value::number(synth.cacheHits));
     resp.set("cache_misses", json::Value::number(synth.cacheMisses));
     resp.set("cache_appends", json::Value::number(synth.cacheAppends));
-    resp.set("journal_hits", json::Value::number(synth.journalHits));
-    resp.set("journal_appends",
-             json::Value::number(synth.journalAppends));
     resp.set("wall_ms", json::Value::number(timer.milliseconds()));
     if (!out_path.empty())
         resp.set("out", json::Value::string(out_path));

@@ -6,10 +6,9 @@
  * length-prefixed JSON protocol (serve/protocol.hh). Light requests
  * (ping/status/shutdown) are answered on the connection thread; heavy
  * requests (synthesize, campaign) are dispatched onto a work-stealing
- * ThreadPool over a shared cross-request verdict cache and per-design
- * resume journals (both bmc::VerdictStore), so most traffic —
- * re-checks of near-identical designs — replays verdicts instead of
- * re-solving them.
+ * ThreadPool over one shared cross-request verdict cache
+ * (bmc::VerdictStore), so most traffic — re-checks of near-identical
+ * designs — replays verdicts instead of re-solving them.
  *
  * Robustness model, in the order things fail:
  *
@@ -31,11 +30,11 @@
  *    verdict the first attempt finished is already in the cache.
  *  - Graceful drain: SIGTERM/shutdown stops accepting, clamps every
  *    in-flight deadline to drainSeconds, lets requests finish or
- *    degrade, and exits 0. Journal/cache appends are fsync'd as they
- *    land, so there is nothing left to flush.
+ *    degrade, and exits 0. Cache appends are fsync'd as they land, so
+ *    there is nothing left to flush.
  *  - Crash recovery: kill -9 loses only in-flight queries. On
- *    restart the per-configuration journals and the verdict cache
- *    replay every fsync'd verdict, so re-issued requests mostly hit.
+ *    restart the verdict cache replays every fsync'd verdict, so
+ *    re-issued requests mostly hit.
  *
  * The chaos harness (serve/chaos.hh) injects solver stalls, torn
  * cache appends, and dropped client connections to prove each of
@@ -77,13 +76,9 @@ struct ServerOptions
     std::string socketPath;
     /**
      * Persistent state directory ("" = fully in-memory). Every
-     * verdict is appended to the shared verdict cache in
-     * <stateDir>/cache and to its configuration's resume journal
-     * <stateDir>/journal/<configHash>.r2uj — one record format, two
-     * files. A journal has one writer at a time: a request that finds
-     * it held (usually a concurrent request for the same design) runs
-     * without it and is served by the cache. This is what makes
-     * kill -9 recovery work.
+     * verdict is appended to the one store, the shared verdict cache
+     * in <stateDir>/cache, which every request reads and writes. This
+     * is what makes kill -9 recovery work.
      */
     std::string stateDir;
     /** Heavy-request executor threads (the service's proof farm). */
@@ -221,7 +216,6 @@ class Server
 
     bmc::VerdictStore cache_;
     bool cache_open_ = false;
-    std::string journal_dir_;
 
     std::mutex inflight_mu_;
     std::vector<std::shared_ptr<Inflight>> inflight_;

@@ -93,6 +93,15 @@ cmp "$TMP/ref.uarch" "$TMP/recovered.uarch" || {
     echo "recovered model differs from the cold reference"; exit 1
 }
 echo "recovered model is byte-identical to the cold run"
+# A restart that ignored its state dir would pass the cmp too. The
+# cache is the daemon's only store, and the first verdicts were
+# fsync'd to it well before the kill, so the re-issued request must
+# have been answered from it.
+grep -q '"cache_hits":[1-9]' "$TMP/recovered.json" || {
+    echo "restarted daemon answered nothing from its cache:"
+    cat "$TMP/recovered.json"; exit 1
+}
+echo "restarted daemon answered from its verdict cache"
 
 echo "== phase 3: SIGTERM graceful drain must exit 0 =="
 kill -TERM "$daemon_pid"

@@ -2,12 +2,13 @@
  * @file
  * Tests for the verdict store (bmc::VerdictStore). The journal and the
  * cache load and append through the same code, so one recovery suite
- * runs on both: round trips, the retired source code, torn-tail and
- * corrupt-record recovery, duplicate-append dedup and write-failure
- * rollback. The journal's own open policies follow: config-hash
- * binding, fatal headers on --resume, fresh-open truncation and the
- * single-writer lock of openJournal()/openShared(). The cache's
- * policies and the engine-level tests are in test_verdict_cache.cc.
+ * runs on both: round trips, the retired source codes, frames no
+ * producer writes, torn-tail and corrupt-record recovery,
+ * duplicate-append dedup and write-failure rollback. The journal's own
+ * open policies follow: config-hash binding, fatal headers on
+ * --resume, fresh-open truncation and the single-writer lock of
+ * openJournal(). The cache's policies and the engine-level tests are
+ * in test_verdict_cache.cc.
  *
  * The format details (header size, record framing) are deliberately
  * not assumed beyond "appends grow the file" — corruption is injected
@@ -51,7 +52,6 @@ makeRecord(uint64_t key, const std::string &name, bmc::Verdict verdict)
     rec.source = bmc::VerdictSource::Solve;
     rec.validated = true;
     rec.bound = 3;
-    rec.retries = 2;
     rec.seconds = 0.125;
     rec.conflicts = 42;
     rec.propagations = 4242;
@@ -166,7 +166,6 @@ TEST_P(StoreRecovery, RoundTripPersistsRecords)
         EXPECT_EQ(a.source, bmc::VerdictSource::Solve);
         EXPECT_TRUE(a.validated);
         EXPECT_EQ(a.bound, 3u);
-        EXPECT_EQ(a.retries, 2u);
         EXPECT_DOUBLE_EQ(a.seconds, 0.125);
         EXPECT_EQ(a.conflicts, 42u);
         EXPECT_EQ(a.propagations, 4242u);
@@ -182,20 +181,24 @@ TEST_P(StoreRecovery, RoundTripPersistsRecords)
     EXPECT_EQ(s.numLoaded(), 3u);
 }
 
-// Source bytes are an on-disk format. Race must stay 10 now that code
-// 9 is retired, and a record carrying 9 (written by a build that still
-// had it) must load as Solve instead of ending the load as a torn
-// tail that drops every later record.
+// Source bytes are an on-disk format. Race must stay 10 now that codes
+// 1 (budget-escalation retry) and 9 (solver portfolio) are retired,
+// and a record carrying either (written by a build that still had it)
+// must load as Solve instead of ending the load as a torn tail that
+// drops every later record.
 TEST_P(StoreRecovery, RetiredSourceCodeLoadsAsSolve)
 {
     {
         bmc::VerdictStore s;
         open(s);
-        auto retired = makeRecord(0x901, "retired", bmc::Verdict::Proven);
-        retired.source = static_cast<bmc::VerdictSource>(9);
+        for (uint8_t code : {1, 9}) {
+            auto retired = makeRecord(0x900 + code, "retired",
+                                      bmc::Verdict::Proven);
+            retired.source = static_cast<bmc::VerdictSource>(code);
+            ASSERT_TRUE(s.append(retired));
+        }
         auto race = makeRecord(0xa01, "race", bmc::Verdict::Proven);
         race.source = bmc::VerdictSource::Race;
-        ASSERT_TRUE(s.append(retired));
         ASSERT_TRUE(s.append(race));
         ASSERT_TRUE(
             s.append(makeRecord(0xb01, "after", bmc::Verdict::Refuted)));
@@ -204,13 +207,51 @@ TEST_P(StoreRecovery, RetiredSourceCodeLoadsAsSolve)
 
     bmc::VerdictStore s;
     open(s);
-    EXPECT_EQ(s.numLoaded(), 3u);
-    ASSERT_NE(s.lookup(0x901), nullptr);
-    EXPECT_EQ(s.lookup(0x901)->source, bmc::VerdictSource::Solve);
+    EXPECT_EQ(s.numLoaded(), 4u);
+    for (uint64_t key : {0x901, 0x909}) {
+        ASSERT_NE(s.lookup(key), nullptr) << key;
+        EXPECT_EQ(s.lookup(key)->source, bmc::VerdictSource::Solve)
+            << key;
+    }
     ASSERT_NE(s.lookup(0xa01), nullptr);
     EXPECT_EQ(s.lookup(0xa01)->source, bmc::VerdictSource::Race);
     ASSERT_NE(s.lookup(0xb01), nullptr);
     EXPECT_EQ(s.lookup(0xb01)->verdict, bmc::Verdict::Refuted);
+}
+
+// Only definite verdicts from a source that produces them are ever
+// stored. A frame with another source byte (3 was a propagation budget
+// nothing set) or an Unknown verdict was not written by this program:
+// it stops the load like a corrupt frame, and an Unknown never answers
+// a lookup as if it were a stored verdict.
+TEST_P(StoreRecovery, UnproducedSourceOrUnknownVerdictEndsLoad)
+{
+    auto bad_source = makeRecord(0x222, "b", bmc::Verdict::Proven);
+    bad_source.source = static_cast<bmc::VerdictSource>(3);
+    // Source Solve, so only the verdict byte is wrong.
+    auto unknown = makeRecord(0x222, "b", bmc::Verdict::Unknown);
+    for (const auto &bad : {bad_source, unknown}) {
+        fs::remove_all(file());
+        uint64_t size_after_one = 0;
+        {
+            bmc::VerdictStore s;
+            open(s);
+            ASSERT_TRUE(
+                s.append(makeRecord(0x111, "a", bmc::Verdict::Proven)));
+            size_after_one = fs::file_size(file());
+            ASSERT_TRUE(s.append(bad));
+            ASSERT_TRUE(
+                s.append(makeRecord(0x333, "c", bmc::Verdict::Refuted)));
+        }
+
+        bmc::VerdictStore s;
+        open(s);
+        EXPECT_EQ(s.numLoaded(), 1u);
+        EXPECT_NE(s.lookup(0x111), nullptr);
+        EXPECT_EQ(s.lookup(0x222), nullptr);
+        EXPECT_EQ(s.lookup(0x333), nullptr);
+        EXPECT_EQ(fs::file_size(file()), size_after_one);
+    }
 }
 
 // A run killed mid-append leaves a torn record at the tail; it must
@@ -280,7 +321,7 @@ TEST_P(StoreRecovery, CorruptRecordDropsItAndSuccessors)
 }
 
 // Appending a key the store already holds is a durable no-op: the
-// file must not grow (shared caches and daemon journals would
+// file must not grow (shared caches and resumed journals would
 // otherwise bloat on every warm run) and the entry count must not
 // change.
 TEST_P(StoreRecovery, DuplicateAppendIsDeduplicated)
@@ -451,35 +492,6 @@ TEST(Journal, OlderVersionIsFatal)
     }
 }
 
-// The daemon's per-design journal has no user to blame for a stale
-// file: openShared() warns, starts it fresh under the current
-// version, and journals on.
-TEST(Journal, OpenSharedOlderVersionStartsFresh)
-{
-    std::string path = tempPath("shared_older.bin");
-    {
-        bmc::VerdictStore j;
-        ASSERT_TRUE(j.openShared(path, kHash));
-        ASSERT_TRUE(j.append(makeRecord(0x111, "a", bmc::Verdict::Proven)));
-    }
-    uint32_t current = versionOf(path);
-    setVersion(path, current - 1);
-    {
-        bmc::VerdictStore j;
-        ASSERT_TRUE(j.openShared(path, kHash));
-        EXPECT_TRUE(j.isOpen());
-        EXPECT_EQ(j.numLoaded(), 0u);
-        EXPECT_EQ(j.lookup(0x111), nullptr);
-        EXPECT_TRUE(
-            j.append(makeRecord(0x222, "b", bmc::Verdict::Refuted)));
-    }
-    EXPECT_EQ(versionOf(path), current);
-    bmc::VerdictStore j;
-    j.openJournal(path, kHash, true);
-    EXPECT_EQ(j.numLoaded(), 1u);
-    EXPECT_NE(j.lookup(0x222), nullptr);
-}
-
 TEST(Journal, ResumeOnAbsentFileStartsFresh)
 {
     std::string path = tempPath("absent.bin");
@@ -551,41 +563,4 @@ TEST(Journal, SecondWriterIsRefused)
     bmc::VerdictStore next;
     next.openJournal(path, kHash, true);
     EXPECT_EQ(next.numLoaded(), 2u);
-}
-
-// openShared(): the first opener takes the write lock and resumes; a
-// second live opener must be refused (returns false, store closed)
-// instead of interleaving frames with the first.
-TEST(Journal, OpenSharedSingleWriter)
-{
-    std::string path = tempPath("shared.bin");
-    bmc::VerdictStore first;
-    ASSERT_TRUE(first.openShared(path, kHash));
-    EXPECT_TRUE(first.isOpen());
-    EXPECT_TRUE(
-        first.append(makeRecord(0x111, "a", bmc::Verdict::Proven)));
-
-    bmc::VerdictStore second;
-    EXPECT_FALSE(second.openShared(path, kHash));
-    EXPECT_FALSE(second.isOpen());
-    // The loser runs journal-less: appends are refused, not fatal.
-    EXPECT_FALSE(
-        second.append(makeRecord(0x222, "b", bmc::Verdict::Proven)));
-}
-
-// The lock dies with its holder: once the first opener closes, a new
-// openShared() wins the lock and resumes the existing records.
-TEST(Journal, OpenSharedLockReleasedOnClose)
-{
-    std::string path = tempPath("shared2.bin");
-    {
-        bmc::VerdictStore first;
-        ASSERT_TRUE(first.openShared(path, kHash));
-        ASSERT_TRUE(
-            first.append(makeRecord(0x111, "a", bmc::Verdict::Proven)));
-    }
-    bmc::VerdictStore next;
-    ASSERT_TRUE(next.openShared(path, kHash));
-    EXPECT_EQ(next.numLoaded(), 1u);
-    EXPECT_NE(next.lookup(0x111), nullptr);
 }

@@ -49,7 +49,6 @@ makeRecord(uint64_t key, const std::string &name,
     rec.source = bmc::VerdictSource::Solve;
     rec.validated = true;
     rec.bound = bound;
-    rec.retries = 1;
     rec.seconds = 0.25;
     rec.conflicts = 17;
     rec.propagations = 1717;

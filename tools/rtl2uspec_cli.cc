@@ -61,8 +61,8 @@ usage()
         "                  (this was --report before the JSON report\n"
         "                  existed)\n"
         "  --report FILE   write the structured JSON run report\n"
-        "                  (per-SVA verdict, verdict source, retries,\n"
-        "                  CNF size, solve time)\n"
+        "                  (per-SVA verdict, verdict source, CNF\n"
+        "                  size, solve time)\n"
         "  --svas          list every evaluated SVA and its verdict\n"
         "  --dfg-dir DIR   write full-design and per-instruction DFG\n"
         "                  DOT files into DIR (created if missing)\n"
@@ -77,11 +77,6 @@ usage()
         "                  (overrides the metadata; -1 = unlimited)\n"
         "  --query-timeout S    per-SVA wall-clock deadline, seconds\n"
         "  --total-timeout S    whole-run wall-clock deadline, seconds\n"
-        "  --retry-escalation K re-solve budget/deadline Unknowns with\n"
-        "                  budgets scaled by K per retry (K > 1\n"
-        "                  enables; cheap first pass, escalate)\n"
-        "  --max-retries N cap on escalated retries per SVA "
-        "(default 3)\n"
         "  --engine E      proof path per SVA query: race | bmc\n"
         "                  (default race: a PDR pre-pass ahead of the\n"
         "                  incremental BMC solve; a PDR proof answers\n"
@@ -175,14 +170,6 @@ main(int argc, char **argv)
             } else if (arg == "--total-timeout") {
                 synth_opts.totalTimeoutSeconds =
                     parseDouble("--total-timeout", next());
-            } else if (arg == "--retry-escalation") {
-                synth_opts.retryEscalation =
-                    parseDouble("--retry-escalation", next());
-            } else if (arg == "--max-retries") {
-                int n = parseInt("--max-retries", next());
-                if (n < 0)
-                    fatal("--max-retries expects a count >= 0");
-                synth_opts.maxRetries = static_cast<unsigned>(n);
             } else if (arg == "--engine") {
                 std::string e = next();
                 if (e == "bmc") {
