@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "check/check.hh"
+#include "check/campaign.hh"
 #include "litmus/litmus.hh"
 
 using namespace r2u;
@@ -51,7 +51,7 @@ main()
     auto design = vscale::elaborateVscale(cfg);
     size_t n = bench::quickMode() ? 12 : 56;
 
-    auto md = vscale::vscaleMetadata(cfg);
+    auto md = rtl2uspec::loadMetadata(vscale::metaPath());
     md.mergeNodes = true;
     auto merged = rtl2uspec::synthesize(design, md);
 

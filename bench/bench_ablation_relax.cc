@@ -46,7 +46,7 @@ main()
     auto cfg = bench::formalConfig();
     auto design = vscale::elaborateVscale(cfg);
 
-    auto md = vscale::vscaleMetadata(cfg);
+    auto md = rtl2uspec::loadMetadata(vscale::metaPath());
     md.relaxPairs = true;
     auto relaxed = rtl2uspec::synthesize(design, md);
 

@@ -62,8 +62,8 @@ main(int argc, char **argv)
                 st.memories, st.memBits);
     std::printf("  Verilog parse + elaborate: %.2f s\n", elab_s);
 
-    auto result =
-        rtl2uspec::synthesize(design, vscale::vscaleMetadata(cfg), opts);
+    auto result = rtl2uspec::synthesize(
+        design, rtl2uspec::loadMetadata(vscale::metaPath()), opts);
 
     std::printf("\n%s\n", result.report().c_str());
 

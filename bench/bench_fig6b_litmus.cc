@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "check/check.hh"
+#include "check/campaign.hh"
 #include "litmus/litmus.hh"
 #include "rtlcheck/rtlcheck.hh"
 

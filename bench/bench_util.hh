@@ -15,8 +15,8 @@
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
+#include "rtl2uspec/metadata_io.hh"
 #include "rtl2uspec/synthesis.hh"
-#include "vscale/metadata.hh"
 #include "vscale/vscale.hh"
 
 namespace r2u::bench
@@ -56,7 +56,8 @@ synthesizeVscale(bool buggy = false)
     vscale::Config cfg = formalConfig();
     cfg.buggy = buggy;
     auto design = vscale::elaborateVscale(cfg);
-    return rtl2uspec::synthesize(design, vscale::vscaleMetadata(cfg));
+    return rtl2uspec::synthesize(
+        design, rtl2uspec::loadMetadata(vscale::metaPath()));
 }
 
 } // namespace r2u::bench

@@ -17,8 +17,8 @@
 
 #include "isa/isa.hh"
 #include "litmus/litmus.hh"
+#include "rtl2uspec/metadata_io.hh"
 #include "rtl2uspec/synthesis.hh"
-#include "vscale/metadata.hh"
 #include "vscale/vscale.hh"
 
 int
@@ -33,7 +33,7 @@ main()
     std::printf("synthesizing a uspec model from the ORIGINAL "
                 "(pre-fix) multi-V-scale...\n");
     auto design = vscale::elaborateVscale(cfg);
-    auto md = vscale::vscaleMetadata(cfg);
+    auto md = rtl2uspec::loadMetadata(vscale::metaPath());
     auto synth = rtl2uspec::synthesize(design, md);
 
     if (synth.bugs.empty()) {
@@ -51,16 +51,12 @@ main()
         if (sva.verdict != bmc::Verdict::Refuted ||
             sva.name != "write_requests_are_valid_stores")
             continue;
-        // Pull hex inst_DX values out of the trace text.
-        const std::string &trace = sva.trace;
-        size_t pos = 0;
-        while ((pos = trace.find("core_0.inst_DX", pos)) !=
-               std::string::npos) {
-            size_t eq = trace.find("0x", pos);
-            if (eq == std::string::npos)
-                break;
-            uint32_t word = static_cast<uint32_t>(
-                std::strtoul(trace.c_str() + eq + 2, nullptr, 16));
+        // The IFR value of core 0 at every cycle of the trace.
+        for (const bmc::TraceStep &step : sva.trace.steps) {
+            auto ifr = step.signals.find(vscale::coreSig(0, "inst_DX"));
+            if (ifr == step.signals.end())
+                continue;
+            uint32_t word = static_cast<uint32_t>(ifr->second.toUint64());
             isa::Inst inst = isa::decode(word);
             std::printf("  inst_DX = 0x%08x  ->  %s%s\n", word,
                         isa::disasm(inst).c_str(),
@@ -68,7 +64,6 @@ main()
                                 (word & 0x7f) == 0x23
                             ? "   <-- store-shaped, invalid funct3"
                             : "");
-            pos = eq + 2;
         }
     }
 

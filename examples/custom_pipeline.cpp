@@ -11,7 +11,7 @@
 
 #include <cstdio>
 
-#include "check/check.hh"
+#include "check/campaign.hh"
 #include "litmus/litmus.hh"
 #include "rtl2uspec/synthesis.hh"
 #include "verilog/elaborate.hh"

@@ -12,11 +12,10 @@
 #include <cstdio>
 
 #include "check/campaign.hh"
-#include "check/check.hh"
 #include "common/strutil.hh"
 #include "litmus/litmus.hh"
+#include "rtl2uspec/metadata_io.hh"
 #include "rtl2uspec/synthesis.hh"
-#include "vscale/metadata.hh"
 #include "vscale/vscale.hh"
 
 int
@@ -27,8 +26,8 @@ main()
     vscale::Config cfg = vscale::Config::formal();
     cfg.imemWords = 16;
     auto design = vscale::elaborateVscale(cfg);
-    auto synth =
-        rtl2uspec::synthesize(design, vscale::vscaleMetadata(cfg));
+    auto synth = rtl2uspec::synthesize(
+        design, rtl2uspec::loadMetadata(vscale::metaPath()));
     std::printf("model synthesized in %.1f s; starting the litmus "
                 "campaign\n\n", synth.totalSeconds);
 
@@ -62,12 +61,12 @@ main()
                 campaign.tests.size(), campaign.summary().c_str());
 
     // Generate a custom test from a critical cycle and check it too.
-    litmus::Test custom = litmus::generateFromCycle(
-        "my_cycle", "Rfe PodRR Fre PodWW Wse PodWW");
-    std::printf("\ncustom diy-style test from 'Rfe PodRW Fre PodWR "
-                "Wse PodWW':\n%s", custom.print().c_str());
-    auto res = check::checkTest(synth.model, custom,
-                                {.collectDot = true});
+    const char *cycle = "Rfe PodRR Fre PodWW Wse PodWW";
+    litmus::Test custom = litmus::generateFromCycle("my_cycle", cycle);
+    std::printf("\ncustom diy-style test from '%s':\n%s", cycle,
+                custom.print().c_str());
+    opts.collectDot = true; // render a forbidden execution as DOT
+    auto res = check::checkTest(synth.model, custom, opts);
     std::printf("%s\n", res.summary().c_str());
     if (!res.interestingDot.empty()) {
         std::string path =

@@ -16,10 +16,10 @@
 
 #include <cstdio>
 
-#include "check/check.hh"
+#include "check/campaign.hh"
 #include "litmus/litmus.hh"
+#include "rtl2uspec/metadata_io.hh"
 #include "rtl2uspec/synthesis.hh"
-#include "vscale/metadata.hh"
 #include "vscale/vscale.hh"
 
 int
@@ -37,8 +37,9 @@ main()
                 "%zu memories\n",
                 stats.cells, stats.registers, stats.memories);
 
-    // 2. Design metadata (paper §4.2.1 / §4.3.4).
-    rtl2uspec::DesignMetadata md = vscale::vscaleMetadata(cfg);
+    // 2. Design metadata (paper §4.2.1 / §4.3.4): designs/vscale.meta.
+    rtl2uspec::DesignMetadata md =
+        rtl2uspec::loadMetadata(vscale::metaPath());
 
     // 3. Synthesize the µspec model.
     rtl2uspec::SynthesisResult synth = rtl2uspec::synthesize(design, md);

@@ -46,6 +46,9 @@ struct TestWork
     bool collectDot = false;
     bool prune = true;
     double prepMs = 0;
+    /** Candidates left undecoded when CampaignOptions::stop ended the
+     *  bucketing sweep; they count as pruned. */
+    uint64_t undecoded = 0;
     /** Outcome -> ascending candidate indices, in outcome order. */
     std::vector<std::pair<mcm::Outcome, std::vector<uint64_t>>> buckets;
     std::vector<BucketResult> results;
@@ -72,14 +75,21 @@ prepareTest(const uspec::Model &model, const litmus::Test &test,
     work.prune = options.prune && !work.collectDot;
 
     // Outcomes are a function of the candidate alone — no solving —
-    // so the per-outcome grouping the pruner needs is a cheap decode
-    // sweep. std::map keys give a deterministic bucket order.
+    // so the per-outcome grouping the pruner needs is a decode sweep.
+    // std::map keys give a deterministic bucket order. A stop ends the
+    // sweep, which is most of a test's time when it has millions of
+    // candidates and few outcomes.
     std::map<mcm::Outcome, std::vector<uint64_t>> buckets;
     uhb::Execution exec = work.space->makeScratch();
-    for (uint64_t k = 0; k < work.space->size(); k++) {
+    uint64_t k = 0;
+    for (; k < work.space->size(); k++) {
+        if (options.stop &&
+            options.stop->load(std::memory_order_relaxed))
+            break;
         work.space->materialize(k, exec);
         buckets[outcomeOf(test, exec)].push_back(k);
     }
+    work.undecoded = work.space->size() - k;
     work.buckets.assign(buckets.begin(), buckets.end());
     work.results.resize(work.buckets.size());
     work.prepMs = timer.milliseconds();
@@ -132,6 +142,7 @@ mergeTest(const uspec::Model &model, TestWork &work)
     res.scAllowedOutcomes = static_cast<int>(work.sc.size());
     res.interestingScAllowed = work.interestingScAllowed;
     res.executionsTotal = static_cast<int>(work.space->size());
+    res.executionsPruned = static_cast<int>(work.undecoded);
     res.ms = work.prepMs;
 
     std::set<mcm::Outcome> observable;
@@ -232,6 +243,7 @@ runCampaign(const uspec::Model &model,
 
     // Phase 3: deterministic merge in test / bucket order.
     for (auto &work : works) {
+        result.interrupted |= work->undecoded > 0;
         for (const BucketResult &r : work->results)
             result.interrupted |= r.interrupted;
         result.tests.push_back(mergeTest(model, *work));
@@ -327,14 +339,9 @@ dotPathFor(const std::string &base, const std::string &test)
 
 TestResult
 checkTest(const uspec::Model &model, const litmus::Test &test,
-          const Options &options)
+          const CampaignOptions &options)
 {
-    CampaignOptions copts;
-    copts.jobs = options.jobs;
-    copts.prune = options.prune;
-    copts.failFast = options.failFast;
-    copts.collectDot = options.collectDot;
-    CampaignResult res = runCampaign(model, {test}, copts);
+    CampaignResult res = runCampaign(model, {test}, options);
     TestResult out = std::move(res.tests[0]);
     out.ms = res.ms; // single test: wall time, as the seed reported
     return out;

@@ -33,13 +33,20 @@ namespace r2u::check
 
 struct CampaignOptions
 {
-    /** Worker threads (0 = hardware concurrency, 1 = sequential). */
+    /** Worker threads (0 = hardware concurrency, 1 = sequential).
+     *  Verdicts are identical at any job count. */
     unsigned jobs = 1;
-    /** Outcome-level pruning (see Options::prune). */
+    /** Outcome-level pruning: once some execution proves an outcome
+     *  observable, skip the remaining executions with that same
+     *  outcome (they cannot change the observable set). Off for a
+     *  test whose DOT witness is collected. */
     bool prune = true;
-    /** Stop each test at its first observable non-SC outcome. */
+    /** Stop each test at its first observable non-SC outcome (the
+     *  verdict is then pass = false; exploration counts become
+     *  timing-dependent, verdicts do not). */
     bool failFast = false;
-    /** Collect cyclic µhb DOT witnesses for interesting outcomes. */
+    /** Collect a DOT rendering of a cyclic µhb graph witnessing that
+     *  the interesting outcome is forbidden (Fig. 1b). */
     bool collectDot = false;
     /**
      * When collectDot: restrict collection (and the pruning opt-out
@@ -49,12 +56,12 @@ struct CampaignOptions
     /**
      * Cooperative cancellation flag (caller-owned, may be flipped
      * from any thread — a signal handler, the service watchdog).
-     * Checked before every candidate solve: once set, remaining
-     * candidates are skipped (counted as pruned) and the result comes
-     * back with interrupted=true. Skipping can only shrink the
-     * explored set, never flip a verdict already established, so an
-     * interrupted campaign is a sound partial answer. nullptr = never
-     * stop.
+     * Checked while candidates are decoded into outcome buckets and
+     * before every candidate solve: once set, remaining candidates are
+     * skipped (counted as pruned) and the result comes back with
+     * interrupted=true. Skipping can only shrink the explored set,
+     * never flip a verdict already established, so an interrupted
+     * campaign is a sound partial answer. nullptr = never stop.
      */
     const std::atomic<bool> *stop = nullptr;
 };
@@ -90,6 +97,13 @@ struct CampaignResult
 CampaignResult runCampaign(const uspec::Model &model,
                            const std::vector<litmus::Test> &tests,
                            const CampaignOptions &options = {});
+
+/**
+ * Verify one litmus test against a µspec model: a one-test campaign
+ * whose TestResult::ms is the campaign's wall time.
+ */
+TestResult checkTest(const uspec::Model &model, const litmus::Test &test,
+                     const CampaignOptions &options = {});
 
 /**
  * Per-test DOT output path: insert "_<test>" before @p base's

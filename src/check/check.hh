@@ -3,14 +3,14 @@
  * Litmus-test MCM verification on a µspec model (the COATCheck role
  * in the paper's flow, §5.2).
  *
- * For a litmus test, checkTest() enumerates every candidate execution
- * (all rf assignments and per-location coherence orders), asks the
- * µhb solver whether each is possible (acyclic), collects the set of
- * observable outcomes, and compares it against the operational SC
- * reference: the test passes iff every observable outcome is
- * SC-allowed. The paper's headline check — the forbidden outcome is
- * unobservable — is the interestingObservable / interestingScAllowed
- * pair.
+ * For a litmus test, checkTest() (check/campaign.hh) enumerates every
+ * candidate execution (all rf assignments and per-location coherence
+ * orders), asks the µhb solver whether each is possible (acyclic),
+ * collects the set of observable outcomes, and compares it against the
+ * operational SC reference: the test passes iff every observable
+ * outcome is SC-allowed. The paper's headline check — the forbidden
+ * outcome is unobservable — is the interestingObservable /
+ * interestingScAllowed pair.
  *
  * Candidate executions live in a lazily-decoded ExecutionSpace (a
  * mixed-radix index over rf choices and per-address coherence
@@ -36,27 +36,6 @@
 namespace r2u::check
 {
 
-struct Options
-{
-    /** Collect a DOT rendering of a cyclic graph witnessing that the
-     *  interesting outcome is forbidden (Fig. 1b). Disables pruning
-     *  (a pruned run may skip every cyclic witness candidate). */
-    bool collectDot = false;
-    /** Worker threads solving candidate executions (1 = fully
-     *  sequential, 0 = hardware concurrency). Verdicts are identical
-     *  at any job count. */
-    unsigned jobs = 1;
-    /** Outcome-level pruning: once some execution proves an outcome
-     *  observable, skip the remaining executions with that same
-     *  outcome (they cannot change the observable set). Forced off
-     *  when collectDot is set. */
-    bool prune = true;
-    /** Stop exploring a test at its first observable non-SC outcome
-     *  (the verdict is then pass = false; exploration counts become
-     *  timing-dependent, verdicts do not). */
-    bool failFast = false;
-};
-
 struct TestResult
 {
     std::string name;
@@ -75,7 +54,7 @@ struct TestResult
     /** Sorted rendering of every observable outcome (for report and
      *  identity checks across job counts / pruning modes). */
     std::vector<std::string> outcomes;
-    std::string interestingDot; ///< when Options::collectDot
+    std::string interestingDot; ///< when CampaignOptions::collectDot
 
     /**
      * The per-test verdict: every observable outcome is SC-allowed,
@@ -90,10 +69,6 @@ struct TestResult
 
     std::string summary() const;
 };
-
-/** Verify one litmus test against a µspec model. */
-TestResult checkTest(const uspec::Model &model, const litmus::Test &test,
-                     const Options &options = {});
 
 /** Convert a litmus test into microops (program order per core). */
 std::vector<uhb::Microop> microopsOf(const litmus::Test &test);
@@ -144,8 +119,9 @@ class ExecutionSpace
 
 /**
  * Enumerate all candidate executions (rf choices x ws permutations)
- * of a test and invoke @p fn on each; used by checkTest and by the
- * benches.
+ * of a test and invoke @p fn on each, in ExecutionSpace order. The
+ * tests use it as a table-free reference sweep; the campaign engine
+ * decodes candidates from an ExecutionSpace itself.
  */
 void forEachExecution(
     const litmus::Test &test,

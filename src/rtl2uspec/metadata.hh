@@ -6,8 +6,8 @@
  * register (IFR), the per-stage PC registers (PCR array, PCR[0] in the
  * IFR's stage), the instruction-memory PC (IM_PC), the binary
  * encodings of the instruction types to model, and — for each remote
- * resource — the request-response interface signals (transaction
- * type/address/data/core id, §4.3.4).
+ * resource — its array, grant bus and request-pipeline registers
+ * (§4.3.4).
  */
 
 #ifndef R2U_RTL2USPEC_METADATA_HH
@@ -41,19 +41,15 @@ struct InstrType
     bool isWrite = false;
 };
 
-/** Request-response interface of a remote resource (§4.3.4). */
+/**
+ * A remote resource (§4.3.4): the shared array, the per-core grant bus
+ * and the resource's request pipeline, whose registers the
+ * Req-Snd/Req-Rec/Req-Proc decomposition orders.
+ */
 struct RemoteInterface
 {
-    std::string memName;  ///< the remote array, e.g. "dmem.mem"
-    std::string reqValid; ///< boundary signals at the resource
-    std::string reqWen;
-    std::string reqAddr;
-    std::string reqData;
-    std::string reqCore;  ///< core-id tag (§5.1 design modification)
-    std::string grant;    ///< per-core grant bus (bit c = core c)
-    std::string respValid;
-    std::string respCore;
-    std::string respData;
+    std::string memName; ///< the remote array, e.g. "dmem.mem"
+    std::string grant;   ///< per-core grant bus (bit c = core c)
     /** Request-pipeline registers inside the resource, in order. */
     std::vector<std::string> pipelineRegs;
     /** Roles of specific pipeline registers (for Req-Rec/Req-Proc). */
@@ -75,8 +71,6 @@ struct DesignMetadata
     unsigned bound = 14;
     /** Progress SVAs assume the instruction issues by this frame. */
     unsigned issueByFrame = 5;
-    /** Solver conflict budget per SVA (<0: unlimited). */
-    int64_t conflictBudget = -1;
 
     /**
      * §6.2 optimization: evaluate one relaxed (instruction-agnostic)

@@ -72,9 +72,6 @@ parseMetadata(const std::string &text)
             md.bound = parseHex(toks.at(1), line);
         } else if (kind == "issue_by") {
             md.issueByFrame = parseHex(toks.at(1), line);
-        } else if (kind == "conflict_budget") {
-            md.conflictBudget =
-                static_cast<int64_t>(std::stoll(toks.at(1)));
         } else if (kind == "no_relax") {
             md.relaxPairs = false;
         } else if (kind == "no_merge") {
@@ -145,9 +142,6 @@ printMetadata(const DesignMetadata &md)
     std::string out;
     out += strfmt("bound %u\n", md.bound);
     out += strfmt("issue_by %u\n", md.issueByFrame);
-    if (md.conflictBudget >= 0)
-        out += strfmt("conflict_budget %lld\n",
-                      static_cast<long long>(md.conflictBudget));
     if (!md.relaxPairs)
         out += "no_relax\n";
     if (!md.mergeNodes)

@@ -47,20 +47,7 @@ class Synthesizer
         digests_ = nl::digestNetlist(nl_);
         netlist_hash_ = nl::structuralHash(digests_);
         property_env_hash_ = propertyEnvHash();
-        bmc::EngineOptions eopts;
-        eopts.jobs = opts.jobs;
-        eopts.conflictBudget =
-            opts.conflictBudget == SynthesisOptions::kInheritBudget
-                ? md_.conflictBudget
-                : opts.conflictBudget;
-        eopts.querySeconds = opts.queryTimeoutSeconds;
-        eopts.totalSeconds = opts.totalTimeoutSeconds;
-        eopts.engine = opts.engine;
-        validate_mode_ = bmc::validateModeName(opts.validate);
-        eopts.validate = opts.validate;
-        eopts.validateSampleN = opts.validateSampleN;
-        eopts.cexVcdDir = opts.cexVcdDir;
-        eopts.faultHook = opts.faultHook;
+        bmc::EngineOptions eopts = opts;
         if (!opts.journalPath.empty()) {
             journal_ = std::make_unique<bmc::VerdictStore>();
             journal_->openJournal(opts.journalPath, configHash(),
@@ -71,19 +58,16 @@ class Synthesizer
                        opts.journalPath.c_str(), journal_->numLoaded());
             eopts.journal = journal_.get();
         }
-        if (opts.cache) {
-            out_.cacheEnabled = true;
-            eopts.cache = opts.cache;
-        } else if (!opts.cacheDir.empty()) {
+        if (!eopts.cache && !opts.cacheDir.empty()) {
             cache_ = std::make_unique<bmc::VerdictStore>();
             cache_->openCache(opts.cacheDir);
-            out_.cacheEnabled = true;
             if (cache_->numLoaded() > 0)
                 inform("rtl2uspec: verdict cache %s: %zu cached "
                        "verdict(s) loaded",
                        cache_->filePath().c_str(), cache_->numLoaded());
             eopts.cache = cache_.get();
         }
+        out_.cacheEnabled = eopts.cache != nullptr;
         engine_ = std::make_unique<bmc::Engine>(
             nl_, design_.signalMap, unrollOptions(), md_.bound, eopts);
         engine_hook_ = opts.engineHook;
@@ -118,7 +102,8 @@ class Synthesizer
         static_cast<bmc::EngineStats &>(out_) = estats;
         out_.jobs = engine_->jobs();
         out_.fullUnroll = full_unroll_;
-        out_.validateMode = validate_mode_;
+        out_.validateMode =
+            bmc::validateModeName(engine_->options().validate);
         out_.engineMode = bmc::engineChoiceName(engine_->options().engine);
         if (estats.engineRaces > 0)
             inform("rtl2uspec: engine race: %zu race(s); wins "
@@ -139,7 +124,7 @@ class Synthesizer
             inform("rtl2uspec: validation (%s): %zu replay(s), "
                    "%zu proof re-check(s), %zu mismatch(es), "
                    "%zu journal hit(s), %.2fs",
-                   validate_mode_.c_str(),
+                   out_.validateMode.c_str(),
                    static_cast<size_t>(estats.replays),
                    static_cast<size_t>(estats.proofRechecks),
                    static_cast<size_t>(estats.validationMismatches),
@@ -306,10 +291,9 @@ class Synthesizer
      * closures — they never appear in the rendered SVA text), the
      * remote-interface signal roles, the exclusion set, and the
      * issue-by frame. A change to any of these re-keys every query.
-     * Excludes conflictBudget / relaxPairs / mergeNodes: budgets only
-     * change how long a verdict takes, and the relax/merge switches
-     * change which queries are generated (visible in their names and
-     * text), never what a given query means.
+     * Excludes relaxPairs / mergeNodes: they change which queries are
+     * generated (visible in their names and text), never what a given
+     * query means.
      */
     uint64_t
     propertyEnvHash() const
@@ -335,15 +319,13 @@ class Synthesizer
             h.byte(it.isWrite ? 1 : 0);
         }
         h.str(md_.remote.memName);
-        h.str(md_.remote.reqValid);
-        h.str(md_.remote.reqWen);
-        h.str(md_.remote.reqAddr);
-        h.str(md_.remote.reqData);
-        h.str(md_.remote.reqCore);
+        // Eight retired, never-read interface names, hashed as the ""
+        // that .meta files gave them, so every existing key stays valid.
+        for (int i = 0; i < 5; i++)
+            h.u32(0);
         h.str(md_.remote.grant);
-        h.str(md_.remote.respValid);
-        h.str(md_.remote.respCore);
-        h.str(md_.remote.respData);
+        for (int i = 0; i < 3; i++)
+            h.u32(0);
         h.u32(static_cast<uint32_t>(md_.remote.pipelineRegs.size()));
         for (const auto &r : md_.remote.pipelineRegs)
             h.str(r);
@@ -517,36 +499,7 @@ class Synthesizer
                    "engine result count mismatch");
         for (size_t q = 0; q < results.size(); q++) {
             SvaRecord &rec = out_.svas[pending_[q]];
-            rec.verdict = results[q].verdict;
-            rec.source = results[q].source;
-            rec.seconds = results[q].seconds;
-            rec.conflicts = results[q].conflicts;
-            rec.propagations = results[q].propagations;
-            rec.cnfVars = results[q].cnfVars;
-            rec.cnfClauses = results[q].cnfClauses;
-            rec.cnfVarsAdded = results[q].cnfVarsAdded;
-            rec.cnfClausesAdded = results[q].cnfClausesAdded;
-            rec.validated = results[q].validated;
-            rec.fromJournal = results[q].fromJournal;
-            rec.fromCache = results[q].fromCache;
-            rec.engine = bmc::engineKindName(results[q].engine);
-            rec.engineRaced = results[q].engineRaced;
-            rec.unbounded = results[q].unbounded;
-            switch (results[q].verdict) {
-              case Verdict::Refuted:
-                rec.trace =
-                    results[q].fromJournal || results[q].fromCache
-                        ? results[q].validationNote
-                        : results[q].trace.toString();
-                break;
-              case Verdict::Proven:
-                break;
-              case Verdict::Unknown:
-                // A validation failure carries its diagnostic bundle
-                // here; budget Unknowns have nothing to show.
-                rec.trace = results[q].validationNote;
-                break;
-            }
+            static_cast<CheckResult &>(rec) = std::move(results[q]);
             debugLog("SVA %-28s %-12s %.3fs", rec.name.c_str(),
                      bmc::verdictName(rec.verdict), rec.seconds);
         }
@@ -1027,14 +980,19 @@ class Synthesizer
                                     "absence of the §6.1 bug class "
                                     "(not reported as a bug)",
                                     chk.name))) {
+                // A verdict answered from the journal or the cache
+                // comes back without a trace; its note says so.
+                const SvaRecord &rec = out_.svas[chk.idx];
+                std::string cex = rec.trace.steps.empty()
+                                      ? rec.validationNote
+                                      : rec.trace.toString();
                 out_.bugs.push_back(strfmt(
                     "DESIGN BUG (paper §6.1 class): %s refuted — an "
                     "instruction that does not decode to a declared "
                     "%s type issues a memory %s request. "
                     "Counterexample:\n%s",
                     chk.name, chk.write ? "store" : "load",
-                    chk.write ? "write" : "read",
-                    out_.svas[chk.idx].trace.c_str()));
+                    chk.write ? "write" : "read", cex.c_str()));
             }
         }
     }
@@ -1819,7 +1777,6 @@ class Synthesizer
     bool dataflow_proven_ = false;
     int hbis_ = 0;
     SynthesisResult out_;
-    std::string validate_mode_;
     /** Per-cell and per-memory content digests of nl_, computed once. */
     nl::Digests digests_;
     /** nl::structuralHash of the whole design (journal binding). */
@@ -1996,7 +1953,7 @@ SynthesisResult::jsonReport() const
             .set("validated", flag(r.validated))
             .set("from_journal", flag(r.fromJournal))
             .set("from_cache", flag(r.fromCache))
-            .set("engine", Value::string(r.engine))
+            .set("engine", Value::string(bmc::engineKindName(r.engine)))
             .set("engine_raced", flag(r.engineRaced))
             .set("unbounded", flag(r.unbounded))
             .set("degraded", flag(r.degraded));

@@ -26,18 +26,18 @@
 namespace r2u::rtl2uspec
 {
 
-/** One evaluated HBI hypothesis (SVA + verdict), Fig. 5 raw data. */
-struct SvaRecord
+/**
+ * One evaluated HBI hypothesis (SVA + verdict), Fig. 5 raw data. The
+ * verdict, its source, solver counts, CNF footprint, proof-path
+ * attribution, validation flags and counterexample trace are the
+ * engine's bmc::CheckResult as it came back; the fields below are what
+ * only the synthesis frontend knows.
+ */
+struct SvaRecord : bmc::CheckResult
 {
     std::string name;
     std::string category; ///< "intra", "spatial", "temporal", "dataflow"
     std::string text;     ///< SVA-style rendering (Fig. 4 flavor)
-    bmc::Verdict verdict = bmc::Verdict::Unknown;
-    /** How the verdict came about (which engine, budget or deadline). */
-    bmc::VerdictSource source = bmc::VerdictSource::Solve;
-    double seconds = 0.0;
-    uint64_t conflicts = 0;
-    uint64_t propagations = 0;
     /**
      * Always 0: each query gets one solve and budget-escalation
      * retries no longer exist. The benchmark (perfbench/src/synth.cc)
@@ -53,28 +53,6 @@ struct SvaRecord
     std::string degradeNote;
     unsigned hypotheses = 1; ///< element-granular hypotheses it covers
     bool global = false;     ///< involves remote/global state
-    std::string trace;       ///< counterexample (when interesting)
-
-    /** Verdict independently confirmed (replay / proof re-check). */
-    bool validated = false;
-    /** Verdict loaded from a resume journal instead of solved. */
-    bool fromJournal = false;
-    /** Verdict replayed from the cross-run verdict cache. */
-    bool fromCache = false;
-
-    /** Proof path that produced the verdict: "bmc" (the incremental
-     *  solve) or "pdr" (the pre-pass). */
-    std::string engine = "bmc";
-    /** The sequential PDR pre-pass ran ahead of the BMC solve
-     *  (--engine race). */
-    bool engineRaced = false;
-    /** Proven at *every* bound (PDR fixpoint). */
-    bool unbounded = false;
-
-    /** Solver CNF footprint when this query finished (COI-sliced
-     *  unless fullUnroll) and what the query alone added. */
-    size_t cnfVars = 0, cnfClauses = 0;
-    size_t cnfVarsAdded = 0, cnfClausesAdded = 0;
     /** Static cone-of-influence size (cells) of the declared seeds. */
     size_t coiCells = 0;
 };
@@ -89,18 +67,18 @@ struct CategoryStats
     uint64_t cnfVarsSum = 0, cnfClausesSum = 0;
 };
 
-/** Knobs for how the synthesis procedure runs (not what it computes). */
-struct SynthesisOptions
+/**
+ * Knobs for how the synthesis procedure runs (not what it computes).
+ * The engine's knobs (jobs, conflict budget, query and total
+ * deadlines, --engine, validation, a caller-owned journal or cache,
+ * the VCD directory and the fault hook) are inherited from
+ * bmc::EngineOptions and reach the engine as they are set; the fields
+ * below are what only the synthesis frontend knows. Verdicts and the
+ * emitted model are identical at any jobs, engine and budget that
+ * decides every SVA.
+ */
+struct SynthesisOptions : bmc::EngineOptions
 {
-    /**
-     * Worker count for SVA evaluation (the paper's proof-farm
-     * dimension): 0 picks std::thread::hardware_concurrency(). Every
-     * value runs the incremental engine with one solver context per
-     * worker per bound; 1 is one worker on the calling thread, in
-     * enqueue order. Verdicts and the emitted model are identical at
-     * any value.
-     */
-    unsigned jobs = 0;
     /**
      * Disable cone-of-influence slicing: eagerly bit-blast the whole
      * design at every frame of every unroll context (the pre-slicing
@@ -108,64 +86,22 @@ struct SynthesisOptions
      * model are identical; only CNF sizes and runtime differ.
      */
     bool fullUnroll = false;
-
-    /**
-     * Per-SVA solver conflict budget; kInheritBudget defers to the
-     * design metadata's conflictBudget, <0 is unlimited. Exhaustion
-     * yields Unknown verdicts that degrade the model conservatively.
-     */
-    int64_t conflictBudget = kInheritBudget;
-    /** Per-SVA wall-clock deadline in seconds (<0: none). */
-    double queryTimeoutSeconds = -1.0;
-    /** Whole-run wall-clock deadline in seconds (<0: none). */
-    double totalTimeoutSeconds = -1.0;
-
-    /**
-     * Proof path (--engine {bmc,race}). The default runs an IC3/PDR
-     * pre-pass ahead of the incremental BMC solve of every frame-local
-     * query: a PDR proof answers the query, anything else falls
-     * through to BMC. Verdicts — and therefore the emitted model — are
-     * identical either way; race can additionally return *unbounded*
-     * proofs (recorded in the report and reusable at any bound via the
-     * verdict cache). Queries whose property is not frame-local always
-     * run plain BMC.
-     */
-    bmc::EngineChoice engine = bmc::EngineChoice::Race;
-
-    /**
-     * Trust-but-verify verdict validation (bmc::ValidateMode): the
-     * default replays every counterexample and spot-checks every
-     * validateSampleN-th proof in a fresh solver context.
-     */
-    bmc::ValidateMode validate = bmc::ValidateMode::Sample;
-    unsigned validateSampleN = 8;
-    /** Crash-safe run journal path ("" disables). */
+    /** Crash-safe run journal path ("" disables; when set, the
+     *  journal opened here replaces a caller-set `journal`). */
     std::string journalPath;
     /** Resume from an existing journal instead of truncating it. */
     bool resumeJournal = false;
     /**
      * Cross-run content-addressed verdict cache directory (--cache;
-     * "" disables). Each SVA query is keyed by a hash of its COI
-     * slice, property encoding, and bound, so re-synthesis of the
-     * same or a near-identical design re-solves only the queries
-     * whose content actually changed. Deliberately NOT keyed by
-     * --jobs or solver budgets: those change how fast a verdict is
-     * found, never what the verdict is.
+     * "" disables; ignored when the caller sets `cache`). Each SVA
+     * query is keyed by a hash of its COI slice, property encoding,
+     * and bound, so re-synthesis of the same or a near-identical
+     * design re-solves only the queries whose content actually
+     * changed. Deliberately NOT keyed by --jobs or solver budgets:
+     * those change how fast a verdict is found, never what the
+     * verdict is.
      */
     std::string cacheDir;
-    /**
-     * Shared, caller-owned verdict cache (the service's cross-request
-     * store). Overrides cacheDir when set; must outlive the run. The
-     * synthesizer neither owns nor closes it, so many concurrent and
-     * sequential requests can warm the same in-memory instance.
-     */
-    bmc::VerdictStore *cache = nullptr;
-    /** Dump each refutation's replayed trace as VCD ("" disables). */
-    std::string cexVcdDir;
-    /** Fault-injection test seam, forwarded to the engine. */
-    std::function<void(const bmc::Query &, bmc::CheckResult &,
-                       bmc::SolveStage)>
-        faultHook;
     /**
      * Engine lifecycle observer: called with the live engine right
      * after it is constructed and with nullptr before it is
@@ -174,8 +110,6 @@ struct SynthesisOptions
      * engine's destruction.
      */
     std::function<void(bmc::Engine *)> engineHook;
-
-    static constexpr int64_t kInheritBudget = INT64_MIN;
 };
 
 /**

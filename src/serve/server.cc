@@ -33,6 +33,9 @@ namespace r2u::serve
 namespace
 {
 
+/** Wait before a synthesize re-run; doubles with each re-run. */
+constexpr int64_t kRetryBackoffMs = 50;
+
 json::Value
 errResp(const char *code, const std::string &msg)
 {
@@ -562,6 +565,7 @@ Server::watchdogLoop()
             }
             if (!hung && !late)
                 continue;
+            inf->heartbeatStalled.store(hung);
             inf->watchdogFired.store(true);
             inf->abortStall.store(true);
             inf->stopFlag.store(true);
@@ -639,7 +643,7 @@ Server::handleSynthesize(const json::Value &req)
         rtl2uspec::SynthesisOptions so;
         so.jobs = *jobs;
         so.cache = cache_open_ ? &cache_ : nullptr;
-        so.totalTimeoutSeconds = budget > 0 ? budget : -1.0;
+        so.totalSeconds = budget > 0 ? budget : -1.0;
         so.engineHook = [inf](bmc::Engine *engine) {
             std::lock_guard<std::mutex> lock(inf->engineMu);
             inf->engine = engine;
@@ -683,19 +687,20 @@ Server::handleSynthesize(const json::Value &req)
                 break;
             }
         }
-        // Only a watchdog interrupt earns a server-side re-run: it
-        // marks a fault (hung solver) rather than an honest budget
-        // exhaustion, and every verdict the broken attempt did finish
-        // is already durable in the cache, so the retry is warm.
-        if (interrupted && inf->watchdogFired.load() &&
+        // Only a stalled heartbeat earns a server-side re-run: it
+        // marks a fault (hung solver) rather than an honest budget or
+        // deadline exhaustion, which a re-run would only repeat, and
+        // every verdict the broken attempt did finish is already
+        // durable in the cache, so the retry is warm.
+        if (interrupted && inf->heartbeatStalled.load() &&
             attempt < opts_.requestRetries &&
             !stop_.load(std::memory_order_relaxed)) {
             retries_done_.fetch_add(1, std::memory_order_relaxed);
-            inform("serve: attempt %u degraded by watchdog interrupt "
+            inform("serve: attempt %u degraded by a stalled solver "
                    "— retrying",
                    attempts);
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                static_cast<int64_t>(opts_.retryBackoffMs) << attempt));
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(kRetryBackoffMs << attempt));
             continue;
         }
         break;
@@ -778,43 +783,31 @@ Server::handleCampaign(const json::Value &req)
     if (asked > 0 && (budget <= 0 || asked < budget))
         budget = asked;
 
+    // One attempt: a campaign has no solver heartbeat, so the watchdog
+    // stops it only at its deadline, and a re-run would overrun again.
     Timer timer;
+    std::shared_ptr<Inflight> inf =
+        beginAttempt(budget, /*uses_heartbeat=*/false);
+    check::CampaignOptions co;
+    co.jobs = *jobs == 0 ? 1 : *jobs;
+    co.stop = &inf->stopFlag;
     check::CampaignResult res;
-    unsigned attempts = 0;
-    for (unsigned attempt = 0;; attempt++) {
-        attempts++;
-        std::shared_ptr<Inflight> inf =
-            beginAttempt(budget, /*uses_heartbeat=*/false);
-        check::CampaignOptions co;
-        co.jobs = *jobs == 0 ? 1 : *jobs;
-        co.stop = &inf->stopFlag;
-        try {
-            res = check::runCampaign(model, tests, co);
-        } catch (const FatalError &e) {
-            // A test the checker cannot take (e.g. more than 2^64
-            // candidates): the request's fault, and no longer in
-            // flight.
-            endAttempt(inf);
-            return errResp("bad_request", e.what());
-        }
+    try {
+        res = check::runCampaign(model, tests, co);
+    } catch (const FatalError &e) {
+        // A test the checker cannot take (e.g. more than 2^64
+        // candidates): the request's fault, and no longer in flight.
         endAttempt(inf);
-        if (res.interrupted && inf->watchdogFired.load() &&
-            attempt < opts_.requestRetries &&
-            !stop_.load(std::memory_order_relaxed)) {
-            retries_done_.fetch_add(1, std::memory_order_relaxed);
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                static_cast<int64_t>(opts_.retryBackoffMs) << attempt));
-            continue;
-        }
-        break;
+        return errResp("bad_request", e.what());
     }
+    endAttempt(inf);
 
     std::string report_path = req.getStr("report");
     if (!report_path.empty())
         writeFile(report_path, res.jsonReport());
 
     json::Value resp = okResp("campaign");
-    resp.set("attempts", json::Value::number(int64_t{attempts}));
+    resp.set("attempts", json::Value::number(int64_t{1}));
     resp.set("interrupted", json::Value::boolean_(res.interrupted));
     resp.set("tests",
              json::Value::number(uint64_t{res.tests.size()}));

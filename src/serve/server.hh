@@ -25,9 +25,10 @@
  *    per-query hook; a context that stops heartbeating for
  *    hangSeconds (a hung solver — simulated by chaos "stall") or
  *    blows through its deadline gets Engine::interrupt()ed
- *    asynchronously. The run finishes degraded; the server retries it
- *    (bounded, with backoff) — the retry is cheap because every
- *    verdict the first attempt finished is already in the cache.
+ *    asynchronously. The run finishes degraded. A synthesize whose
+ *    heartbeat stalled is re-run (bounded, with backoff) — cheap,
+ *    because every verdict the first attempt finished is already in
+ *    the cache; a request that only overran its deadline is not.
  *  - Graceful drain: SIGTERM/shutdown stops accepting, clamps every
  *    in-flight deadline to drainSeconds, lets requests finish or
  *    degrade, and exits 0. Cache appends are fsync'd as they land, so
@@ -96,10 +97,9 @@ struct ServerOptions
     double hangSeconds = 30.0;
     /** Grace for in-flight requests after a drain starts. */
     double drainSeconds = 30.0;
-    /** Server-side re-runs of a watchdog-interrupted request. */
+    /** Server-side re-runs of a synthesize request whose solver
+     *  heartbeat stalled (never of one that overran its deadline). */
     unsigned requestRetries = 1;
-    /** Backoff between those re-runs. */
-    unsigned retryBackoffMs = 50;
     /** Armed chaos budgets (caller-owned; nullptr = no injection). */
     ChaosSpec *chaos = nullptr;
     /**
@@ -168,6 +168,10 @@ class Server
         /** Campaign cooperative-stop flag (CampaignOptions::stop). */
         std::atomic<bool> stopFlag{false};
         std::atomic<bool> watchdogFired{false};
+        /** The watchdog fired because the heartbeat stalled (a hung
+         *  solver), not because the deadline passed: only this earns
+         *  a re-run. */
+        std::atomic<bool> heartbeatStalled{false};
         /** Cuts an injected chaos stall short once the watchdog has
          *  done its job (no point sleeping out the full budget). */
         std::atomic<bool> abortStall{false};

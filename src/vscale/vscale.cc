@@ -50,6 +50,12 @@ designFiles()
     };
 }
 
+std::string
+metaPath()
+{
+    return std::string(R2U_DESIGN_DIR) + "/vscale.meta";
+}
+
 vlog::ElabResult
 elaborateVscale(const Config &config)
 {

@@ -55,6 +55,14 @@ struct Config
 /** Paths of the multi-V-scale Verilog sources. */
 std::vector<std::string> designFiles();
 
+/**
+ * Path of designs/vscale.meta, the multi-V-scale's rtl2uspec design
+ * metadata (IFR/PCR/IM_PC per core, lw/sw encodings, the shared data
+ * memory's interface; paper §4.2.1, §4.3.4). Load it with
+ * rtl2uspec::loadMetadata; it holds for every Config.
+ */
+std::string metaPath();
+
 /** Parse + elaborate the multi-V-scale with the given configuration. */
 vlog::ElabResult elaborateVscale(const Config &config);
 

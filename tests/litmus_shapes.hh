@@ -9,7 +9,7 @@
 #ifndef R2U_TESTS_LITMUS_SHAPES_HH
 #define R2U_TESTS_LITMUS_SHAPES_HH
 
-#include "common/strutil.hh"
+#include "common/logging.hh"
 #include "litmus/litmus.hh"
 
 namespace r2u::test

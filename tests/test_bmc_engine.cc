@@ -19,11 +19,11 @@
 
 #include "bmc/engine.hh"
 #include "random_netlist.hh"
+#include "rtl2uspec/metadata_io.hh"
 #include "rtl2uspec/synthesis.hh"
 #include "sim/simulator.hh"
 #include "verilog/elaborate.hh"
 #include "verilog/parser.hh"
-#include "vscale/metadata.hh"
 #include "vscale/vscale.hh"
 
 using namespace r2u;
@@ -184,7 +184,7 @@ rtl2uspec::SynthesisResult
 synthesizeAt(unsigned jobs, bool full_unroll = false)
 {
     auto design = vscale::elaborateVscale(formalConfig());
-    auto md = vscale::vscaleMetadata(formalConfig());
+    auto md = rtl2uspec::loadMetadata(vscale::metaPath());
     rtl2uspec::SynthesisOptions opts;
     opts.jobs = jobs;
     opts.fullUnroll = full_unroll;
@@ -241,7 +241,7 @@ TEST(BmcEngine, VscaleParallelSynthesisMatchesSequential)
     // every Proven verdict in a fresh context and replays every
     // counterexample through the simulator, and none may disagree.
     auto design = vscale::elaborateVscale(formalConfig());
-    auto md = vscale::vscaleMetadata(formalConfig());
+    auto md = rtl2uspec::loadMetadata(vscale::metaPath());
     rtl2uspec::SynthesisOptions opts;
     opts.jobs = 1;
     opts.validate = bmc::ValidateMode::Full;
@@ -528,7 +528,7 @@ TEST(BmcEngine, VscaleJournalResumeIdentity)
     fs::remove(journal);
 
     auto design = vscale::elaborateVscale(formalConfig());
-    auto md = vscale::vscaleMetadata(formalConfig());
+    auto md = rtl2uspec::loadMetadata(vscale::metaPath());
 
     rtl2uspec::SynthesisOptions opts;
     opts.jobs = 2;
@@ -585,7 +585,7 @@ TEST(BmcEngine, VscaleCacheWarmRunIdentity)
     fs::remove_all(dir);
 
     auto design = vscale::elaborateVscale(formalConfig());
-    auto md = vscale::vscaleMetadata(formalConfig());
+    auto md = rtl2uspec::loadMetadata(vscale::metaPath());
 
     rtl2uspec::SynthesisOptions opts;
     opts.jobs = 2;
@@ -647,7 +647,7 @@ TEST(BmcEngine, VscaleCacheMetadataEditInvalidates)
     fs::remove_all(dir);
 
     auto design = vscale::elaborateVscale(formalConfig());
-    auto md = vscale::vscaleMetadata(formalConfig());
+    auto md = rtl2uspec::loadMetadata(vscale::metaPath());
 
     rtl2uspec::SynthesisOptions opts;
     opts.jobs = 2;
@@ -671,7 +671,7 @@ TEST(BmcEngine, VscaleCacheMetadataEditInvalidates)
 TEST(BmcEngine, ValidationModesDoNotChangeTheModel)
 {
     auto design = vscale::elaborateVscale(formalConfig());
-    auto md = vscale::vscaleMetadata(formalConfig());
+    auto md = rtl2uspec::loadMetadata(vscale::metaPath());
 
     rtl2uspec::SynthesisOptions opts;
     opts.jobs = 2;
@@ -709,7 +709,7 @@ TEST(BmcEngine, TightBudgetSynthesisDegradesConservatively)
     // run must still complete, count its Unknowns, tag the degraded
     // axioms, and never let an Unknown masquerade as Proven/Refuted.
     auto design = vscale::elaborateVscale(formalConfig());
-    auto md = vscale::vscaleMetadata(formalConfig());
+    auto md = rtl2uspec::loadMetadata(vscale::metaPath());
     rtl2uspec::SynthesisOptions opts;
     opts.jobs = 2;
     opts.conflictBudget = 0;

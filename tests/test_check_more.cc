@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "check/check.hh"
+#include "check/campaign.hh"
 #include "litmus/litmus.hh"
 #include "uspec/uspec.hh"
 
@@ -183,7 +183,7 @@ TEST(CheckMore, DotOnlyWhenRequested)
     LTest mp = litmus::standardSuite()[0];
     auto res = check::checkTest(scModel(), mp);
     EXPECT_TRUE(res.interestingDot.empty());
-    check::Options opts;
+    check::CampaignOptions opts;
     opts.collectDot = true;
     res = check::checkTest(scModel(), mp, opts);
     EXPECT_FALSE(res.interestingDot.empty());

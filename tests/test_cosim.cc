@@ -17,8 +17,8 @@
 #include "isa/isa.hh"
 #include "litmus/litmus.hh"
 #include "mcm/sc_ref.hh"
+#include "rtl2uspec/metadata_io.hh"
 #include "rtl2uspec/synthesis.hh"
-#include "vscale/metadata.hh"
 #include "vscale/vscale.hh"
 
 using namespace r2u;
@@ -39,7 +39,7 @@ synthesizedModel()
 {
     static uspec::Model model = [] {
         auto design = vscale::elaborateVscale(cfg());
-        auto md = vscale::vscaleMetadata(cfg());
+        auto md = rtl2uspec::loadMetadata(vscale::metaPath());
         return rtl2uspec::synthesize(design, md).model;
     }();
     return model;

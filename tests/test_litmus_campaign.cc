@@ -10,12 +10,15 @@
  * search replaced), and the regression fixes: an SC-allowed
  * interesting outcome is not a failure, per-test DOT
  * collection/filenames, an empty execution solving cleanly (no
- * out-of-bounds binding; runs under the ASan CI job), and a candidate
- * space past 2^64 being an error instead of an unchecked pass.
+ * out-of-bounds binding; runs under the ASan CI job), a candidate
+ * space past 2^64 being an error instead of an unchecked pass, and a
+ * stop ending the candidate-bucketing sweep.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <random>
 #include <set>
 
@@ -641,7 +644,7 @@ w x 1
 thread 1
 w x 1
 interesting x=2)");
-    check::Options exhaustive, pruned;
+    check::CampaignOptions exhaustive, pruned;
     exhaustive.jobs = 1, exhaustive.prune = false;
     pruned.jobs = 1, pruned.prune = true;
     auto ex = check::checkTest(scModel(), t, exhaustive);
@@ -655,6 +658,29 @@ interesting x=2)");
     EXPECT_EQ(ex.outcomes, pr.outcomes);
     EXPECT_EQ(ex.pass, pr.pass);
     EXPECT_EQ(ex.tight, pr.tight);
+}
+
+// A stop ends the outcome-bucketing sweep, not only the solves: on the
+// 6-writer mixed stress test (25,401,600 candidates) the sweep alone
+// used to run ~25 s before the first stop check. With the flag already
+// set, nothing is decoded or solved and every candidate counts as
+// pruned.
+TEST(Campaign, StopEndsTheBucketingSweep)
+{
+    std::atomic<bool> stop{true};
+    check::CampaignOptions opts;
+    opts.jobs = 1;
+    opts.stop = &stop;
+    auto start = std::chrono::steady_clock::now();
+    auto res = check::runCampaign(scModel(), {test::mixedStress(6)}, opts);
+    double seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+    EXPECT_TRUE(res.interrupted);
+    EXPECT_EQ(res.executionsTotal, 25401600);
+    EXPECT_EQ(res.executionsExplored, 0);
+    EXPECT_EQ(res.executionsPruned, res.executionsTotal);
+    EXPECT_LT(seconds, 5.0);
 }
 
 TEST(Campaign, FailFastStillReportsViolation)

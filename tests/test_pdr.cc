@@ -17,10 +17,10 @@
 #include "bmc/pdr.hh"
 #include "bmc/validate.hh"
 #include "random_netlist.hh"
+#include "rtl2uspec/metadata_io.hh"
 #include "rtl2uspec/synthesis.hh"
 #include "verilog/elaborate.hh"
 #include "verilog/parser.hh"
-#include "vscale/metadata.hh"
 #include "vscale/vscale.hh"
 
 using namespace r2u;
@@ -345,7 +345,7 @@ rtl2uspec::SynthesisResult
 synthesizeWith(unsigned jobs, EngineChoice engine)
 {
     auto design = vscale::elaborateVscale(formalConfig());
-    auto md = vscale::vscaleMetadata(formalConfig());
+    auto md = rtl2uspec::loadMetadata(vscale::metaPath());
     rtl2uspec::SynthesisOptions opts;
     opts.jobs = jobs;
     opts.engine = engine;

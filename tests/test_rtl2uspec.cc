@@ -17,13 +17,13 @@
 #include <random>
 #include <set>
 
-#include "check/check.hh"
+#include "check/campaign.hh"
 #include "common/dot.hh"
 #include "common/logging.hh"
 #include "dfg/dfg.hh"
 #include "random_netlist.hh"
+#include "rtl2uspec/metadata_io.hh"
 #include "rtl2uspec/synthesis.hh"
-#include "vscale/metadata.hh"
 #include "vscale/vscale.hh"
 
 using namespace r2u;
@@ -154,7 +154,7 @@ sharedSynthesis()
 {
     static SynthesisResult result = [] {
         auto design = vscale::elaborateVscale(formalConfig());
-        auto md = vscale::vscaleMetadata(formalConfig());
+        auto md = rtl2uspec::loadMetadata(vscale::metaPath());
         return synthesize(design, md);
     }();
     return result;
@@ -360,7 +360,7 @@ TEST(Rtl2uspec, BuggyDesignTriggersBugDiscovery)
     vscale::Config cfg = formalConfig();
     cfg.buggy = true;
     auto design = vscale::elaborateVscale(cfg);
-    auto md = vscale::vscaleMetadata(cfg);
+    auto md = rtl2uspec::loadMetadata(vscale::metaPath());
     md.bound = 6; // the bug shows up within a few cycles
     SynthesisResult r = synthesize(design, md);
     ASSERT_FALSE(r.bugs.empty());

@@ -30,6 +30,7 @@
 #include "common/json.hh"
 #include "common/strutil.hh"
 #include "litmus/litmus.hh"
+#include "litmus_shapes.hh"
 #include "rtl2uspec/metadata_io.hh"
 #include "rtl2uspec/synthesis.hh"
 #include "serve/chaos.hh"
@@ -547,6 +548,44 @@ TEST(Serve, CampaignRoundTrip)
         << resp.dump();
     ASSERT_TRUE(client.requestWithRetry(sock, req, resp, &err)) << err;
     EXPECT_TRUE(resp.getBool("ok")) << resp.dump();
+}
+
+// A campaign has no solver heartbeat, so the watchdog stops it only at
+// its deadline; it is not re-run (a re-run got a fresh deadline and
+// took twice the budget). The 5-writer mixed stress test has 518,400
+// candidates and needs ~0.5 s, well past the 0.1 s asked for.
+TEST(Serve, CampaignDeadlineIsNotRetried)
+{
+    std::string sock = tempPath("serve_campaign_deadline.sock");
+    std::string test_path = tempPath("serve_campaign_deadline.test");
+    writeFile(test_path, test::mixedStress(5).print());
+
+    ServerOptions opts;
+    opts.socketPath = sock;
+    TestDaemon daemon(std::move(opts));
+
+    Client client;
+    std::string err;
+    json::Value req = json::Value::object();
+    req.set("type", json::Value::string("campaign"));
+    req.set("model",
+            json::Value::string(std::string(kSourceDir) +
+                                "/designs/vscale_sc.uarch"));
+    req.set("test_file", json::Value::string(test_path));
+    req.set("jobs", json::Value::number(int64_t{1}));
+    req.set("timeout", json::Value::number(0.1));
+    json::Value resp;
+    ASSERT_TRUE(client.requestWithRetry(sock, req, resp, &err)) << err;
+    ASSERT_TRUE(resp.getBool("ok")) << resp.dump();
+    EXPECT_TRUE(resp.getBool("interrupted")) << resp.dump();
+    EXPECT_EQ(resp.getInt("attempts"), 1) << resp.dump();
+
+    json::Value status_req = json::Value::object();
+    status_req.set("type", json::Value::string("status"));
+    json::Value status;
+    ASSERT_TRUE(client.request(status_req, status, &err)) << err;
+    EXPECT_GE(status.getInt("watchdog_interrupts"), 1) << status.dump();
+    EXPECT_EQ(status.getInt("request_retries"), 0) << status.dump();
 }
 
 TEST(Serve, DrainRefusesNewWorkAndExitsCleanly)

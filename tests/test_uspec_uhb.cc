@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "check/check.hh"
+#include "check/campaign.hh"
 #include "common/logging.hh"
 #include "litmus/litmus.hh"
 #include "uhb/uhb.hh"
@@ -175,7 +175,7 @@ TEST(Check, HandModelPassesMp)
 {
     Model m = Model::parse(kVscaleHandModel);
     litmus::Test mp = litmus::standardSuite()[0];
-    check::Options opts;
+    check::CampaignOptions opts;
     opts.collectDot = true;
     auto res = check::checkTest(m, mp, opts);
     EXPECT_TRUE(res.pass) << res.summary();

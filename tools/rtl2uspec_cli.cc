@@ -74,7 +74,7 @@ usage()
         "                  the whole design per unroll (same verdicts,\n"
         "                  bigger CNFs; for differential testing)\n"
         "  --conflict-budget N  per-SVA solver conflict budget\n"
-        "                  (overrides the metadata; -1 = unlimited)\n"
+        "                  (default -1 = unlimited)\n"
         "  --query-timeout S    per-SVA wall-clock deadline, seconds\n"
         "  --total-timeout S    whole-run wall-clock deadline, seconds\n"
         "  --engine E      proof path per SVA query: race | bmc\n"
@@ -165,10 +165,10 @@ main(int argc, char **argv)
                 synth_opts.conflictBudget =
                     parseInt64("--conflict-budget", next());
             } else if (arg == "--query-timeout") {
-                synth_opts.queryTimeoutSeconds =
+                synth_opts.querySeconds =
                     parseDouble("--query-timeout", next());
             } else if (arg == "--total-timeout") {
-                synth_opts.totalTimeoutSeconds =
+                synth_opts.totalSeconds =
                     parseDouble("--total-timeout", next());
             } else if (arg == "--engine") {
                 std::string e = next();

@@ -75,9 +75,9 @@ usage()
         "                       interrupt (default 30, <= 0 disables)\n"
         "  --drain-timeout S    grace for in-flight requests after\n"
         "                       SIGTERM/shutdown (default 30)\n"
-        "  --retries N          server-side re-runs of a\n"
-        "                       watchdog-interrupted request "
-        "(default 1)\n"
+        "  --retries N          server-side re-runs of a synthesize\n"
+        "                       request whose solver heartbeat\n"
+        "                       stalled (default 1)\n"
         "  --chaos SPEC         arm fault injection, e.g.\n"
         "                       \"stall=1,stall-ms=5000,torn=2,"
         "drop=1\"\n"
