@@ -4,9 +4,8 @@
 #include <cctype>
 #include <exception>
 #include <filesystem>
-#include <map>
-#include <set>
 #include <thread>
+#include <utility>
 
 #include "bmc/pdr.hh"
 #include "bmc/validate.hh"
@@ -56,27 +55,26 @@ resolveJobs(unsigned requested)
 }
 
 /**
- * Per-worker state: one incremental context per unroll bound, for one
- * drain(). Only the owning worker thread touches a Worker after
- * construction, so no locking is needed here.
+ * Per-worker state: one incremental context at the engine's bound,
+ * for one drain(). Only the owning worker thread touches a Worker
+ * after construction, so no locking is needed here.
  */
 struct Engine::Worker
 {
-    std::map<unsigned, std::unique_ptr<PropCtx>> contexts;
+    std::unique_ptr<PropCtx> ctx;
     uint64_t contexts_built = 0;
     uint64_t contexts_seeded = 0;
-    /** Bounds this worker claimed seed-builder duty for (it must
-     *  publish or abandon each before its first query completes). */
-    std::set<unsigned> seed_builder_for;
+    /** This worker claimed seed-builder duty (it must publish or
+     *  abandon the seed before its first query completes). */
+    bool seed_builder = false;
 
     PropCtx &
-    contextFor(Engine &engine, unsigned bound)
+    contextFor(Engine &engine)
     {
-        auto it = contexts.find(bound);
-        if (it != contexts.end())
-            return *it->second;
-        auto ctx = std::make_unique<PropCtx>(
-            engine.nl_, engine.signals_, engine.options_, bound);
+        if (ctx)
+            return *ctx;
+        auto fresh = std::make_unique<PropCtx>(
+            engine.nl_, engine.signals_, engine.options_, engine.bound_);
         // Warm start: the first worker to get here becomes the seed
         // builder and bit-blasts from the netlist; everyone else —
         // siblings in this batch and every worker of later batches —
@@ -89,22 +87,22 @@ struct Engine::Worker
         // peak RSS from 53 to 75 MB for a run about 12% faster.
         if (engine.jobs_ > 1) {
             std::unique_lock<std::mutex> lk(engine.seed_mu_);
-            SeedSlot &slot = engine.seeds_[bound];
+            SeedSlot &slot = engine.seed_;
             while (!slot.seed && slot.building)
                 engine.seed_cv_.wait(lk);
             if (slot.seed) {
                 const PropCtx *seed = slot.seed.get();
                 lk.unlock();
-                ctx->seedFrom(*seed); // seed is immutable once set
+                fresh->seedFrom(*seed); // seed is immutable once set
                 contexts_seeded++;
             } else {
                 slot.building = true;
-                seed_builder_for.insert(bound);
+                seed_builder = true;
             }
         }
-        it = contexts.emplace(bound, std::move(ctx)).first;
+        ctx = std::move(fresh);
         contexts_built++;
-        return *it->second;
+        return *ctx;
     }
 };
 
@@ -140,27 +138,28 @@ size_t
 Engine::enqueue(Query query)
 {
     R2U_ASSERT(query.prop != nullptr, "query without a property");
-    if (query.bound == 0)
-        query.bound = bound_;
-    if (query.conflictBudget == Query::kInheritBudget)
-        query.conflictBudget = eopts_.conflictBudget;
     batch_.push_back(std::move(query));
     return batch_.size() - 1;
 }
 
 bool
-Engine::queryLimits(const Query &query, SolveLimits &limits,
-                    bool &total_binding) const
+Engine::stopRequested() const
+{
+    return eopts_.stop && eopts_.stop->load(std::memory_order_relaxed);
+}
+
+bool
+Engine::queryLimits(SolveLimits &limits, bool &total_binding) const
 {
     total_binding = false;
-    if (cancel_.load(std::memory_order_relaxed))
+    if (stopRequested())
         return false;
 
     limits = SolveLimits{};
-    limits.cancel = &cancel_;
+    limits.cancel = eopts_.stop;
     // A budget of 0 is a legal "give up immediately".
-    if (query.conflictBudget >= 0)
-        limits.conflicts = query.conflictBudget;
+    if (eopts_.conflictBudget >= 0)
+        limits.conflicts = eopts_.conflictBudget;
 
     double query_deadline =
         eopts_.querySeconds >= 0 ? eopts_.querySeconds : -1.0;
@@ -245,7 +244,7 @@ Engine::vcdPathFor(const Query &query) const
         if (!std::isalnum(static_cast<unsigned char>(c)))
             c = '_';
     return strfmt("%s/cex_%s_b%u.vcd", eopts_.cexVcdDir.c_str(),
-                  name.c_str(), query.bound);
+                  name.c_str(), bound_);
 }
 
 CheckResult
@@ -253,15 +252,15 @@ Engine::quarantineSolve(const Query &query, bool warm_ok)
 {
     SolveLimits limits;
     bool total_binding = false;
-    if (!queryLimits(query, limits, total_binding)) {
-        CheckResult r = cancelledResult(query.bound);
+    if (!queryLimits(limits, total_binding)) {
+        CheckResult r = cancelledResult(bound_);
         if (eopts_.faultHook)
             eopts_.faultHook(query, r, SolveStage::Quarantine);
         return r;
     }
     CheckResult r =
-        checkProperty(nl_, signals_, options_, query.bound, query.prop,
-                      limits, warm_ok ? seedFor(query.bound) : nullptr);
+        checkProperty(nl_, signals_, options_, bound_, query.prop,
+                      limits, warm_ok ? seedFor() : nullptr);
     refineSource(r, total_binding);
     if (eopts_.faultHook)
         eopts_.faultHook(query, r, SolveStage::Quarantine);
@@ -471,14 +470,14 @@ Engine::resolveFromStores(const std::vector<Query> &batch,
         if (!rec) {
             if (cache) {
                 stats_.cacheMisses++;
-                if (cache->hasStaleEntry(q.name, q.bound, q.contentHash))
+                if (cache->hasStaleEntry(q.name, bound_, q.contentHash))
                     stats_.cacheInvalidations++;
             }
             continue;
         }
         r.verdict = rec->verdict;
         r.source = rec->source;
-        r.bound = rec->unbounded ? q.bound : rec->bound;
+        r.bound = rec->unbounded ? bound_ : rec->bound;
         r.seconds = rec->seconds;
         r.conflicts = rec->conflicts;
         r.propagations = rec->propagations;
@@ -496,43 +495,41 @@ Engine::resolveFromStores(const std::vector<Query> &batch,
 }
 
 void
-Engine::maybePublishSeed(Worker &worker, PropCtx &ctx, unsigned bound)
+Engine::maybePublishSeed(Worker &worker, PropCtx &ctx)
 {
-    if (worker.seed_builder_for.erase(bound) == 0)
+    if (!std::exchange(worker.seed_builder, false))
         return;
     // Snapshot outside the lock: ctx belongs to this worker and the
     // slot is ours until we publish (building == true keeps waiters
     // parked on the condvar).
     auto seed = std::make_unique<PropCtx>(nl_, signals_, options_,
-                                          bound);
+                                          bound_);
     seed->seedFrom(ctx);
     {
         std::lock_guard<std::mutex> lk(seed_mu_);
-        SeedSlot &slot = seeds_[bound];
-        slot.seed = std::move(seed);
-        slot.building = false;
+        seed_.seed = std::move(seed);
+        seed_.building = false;
     }
     seed_cv_.notify_all();
 }
 
 const PropCtx *
-Engine::seedFor(unsigned bound)
+Engine::seedFor()
 {
     std::lock_guard<std::mutex> lk(seed_mu_);
-    auto it = seeds_.find(bound);
-    // Published seeds are immutable and live as long as the engine,
+    // A published seed is immutable and lives as long as the engine,
     // so handing out the raw pointer is safe.
-    return it != seeds_.end() ? it->second.seed.get() : nullptr;
+    return seed_.seed.get();
 }
 
 void
-Engine::abandonSeed(Worker &worker, unsigned bound)
+Engine::abandonSeed(Worker &worker)
 {
-    if (worker.seed_builder_for.erase(bound) == 0)
+    if (!std::exchange(worker.seed_builder, false))
         return;
     {
         std::lock_guard<std::mutex> lk(seed_mu_);
-        seeds_[bound].building = false;
+        seed_.building = false;
     }
     seed_cv_.notify_all();
 }
@@ -542,21 +539,22 @@ Engine::runIncremental(Worker &worker, const Query &query)
 {
     Timer timer;
     CheckResult result;
-    result.bound = query.bound;
+    result.bound = bound_;
 
     SolveLimits limits;
     bool total_binding = false;
-    if (!queryLimits(query, limits, total_binding))
-        return cancelledResult(query.bound);
+    if (!queryLimits(limits, total_binding))
+        return cancelledResult(bound_);
 
-    // PDR pre-pass (--engine race): within the query's bound and
-    // limits, on this thread. Only a Proven answer is taken — BMC owns
-    // every refutation and its trace — so the verdict is the one BMC
-    // would return and only its generality (unbounded or not) differs.
+    // PDR pre-pass (--engine race): within the engine's bound and the
+    // query's limits, on this thread. Only a Proven answer is taken —
+    // BMC owns every refutation and its trace — so the verdict is the
+    // one BMC would return and only its generality (unbounded or not)
+    // differs.
     if (query.frameProp && eopts_.engine == EngineChoice::Race) {
         result.engineRaced = true;
         PdrOptions popts;
-        popts.bound = query.bound;
+        popts.bound = bound_;
         popts.limits = limits;
         PdrResult pr = checkPdr(nl_, signals_, options_, query.seeds,
                                 query.frameProp, popts);
@@ -576,35 +574,33 @@ Engine::runIncremental(Worker &worker, const Query &query)
         }
         // The BMC solve gets limits of its own; the pre-pass may have
         // spent part of the total deadline.
-        if (!queryLimits(query, limits, total_binding)) {
+        if (!queryLimits(limits, total_binding)) {
             result.verdict = Verdict::Unknown;
-            result.source = interrupted() ? VerdictSource::Interrupted
-                                          : VerdictSource::TotalDeadline;
+            result.source = stopRequested() ? VerdictSource::Interrupted
+                                            : VerdictSource::TotalDeadline;
             result.seconds = timer.seconds();
             return result;
         }
     }
 
-    PropCtx &ctx = worker.contextFor(*this, query.bound);
+    PropCtx &ctx = worker.contextFor(*this);
     // If contextFor made this worker the seed builder, waiters are
     // parked until the snapshot lands after CNF construction below.
     // On any exit that skips the normal path (the property callback
     // threw), hand the builder role back so they can proceed, and drop
     // the context if it is left mid-query, so the worker's next query
-    // at this bound starts on a fresh context.
+    // starts on a fresh context.
     struct ExitGuard
     {
         Engine &engine;
         Worker &worker;
-        unsigned bound;
         ~ExitGuard()
         {
-            auto it = worker.contexts.find(bound);
-            if (it != worker.contexts.end() && it->second->inQuery())
-                worker.contexts.erase(it);
-            engine.abandonSeed(worker, bound);
+            if (worker.ctx && worker.ctx->inQuery())
+                worker.ctx.reset();
+            engine.abandonSeed(worker);
         }
-    } exit_guard{*this, worker, query.bound};
+    } exit_guard{*this, worker};
     sat::Solver &solver = ctx.solver();
     uint64_t conflicts_before = solver.stats().conflicts;
     uint64_t props_before = solver.stats().propagations;
@@ -616,7 +612,7 @@ Engine::runIncremental(Worker &worker, const Query &query)
     ctx.assume(bad); // guarded assertion of the violation
     // The transition relation this query demanded is now in the CNF:
     // the snapshot point for warm-starting sibling contexts.
-    maybePublishSeed(worker, ctx, query.bound);
+    maybePublishSeed(worker, ctx);
 
     applyLimits(solver, limits);
     switch (solver.solve({ctx.activation()})) {
@@ -707,8 +703,8 @@ Engine::drain()
 
     // Worker contexts live for this batch only: a context accumulates
     // every query's CNF and learnt clauses, so keeping it across
-    // batches would grow memory without bound. Seeds published at
-    // jobs > 1 stay and warm-start the next batch's contexts.
+    // batches would grow memory without bound. The seed published at
+    // jobs > 1 stays and warm-starts the next batch's contexts.
     std::vector<std::unique_ptr<Worker>> workers;
     for (unsigned w = 0; w < jobs_; w++)
         workers.push_back(std::make_unique<Worker>());

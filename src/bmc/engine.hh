@@ -10,21 +10,23 @@
  *
  *  - parallelism: queries run concurrently across workers;
  *  - incrementality: each worker keeps one long-lived PropCtx
- *    (solver + unroller) per unroll bound, so the transition-relation
- *    CNF is bit-blasted once per worker and amortized across every
- *    query that worker serves. Per-query constraints are isolated
- *    behind an activation literal and solved via solve(assumptions),
- *    so queries never contaminate the shared CNF prefix — and learnt
- *    clauses carry over between queries for free.
+ *    (solver + unroller) at the engine's bound, so the
+ *    transition-relation CNF is bit-blasted once per worker and
+ *    amortized across every query that worker serves. Per-query
+ *    constraints are isolated behind an activation literal and solved
+ *    via solve(assumptions), so queries never contaminate the shared
+ *    CNF prefix — and learnt clauses carry over between queries for
+ *    free.
  *
  * Results come back in enqueue order regardless of completion order,
  * so callers see deterministic output. jobs=1 is the same path with
  * one worker, run on the calling thread in enqueue order, so its
  * verdicts and solver counts repeat exactly from run to run. Worker
- * contexts live for one drain(); at jobs > 1 the warm-start seeds
- * they publish stay for the engine's lifetime. The fresh-context
- * oracle (checkProperty) remains for quarantine and --validate
- * re-checks.
+ * contexts live for one drain(); at jobs > 1 the warm-start seed
+ * they publish stays for the engine's lifetime. Every query runs at
+ * the engine's bound under its conflict budget, and one caller-owned
+ * flag (EngineOptions::stop) stops a run. The fresh-context oracle
+ * (checkProperty) remains for quarantine and --validate re-checks.
  */
 
 #ifndef R2U_BMC_ENGINE_HH
@@ -33,7 +35,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -75,7 +76,7 @@ enum class SolveStage : uint8_t { Primary, Quarantine };
  * (Query::frameProp):
  *  - Bmc: the incremental BMC solve alone (the reference path).
  *  - Race: per query, a sequential IC3/PDR pre-pass (bmc/pdr.hh) on
- *    the worker's thread, within the query's bound and limits. A PDR
+ *    the worker's thread, within the engine's bound and limits. A PDR
  *    Proven answers the query; anything else falls through to the
  *    incremental BMC solve, which owns every refutation and trace —
  *    so the synthesized model stays bit-identical to --engine bmc at
@@ -90,7 +91,7 @@ struct EngineOptions
 {
     /** Worker count; 0 means std::thread::hardware_concurrency(). */
     unsigned jobs = 0;
-    /** Default solver conflict budget per query (<0: unlimited). */
+    /** Solver conflict budget per query (<0: unlimited). */
     int64_t conflictBudget = -1;
     /** Per-query wall-clock deadline in seconds (<0: none). */
     double querySeconds = -1.0;
@@ -102,6 +103,16 @@ struct EngineOptions
      * still-queued queries come back Cancelled.
      */
     double totalSeconds = -1.0;
+    /**
+     * Cooperative stop flag (caller-owned, may be flipped from any
+     * thread — a signal handler, the service watchdog). Handed to
+     * every solve as SolveLimits::cancel: once set, in-flight solves
+     * return Unknown (Interrupted) at their next stop check and
+     * still-queued queries come back Cancelled, so a stopped run is a
+     * sound partial answer. Clearing it re-arms the engine. nullptr =
+     * never stop.
+     */
+    const std::atomic<bool> *stop = nullptr;
 
     /**
      * Verdict validation policy. The default replays every
@@ -152,10 +163,6 @@ struct Query
 {
     std::string name; ///< label for debug logging
     PropertyFn prop;
-    /** Unroll bound; 0 uses the engine default. */
-    unsigned bound = 0;
-    /** Conflict budget; kInheritBudget uses the engine default. */
-    int64_t conflictBudget = kInheritBudget;
 
     /**
      * Seed state elements the property reads (optional). BMC's
@@ -193,8 +200,6 @@ struct Query
      * verdicts are aligned with.
      */
     FramePropertyFn frameProp;
-
-    static constexpr int64_t kInheritBudget = INT64_MIN;
 };
 
 /**
@@ -207,7 +212,7 @@ struct EngineStats
     uint64_t queries = 0;
     /**
      * Incremental contexts built (== transition-relation unrolls): at
-     * most one per worker per bound per drain(), at any jobs count.
+     * most one per worker per drain(), at any jobs count.
      */
     uint64_t unrollContexts = 0;
     /**
@@ -287,24 +292,6 @@ class Engine
     /** The options this engine was constructed with. */
     const EngineOptions &options() const { return eopts_; }
 
-    /**
-     * Asynchronously stop the engine: in-flight solves return Unknown
-     * (Interrupted) at their next stop check and still-queued queries
-     * come back Cancelled. Safe to call from any thread; sticky until
-     * clearInterrupt().
-     */
-    void interrupt() { cancel_.store(true, std::memory_order_relaxed); }
-
-    void clearInterrupt()
-    {
-        cancel_.store(false, std::memory_order_relaxed);
-    }
-
-    bool interrupted() const
-    {
-        return cancel_.load(std::memory_order_relaxed);
-    }
-
     /** Add a query to the pending batch; returns its batch index. */
     size_t enqueue(Query query);
 
@@ -322,7 +309,7 @@ class Engine
     struct Worker;
 
     /**
-     * One query on @p worker's incremental context for its bound, after
+     * One query on @p worker's incremental context, after
      * the PDR pre-pass when EngineOptions::engine is Race. A property
      * callback that throws leaves the context mid-query; it is dropped
      * before the exception propagates.
@@ -349,8 +336,8 @@ class Engine
      * false and pays for a fully independent re-encoding.
      */
     CheckResult quarantineSolve(const Query &query, bool warm_ok);
-    /** Published warm-start seed for @p bound (nullptr if none). */
-    const PropCtx *seedFor(unsigned bound);
+    /** Published warm-start seed (nullptr if none). */
+    const PropCtx *seedFor();
     /** Deterministic VCD path for a query's counterexample ("" if
      *  --cex-vcd is off). */
     std::string vcdPathFor(const Query &query) const;
@@ -361,25 +348,27 @@ class Engine
                            std::vector<CheckResult> &results,
                            std::vector<char> &done);
 
-    /**
-     * Compute the solve limits for a query. Returns false when the
-     * query must not be solved at all (engine interrupted, or the
-     * total deadline already passed); @p total_binding reports whether
-     * the clamped total deadline — rather than the per-query one — is
-     * the effective deadline.
-     */
-    bool queryLimits(const Query &query, SolveLimits &limits,
-                     bool &total_binding) const;
+    /** EngineOptions::stop is set. */
+    bool stopRequested() const;
 
     /**
-     * Warm-start seed registry (jobs > 1): the first worker to build
-     * a context for a bound publishes an immutable snapshot of it
-     * right after its first query's CNF construction; workers arriving
-     * later — in this batch or a later one — clone the snapshot
-     * (PropCtx::seedFrom) instead of bit-blasting the transition
-     * relation again. `building` marks the designated builder so
-     * latecomers wait on seed_cv_ for the snapshot rather than
-     * redundantly encoding in parallel.
+     * Compute the solve limits for the next query. Returns false when
+     * it must not be solved at all (stop requested, or the total
+     * deadline already passed); @p total_binding reports whether the
+     * clamped total deadline — rather than the per-query one — is the
+     * effective deadline.
+     */
+    bool queryLimits(SolveLimits &limits, bool &total_binding) const;
+
+    /**
+     * Warm-start seed (jobs > 1): the first worker to build a context
+     * publishes an immutable snapshot of it right after its first
+     * query's CNF construction; workers arriving later — in this
+     * batch or a later one — clone the snapshot (PropCtx::seedFrom)
+     * instead of bit-blasting the transition relation again.
+     * `building` marks the designated builder so latecomers wait on
+     * seed_cv_ for the snapshot rather than redundantly encoding in
+     * parallel.
      */
     struct SeedSlot
     {
@@ -387,10 +376,10 @@ class Engine
         std::unique_ptr<const PropCtx> seed;
     };
     /** Publish a snapshot of @p ctx if this worker is the designated
-     *  builder for @p bound (no-op otherwise). */
-    void maybePublishSeed(Worker &worker, PropCtx &ctx, unsigned bound);
+     *  seed builder (no-op otherwise). */
+    void maybePublishSeed(Worker &worker, PropCtx &ctx);
     /** Builder failed before publishing: hand the role to a waiter. */
-    void abandonSeed(Worker &worker, unsigned bound);
+    void abandonSeed(Worker &worker);
 
     const nl::Netlist &nl_;
     const std::unordered_map<std::string, nl::CellId> &signals_;
@@ -399,7 +388,6 @@ class Engine
     EngineOptions eopts_;
     unsigned jobs_;
 
-    std::atomic<bool> cancel_{false};
     bool has_total_deadline_ = false;
     std::chrono::steady_clock::time_point total_deadline_;
 
@@ -410,7 +398,7 @@ class Engine
 
     std::mutex seed_mu_;
     std::condition_variable seed_cv_;
-    std::map<unsigned, SeedSlot> seeds_;
+    SeedSlot seed_;
 };
 
 /** 0 -> hardware_concurrency() (>= 1); otherwise the value itself. */

@@ -70,17 +70,6 @@ class Synthesizer
         out_.cacheEnabled = eopts.cache != nullptr;
         engine_ = std::make_unique<bmc::Engine>(
             nl_, design_.signalMap, unrollOptions(), md_.bound, eopts);
-        engine_hook_ = opts.engineHook;
-        if (engine_hook_)
-            engine_hook_(engine_.get());
-    }
-
-    ~Synthesizer()
-    {
-        // Unpublish the engine before any member is torn down so a
-        // supervisor can never interrupt() a dead engine.
-        if (engine_hook_)
-            engine_hook_(nullptr);
     }
 
     SynthesisResult
@@ -500,6 +489,12 @@ class Synthesizer
         for (size_t q = 0; q < results.size(); q++) {
             SvaRecord &rec = out_.svas[pending_[q]];
             static_cast<CheckResult &>(rec) = std::move(results[q]);
+            // Replays and --cex-vcd dumps ran inside the engine; from
+            // here on only the trace's steps are read (bug messages,
+            // examples/bug_hunt).
+            rec.trace.inputs.clear();
+            rec.trace.initRegs.clear();
+            rec.trace.initMems.clear();
             debugLog("SVA %-28s %-12s %.3fs", rec.name.c_str(),
                      bmc::verdictName(rec.verdict), rec.seconds);
         }
@@ -1791,8 +1786,6 @@ class Synthesizer
     std::unique_ptr<bmc::VerdictStore> cache_;
     /** The BMC query engine serving every SVA in this run. */
     std::unique_ptr<bmc::Engine> engine_;
-    /** SynthesisOptions::engineHook (fired in ctor/dtor). */
-    std::function<void(bmc::Engine *)> engine_hook_;
     /** Record indices of queries enqueued since the last flush. */
     std::vector<size_t> pending_;
 };

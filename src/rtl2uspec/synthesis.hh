@@ -70,12 +70,12 @@ struct CategoryStats
 /**
  * Knobs for how the synthesis procedure runs (not what it computes).
  * The engine's knobs (jobs, conflict budget, query and total
- * deadlines, --engine, validation, a caller-owned journal or cache,
- * the VCD directory and the fault hook) are inherited from
- * bmc::EngineOptions and reach the engine as they are set; the fields
- * below are what only the synthesis frontend knows. Verdicts and the
- * emitted model are identical at any jobs, engine and budget that
- * decides every SVA.
+ * deadlines, the caller's stop flag, --engine, validation, a
+ * caller-owned journal or cache, the VCD directory and the fault
+ * hook) are inherited from bmc::EngineOptions and reach the engine as
+ * they are set; the fields below are what only the synthesis frontend
+ * knows. Verdicts and the emitted model are identical at any jobs,
+ * engine and budget that decides every SVA.
  */
 struct SynthesisOptions : bmc::EngineOptions
 {
@@ -102,14 +102,6 @@ struct SynthesisOptions : bmc::EngineOptions
      * verdict is.
      */
     std::string cacheDir;
-    /**
-     * Engine lifecycle observer: called with the live engine right
-     * after it is constructed and with nullptr before it is
-     * destroyed. Lets a supervisor (the service watchdog) fire
-     * Engine::interrupt() on a run it does not own without racing the
-     * engine's destruction.
-     */
-    std::function<void(bmc::Engine *)> engineHook;
 };
 
 /**

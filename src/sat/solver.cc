@@ -639,9 +639,7 @@ Solver::search(int64_t conflicts_before_restart)
 StopReason
 Solver::stopCheck()
 {
-    if (interrupt_.load(std::memory_order_relaxed) ||
-        (ext_interrupt_ &&
-         ext_interrupt_->load(std::memory_order_relaxed)))
+    if (ext_interrupt_ && ext_interrupt_->load(std::memory_order_relaxed))
         return StopReason::Interrupt;
     if (conflict_budget_ >= 0 &&
         conflicts_this_solve_ >= conflict_budget_)

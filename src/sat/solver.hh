@@ -16,9 +16,10 @@
  *
  * A solve() can be bounded by a conflict budget and a wall-clock
  * deadline (checked periodically), and stopped asynchronously from
- * another thread via interrupt() or a shared external flag — the
- * machinery behind the BMC layer's per-query and total timeouts. Every
- * early exit returns Result::Unknown and records why in stopReason().
+ * another thread through a caller-owned stop flag — the machinery
+ * behind the BMC layer's per-query and total timeouts and its stop
+ * flag. Every early exit returns Result::Unknown and records why in
+ * stopReason().
  */
 
 #ifndef R2U_SAT_SOLVER_HH
@@ -78,7 +79,7 @@ enum class StopReason : uint8_t {
     None,           ///< ran to completion (Sat or Unsat)
     ConflictBudget, ///< conflict budget exhausted
     Deadline,       ///< wall-clock deadline passed
-    Interrupt,      ///< interrupt() or the external flag fired
+    Interrupt,      ///< the external stop flag was set
 };
 
 const char *stopReasonName(StopReason reason);
@@ -156,20 +157,10 @@ class Solver
     void setDeadline(double seconds) { deadline_seconds_ = seconds; }
 
     /**
-     * Request an asynchronous stop of the current (or next) solve().
-     * Safe to call from another thread; sticky until clearInterrupt().
-     */
-    void interrupt() { interrupt_.store(true, std::memory_order_relaxed); }
-
-    void clearInterrupt()
-    {
-        interrupt_.store(false, std::memory_order_relaxed);
-    }
-
-    /**
-     * Register a shared stop flag polled alongside the solver's own
-     * interrupt bit — one flag can stop a whole fleet of solvers (the
-     * BMC engine's total-timeout / drain cancellation). The pointee
+     * Register a caller-owned stop flag, polled during search: while
+     * it reads true every solve() returns Unknown (Interrupt), and
+     * the caller re-arms the solver by clearing it. One flag can stop
+     * a whole fleet of solvers (bmc::EngineOptions::stop). The pointee
      * must outlive the solver or be cleared with nullptr.
      */
     void setExternalInterrupt(const std::atomic<bool> *flag)
@@ -202,8 +193,6 @@ class Solver
     StopReason stopReason() const { return stop_reason_; }
 
     const SolverStats &stats() const { return stats_; }
-
-    bool okay() const { return ok_; }
 
   private:
     /** White-box arena checks and the learnt-cap seam (tests/). */
@@ -326,7 +315,7 @@ class Solver
     /**
      * Poll every stop condition. The deadline clock is only read every
      * kStopCheckInterval calls (steady_clock::now() is too expensive
-     * for every search iteration); the interrupt flags and budgets are
+     * for every search iteration); the stop flag and the budget are
      * checked on every call.
      */
     StopReason stopCheck();
@@ -374,7 +363,6 @@ class Solver
     bool has_deadline_ = false;
     std::chrono::steady_clock::time_point deadline_point_;
     int stop_check_countdown_ = 0;
-    std::atomic<bool> interrupt_{false};
     const std::atomic<bool> *ext_interrupt_ = nullptr;
     StopReason stop_reason_ = StopReason::None;
     uint64_t added_clauses_ = 0;

@@ -10,7 +10,7 @@
  *
  *   stall=N      hang the solver thread inside the engine fault hook
  *                for the next N queries (heartbeat stops advancing;
- *                the watchdog must fire Engine::interrupt())
+ *                the watchdog must set the run's stop flag)
  *   stall-ms=MS  how long each injected stall holds on (default
  *                10000; the watchdog is expected to cut it short)
  *   torn=N       fail the next N verdict-cache appends after writing

@@ -551,7 +551,7 @@ Server::watchdogLoop()
             snapshot = inflight_;
         }
         for (auto &inf : snapshot) {
-            if (inf->watchdogFired.load(std::memory_order_relaxed))
+            if (inf->stopFlag.load(std::memory_order_relaxed))
                 continue;
             bool hung =
                 opts_.hangSeconds > 0 && inf->usesHeartbeat &&
@@ -566,14 +566,7 @@ Server::watchdogLoop()
             if (!hung && !late)
                 continue;
             inf->heartbeatStalled.store(hung);
-            inf->watchdogFired.store(true);
-            inf->abortStall.store(true);
             inf->stopFlag.store(true);
-            {
-                std::lock_guard<std::mutex> lock(inf->engineMu);
-                if (inf->engine)
-                    inf->engine->interrupt();
-            }
             watchdog_fired_.fetch_add(1, std::memory_order_relaxed);
             warn("serve: watchdog: %s — interrupting the run "
                  "(degrades to sound Unknowns)",
@@ -644,10 +637,7 @@ Server::handleSynthesize(const json::Value &req)
         so.jobs = *jobs;
         so.cache = cache_open_ ? &cache_ : nullptr;
         so.totalSeconds = budget > 0 ? budget : -1.0;
-        so.engineHook = [inf](bmc::Engine *engine) {
-            std::lock_guard<std::mutex> lock(inf->engineMu);
-            inf->engine = engine;
-        };
+        so.stop = &inf->stopFlag;
         so.faultHook = [inf, chaos](const bmc::Query &,
                                     bmc::CheckResult &,
                                     bmc::SolveStage stage) {
@@ -656,14 +646,14 @@ Server::handleSynthesize(const json::Value &req)
                 !ChaosSpec::fire(chaos->stall))
                 return;
             // Simulated hung solver: sit inside the engine hook (the
-            // worker thread) until the watchdog interrupts the run or
+            // worker thread) until the watchdog sets the stop flag or
             // the stall budget runs out. The heartbeat deliberately
             // stops advancing.
             warn("serve: chaos: stalling solver for up to %d ms",
                  chaos->stallMs);
             int64_t until = nowMs() + chaos->stallMs;
             while (nowMs() < until &&
-                   !inf->abortStall.load(std::memory_order_relaxed))
+                   !inf->stopFlag.load(std::memory_order_relaxed))
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(20));
         };
@@ -789,7 +779,7 @@ Server::handleCampaign(const json::Value &req)
     std::shared_ptr<Inflight> inf =
         beginAttempt(budget, /*uses_heartbeat=*/false);
     check::CampaignOptions co;
-    co.jobs = *jobs == 0 ? 1 : *jobs;
+    co.jobs = *jobs;
     co.stop = &inf->stopFlag;
     check::CampaignResult res;
     try {

@@ -22,13 +22,14 @@
  *    overrunning request degrades to sound Unknown verdicts instead
  *    of wedging a worker.
  *  - Watchdog: solver progress is heartbeated from the engine's
- *    per-query hook; a context that stops heartbeating for
- *    hangSeconds (a hung solver — simulated by chaos "stall") or
- *    blows through its deadline gets Engine::interrupt()ed
- *    asynchronously. The run finishes degraded. A synthesize whose
- *    heartbeat stalled is re-run (bounded, with backoff) — cheap,
- *    because every verdict the first attempt finished is already in
- *    the cache; a request that only overran its deadline is not.
+ *    per-query hook; a run that stops heartbeating for hangSeconds
+ *    (a hung solver — simulated by chaos "stall") or blows through
+ *    its deadline gets its stop flag set (EngineOptions::stop for a
+ *    synthesize, CampaignOptions::stop for a campaign). The run
+ *    finishes degraded. A synthesize whose heartbeat stalled is re-run
+ *    (bounded, with backoff) — cheap, because every verdict the first
+ *    attempt finished is already in the cache; a request that only
+ *    overran its deadline is not.
  *  - Graceful drain: SIGTERM/shutdown stops accepting, clamps every
  *    in-flight deadline to drainSeconds, lets requests finish or
  *    degrade, and exits 0. Cache appends are fsync'd as they land, so
@@ -59,11 +60,6 @@
 #include "common/json.hh"
 #include "common/thread_pool.hh"
 #include "serve/chaos.hh"
-
-namespace r2u::bmc
-{
-class Engine;
-}
 
 namespace r2u::serve
 {
@@ -138,13 +134,7 @@ class Server
     /** Begin a graceful drain (async-safe from non-signal threads). */
     void requestStop();
 
-    bool draining() const
-    {
-        return stop_.load(std::memory_order_relaxed);
-    }
-
     // --- introspection for status replies and tests ---
-    uint64_t requestsServed() const { return requests_.load(); }
     uint64_t overloadedReplies() const { return overloaded_.load(); }
     uint64_t watchdogInterrupts() const { return watchdog_fired_.load(); }
     uint64_t requestRetriesDone() const { return retries_done_.load(); }
@@ -161,20 +151,14 @@ class Server
         std::atomic<int64_t> heartbeatMs{0};
         std::chrono::steady_clock::time_point deadline{};
         bool hasDeadline = false;
-        /** Engine published by SynthesisOptions::engineHook; guarded
-         *  so the watchdog never touches a destroyed engine. */
-        std::mutex engineMu;
-        bmc::Engine *engine = nullptr;
-        /** Campaign cooperative-stop flag (CampaignOptions::stop). */
+        /** The attempt's stop flag (EngineOptions::stop or
+         *  CampaignOptions::stop), set once by the watchdog; it also
+         *  cuts an injected chaos stall short. */
         std::atomic<bool> stopFlag{false};
-        std::atomic<bool> watchdogFired{false};
         /** The watchdog fired because the heartbeat stalled (a hung
          *  solver), not because the deadline passed: only this earns
          *  a re-run. */
         std::atomic<bool> heartbeatStalled{false};
-        /** Cuts an injected chaos stall short once the watchdog has
-         *  done its job (no point sleeping out the full budget). */
-        std::atomic<bool> abortStall{false};
         /** Campaigns have no per-query hook, so hang detection by
          *  heartbeat age only applies to synthesis attempts. */
         bool usesHeartbeat = true;
@@ -211,7 +195,6 @@ class Server
     ServerOptions opts_;
     int listen_fd_ = -1;
     std::atomic<bool> stop_{false};
-    std::atomic<bool> stop_applied_{false};
     std::chrono::steady_clock::time_point started_;
 
     std::unique_ptr<ThreadPool> pool_;

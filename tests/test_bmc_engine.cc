@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <random>
@@ -432,19 +433,21 @@ TEST(BmcEngine, InterruptMidFlightYieldsUnknown)
     RandomDesign d = makeRandom(rng);
     std::unordered_map<std::string, nl::CellId> empty_map;
 
+    std::atomic<bool> stop{false};
     bmc::EngineOptions opts;
     opts.jobs = 2;
-    // Backstop so a broken interrupt cannot hang CI; the interrupt
-    // fires orders of magnitude earlier.
+    // Backstop so a broken stop flag cannot hang CI; the flag is set
+    // orders of magnitude earlier.
     opts.querySeconds = 20.0;
+    opts.stop = &stop;
     bmc::Engine engine(d.netlist, empty_map, {}, 2, opts);
     for (int i = 0; i < 4; i++)
         engine.enqueue(
             pigeonholeQuery("php_" + std::to_string(i), 11, 10));
 
-    std::thread stopper([&engine] {
+    std::thread stopper([&stop] {
         std::this_thread::sleep_for(std::chrono::milliseconds(60));
-        engine.interrupt();
+        stop.store(true);
     });
     auto results = engine.drain();
     stopper.join();
@@ -459,9 +462,9 @@ TEST(BmcEngine, InterruptMidFlightYieldsUnknown)
     }
     EXPECT_EQ(engine.stats().unknowns, 4u);
 
-    // The engine survives the interrupt: clear it and run more work.
-    engine.clearInterrupt();
-    EXPECT_FALSE(engine.interrupted());
+    // The engine survives the stop: the caller clears its flag and
+    // runs more work.
+    stop.store(false);
     bmc::Query easy;
     easy.name = "easy";
     easy.prop = [](bmc::PropCtx &ctx) { return ctx.cnf().falseLit(); };
@@ -470,6 +473,36 @@ TEST(BmcEngine, InterruptMidFlightYieldsUnknown)
     ASSERT_EQ(after.size(), 1u);
     EXPECT_EQ(after[0].verdict, bmc::Verdict::Proven);
     EXPECT_EQ(after[0].source, bmc::VerdictSource::Solve);
+}
+
+// A stop flag that is already set when synthesis starts (the CLI's
+// SIGINT during elaboration or the cache load) must stop every query:
+// each SVA comes back Cancelled, the model is the conservatively
+// degraded one, and nothing reaches the cache.
+TEST(BmcEngine, StopFlagSetBeforeSynthesisCancelsEverySva)
+{
+    namespace fs = std::filesystem;
+    std::string dir =
+        (fs::path(::testing::TempDir()) / "vscale_cache_stopped").string();
+    fs::remove_all(dir);
+
+    auto design = vscale::elaborateVscale(formalConfig());
+    auto md = rtl2uspec::loadMetadata(vscale::metaPath());
+    std::atomic<bool> stop{true};
+    rtl2uspec::SynthesisOptions opts;
+    opts.jobs = 2;
+    opts.cacheDir = dir;
+    opts.stop = &stop;
+    auto res = rtl2uspec::synthesize(design, md, opts);
+
+    ASSERT_FALSE(res.svas.empty());
+    for (const auto &sva : res.svas) {
+        EXPECT_EQ(sva.verdict, bmc::Verdict::Unknown) << sva.name;
+        EXPECT_EQ(sva.source, bmc::VerdictSource::Cancelled) << sva.name;
+    }
+    EXPECT_EQ(res.unknownSvas, res.svas.size());
+    EXPECT_NE(res.model.print().find("% degraded"), std::string::npos);
+    EXPECT_EQ(res.cacheAppends, 0u);
 }
 
 TEST(BmcEngine, TotalTimeoutCancelsQueuedQueries)

@@ -315,34 +315,10 @@ TEST(Sat, DeadlineReturnsUnknown)
     EXPECT_LT(waited, 30.0); // generous; typical is milliseconds
 }
 
-TEST(Sat, InterruptFromAnotherThread)
-{
-    // Guarded hard instance: the interrupt stops the assumption solve,
-    // and dropping the guard afterwards shows the solver survived.
-    Solver s;
-    Lit guard = mkLit(s.newVar());
-    auto assumps = addPigeonhole(s, 11, 10, guard);
-
-    std::thread stopper([&s] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        s.interrupt();
-    });
-    EXPECT_EQ(s.solve(assumps), Result::Unknown);
-    EXPECT_EQ(s.stopReason(), StopReason::Interrupt);
-    stopper.join();
-
-    // Sticky until cleared: the next solve stops immediately too.
-    EXPECT_EQ(s.solve(assumps), Result::Unknown);
-    EXPECT_EQ(s.stopReason(), StopReason::Interrupt);
-
-    s.clearInterrupt();
-    EXPECT_EQ(s.solve(), Result::Sat); // guard free -> trivially SAT
-    EXPECT_EQ(s.stopReason(), StopReason::None);
-    EXPECT_FALSE(s.modelValue(guard));
-}
-
 TEST(Sat, ExternalInterruptFlag)
 {
+    // Guarded hard instance: the flag stops the assumption solve, and
+    // dropping the guard afterwards shows the solver survived.
     Solver s;
     Lit guard = mkLit(s.newVar());
     auto assumps = addPigeonhole(s, 11, 10, guard);
@@ -357,11 +333,16 @@ TEST(Sat, ExternalInterruptFlag)
     EXPECT_EQ(s.stopReason(), StopReason::Interrupt);
     stopper.join();
 
+    // Sticky while set: the next solve stops immediately too.
+    EXPECT_EQ(s.solve(assumps), Result::Unknown);
+    EXPECT_EQ(s.stopReason(), StopReason::Interrupt);
+
     // The shared flag is owned by the caller; clearing it (not the
     // solver) re-arms the solver.
     stop.store(false);
-    EXPECT_EQ(s.solve(), Result::Sat);
+    EXPECT_EQ(s.solve(), Result::Sat); // guard free -> trivially SAT
     EXPECT_EQ(s.stopReason(), StopReason::None);
+    EXPECT_FALSE(s.modelValue(guard));
     s.setExternalInterrupt(nullptr);
 }
 

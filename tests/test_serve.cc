@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -548,6 +549,39 @@ TEST(Serve, CampaignRoundTrip)
         << resp.dump();
     ASSERT_TRUE(client.requestWithRetry(sock, req, resp, &err)) << err;
     EXPECT_TRUE(resp.getBool("ok")) << resp.dump();
+}
+
+// "jobs": 0 picks every core for a campaign as it does for a
+// synthesize request and for CampaignOptions itself.
+TEST(Serve, CampaignJobsZeroPicksEveryCore)
+{
+    std::string sock = tempPath("serve_campaign_jobs0.sock");
+    std::string report = tempPath("serve_campaign_jobs0.json");
+
+    ServerOptions opts;
+    opts.socketPath = sock;
+    TestDaemon daemon(std::move(opts));
+
+    Client client;
+    std::string err;
+    json::Value req = json::Value::object();
+    req.set("type", json::Value::string("campaign"));
+    req.set("model",
+            json::Value::string(std::string(kSourceDir) +
+                                "/designs/vscale_sc.uarch"));
+    req.set("cycle", json::Value::string("Rfe PodRR Fre PodWW"));
+    req.set("jobs", json::Value::number(int64_t{0}));
+    req.set("report", json::Value::string(report));
+    json::Value resp;
+    ASSERT_TRUE(client.requestWithRetry(sock, req, resp, &err)) << err;
+    ASSERT_TRUE(resp.getBool("ok")) << resp.dump();
+
+    json::Value written;
+    ASSERT_TRUE(json::Value::parse(readFile(report), written, &err))
+        << err;
+    EXPECT_EQ(written.getInt("jobs"),
+              static_cast<int64_t>(
+                  std::max(1u, std::thread::hardware_concurrency())));
 }
 
 // A campaign has no solver heartbeat, so the watchdog stops it only at

@@ -231,7 +231,6 @@ toyQuery(const std::string &name, const bmc::PropertyFn &prop)
 {
     bmc::Query q;
     q.name = name;
-    q.bound = kBound;
     q.prop = prop;
     return q;
 }
@@ -441,15 +440,15 @@ TEST(ValidateEngine, JournalRoundTripSkipsSolvedQueries)
     fs::remove(path);
     constexpr uint64_t kHash = 77;
 
-    // A deliberately under-budgeted query that must come back Unknown:
+    // A query too hard for kBudget that must come back Unknown:
     // Unknowns are never journaled (they may resolve under a bigger
-    // budget) and must be re-solved on resume.
+    // budget) and must be re-solved on resume. The toy queries settle
+    // well within the budget.
+    constexpr int64_t kBudget = 100;
     auto hardQuery = [] {
         bmc::Query q;
         q.name = "php";
-        q.bound = kBound;
         q.contentHash = 0xc3;
-        q.conflictBudget = 1;
         q.prop = [](bmc::PropCtx &ctx) {
             auto &cnf = ctx.cnf();
             std::vector<std::vector<sat::Lit>> p(7);
@@ -484,6 +483,7 @@ TEST(ValidateEngine, JournalRoundTripSkipsSolvedQueries)
         j.openJournal(path, kHash, /*resume=*/false);
         bmc::EngineOptions eopts;
         eopts.jobs = 1;
+        eopts.conflictBudget = kBudget;
         eopts.validate = bmc::ValidateMode::Replay;
         eopts.journal = &j;
         bmc::Engine engine = makeEngine(d, eopts);
@@ -508,6 +508,7 @@ TEST(ValidateEngine, JournalRoundTripSkipsSolvedQueries)
     ASSERT_EQ(j.numLoaded(), 2u);
     bmc::EngineOptions eopts;
     eopts.jobs = 2;
+    eopts.conflictBudget = kBudget;
     eopts.validate = bmc::ValidateMode::Replay;
     eopts.journal = &j;
     bmc::Engine engine = makeEngine(d, eopts);

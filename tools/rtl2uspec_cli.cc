@@ -11,13 +11,9 @@
  */
 
 #include <atomic>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <mutex>
-#include <thread>
 
 #include "bmc/engine.hh"
 #include "common/logging.hh"
@@ -36,10 +32,12 @@ using r2u::parseDouble;
 using r2u::parseInt;
 using r2u::parseInt64;
 
-// SIGINT/SIGTERM land here; a watcher thread turns the flag into an
-// async Engine::interrupt(), so the run winds down with sound Unknown
-// verdicts, flushes its journal (appends are fsync'd as they land),
-// writes what it has, and exits 5 instead of dying mid-solve.
+// SIGINT/SIGTERM flip this flag; the engine polls it in every solve
+// and before every query (EngineOptions::stop), so the run winds down
+// with sound Unknown verdicts, keeps its journal (appends are fsync'd
+// as they land), writes what it has, and exits 5 instead of dying
+// mid-solve. A signal that lands before synthesis starts stops every
+// query.
 std::atomic<bool> g_stop{false};
 
 void
@@ -250,6 +248,7 @@ main(int argc, char **argv)
     sa.sa_handler = onStopSignal;
     sigaction(SIGINT, &sa, nullptr);
     sigaction(SIGTERM, &sa, nullptr);
+    synth_opts.stop = &g_stop;
 
     try {
         // Like --cache and --cex-vcd: make the directory before the
@@ -276,36 +275,8 @@ main(int argc, char **argv)
                top.c_str(), st.cells, st.registers, st.flopBits,
                st.memories);
 
-        std::mutex engine_mu;
-        bmc::Engine *live_engine = nullptr;
-        synth_opts.engineHook = [&](bmc::Engine *engine) {
-            std::lock_guard<std::mutex> lock(engine_mu);
-            live_engine = engine;
-        };
-        std::atomic<bool> watcher_done{false};
-        std::thread watcher([&] {
-            while (!watcher_done.load(std::memory_order_relaxed)) {
-                if (g_stop.load(std::memory_order_relaxed)) {
-                    std::lock_guard<std::mutex> lock(engine_mu);
-                    if (live_engine)
-                        live_engine->interrupt();
-                    return;
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(50));
-            }
-        });
-
-        rtl2uspec::SynthesisResult synth;
-        try {
-            synth = rtl2uspec::synthesize(design, md, synth_opts);
-        } catch (...) {
-            watcher_done.store(true);
-            watcher.join();
-            throw;
-        }
-        watcher_done.store(true);
-        watcher.join();
+        rtl2uspec::SynthesisResult synth =
+            rtl2uspec::synthesize(design, md, synth_opts);
 
         if (!synth.bugs.empty()) {
             for (const auto &bug : synth.bugs)
