@@ -30,6 +30,7 @@ Solver::newVar()
 {
     Var v = numVars();
     assigns_.push_back(LBool::Undef);
+    assigns_.push_back(LBool::Undef);
     polarity_.push_back(true); // decide false first, then saved phase
     activity_.push_back(0.0);
     heap_pos_.push_back(-1);
@@ -43,38 +44,40 @@ Solver::newVar()
 }
 
 bool
-Solver::addClause(std::vector<Lit> lits)
+Solver::addClause(const Lit *lits, size_t n)
 {
     if (!ok_)
         return false;
     R2U_ASSERT(decisionLevel() == 0, "addClause above root level");
     added_clauses_++;
 
-    // Sort, dedup, drop false literals, detect tautologies/satisfied.
-    std::sort(lits.begin(), lits.end());
-    std::vector<Lit> out;
+    // Sort, dedup, drop false literals, detect tautologies/satisfied,
+    // compacting in place in the scratch buffer.
+    add_tmp_.assign(lits, lits + n);
+    std::sort(add_tmp_.begin(), add_tmp_.end());
+    size_t out = 0;
     Lit prev = kLitUndef;
-    for (Lit l : lits) {
+    for (Lit l : add_tmp_) {
         R2U_ASSERT(var(l) >= 0 && var(l) < numVars(), "bad literal");
         if (value(l) == LBool::True || l == ~prev)
             return true; // satisfied or tautology
         if (value(l) != LBool::False && l != prev) {
-            out.push_back(l);
+            add_tmp_[out++] = l;
             prev = l;
         }
     }
 
-    if (out.empty()) {
+    if (out == 0) {
         ok_ = false;
         return false;
     }
-    if (out.size() == 1) {
-        uncheckedEnqueue(out[0], -1);
+    if (out == 1) {
+        uncheckedEnqueue(add_tmp_[0], -1);
         ok_ = (propagate() == -1);
         return ok_;
     }
 
-    int cref = allocClause(out.data(), static_cast<uint32_t>(out.size()),
+    int cref = allocClause(add_tmp_.data(), static_cast<uint32_t>(out),
                            false, 0.0f);
     crefs_.push_back(cref);
     attachClause(cref);
@@ -99,8 +102,9 @@ Solver::attachClause(int cref)
 {
     const Clause c = clause(cref);
     R2U_ASSERT(c.size() >= 2, "attach of short clause");
-    watches_[(~c[0]).x].push_back(Watcher{cref, c[1]});
-    watches_[(~c[1]).x].push_back(Watcher{cref, c[0]});
+    bool binary = c.size() == 2;
+    watches_[(~c[0]).x].push_back(Watcher(cref, c[1], binary));
+    watches_[(~c[1]).x].push_back(Watcher(cref, c[0], binary));
 }
 
 void
@@ -110,7 +114,7 @@ Solver::detachClause(int cref)
     for (int w = 0; w < 2; w++) {
         auto &ws = watches_[(~c[w]).x];
         for (size_t k = 0; k < ws.size(); k++) {
-            if (ws[k].cref == cref) {
+            if (ws[k].cref() == cref) {
                 ws[k] = ws.back();
                 ws.pop_back();
                 break;
@@ -123,7 +127,8 @@ void
 Solver::uncheckedEnqueue(Lit l, int reason)
 {
     R2U_ASSERT(value(l) == LBool::Undef, "enqueue of assigned literal");
-    assigns_[var(l)] = sign(l) ? LBool::False : LBool::True;
+    assigns_[l.x] = LBool::True;
+    assigns_[(~l).x] = LBool::False;
     polarity_[var(l)] = sign(l);
     reason_[var(l)] = reason;
     level_[var(l)] = decisionLevel();
@@ -136,35 +141,57 @@ Solver::propagate()
     int confl = -1;
     while (qhead_ < trail_.size()) {
         Lit p = trail_[qhead_++];
+        Lit false_lit = ~p;
         stats_.propagations++;
         std::vector<Watcher> &ws = watches_[p.x];
-        size_t i = 0, j = 0;
-        while (i < ws.size()) {
-            Watcher w = ws[i];
-            if (value(w.blocker) == LBool::True) {
-                ws[j++] = ws[i++];
+        Watcher *i = ws.data(), *j = i, *end = i + ws.size();
+        while (i != end) {
+            Watcher w = *i++;
+            LBool blocker = value(w.blocker);
+            if (blocker == LBool::True) {
+                *j++ = w;
                 continue;
             }
-            Lit *lits = clause(w.cref).lits();
-            Lit false_lit = ~p;
+            if (w.binary()) {
+                // The blocker is the other literal: unit or conflict,
+                // settled without the arena.
+                *j++ = w;
+                if (blocker == LBool::Undef) {
+                    uncheckedEnqueue(w.blocker, w.cref());
+                    continue;
+                }
+                // Conflict analysis reads the conflict clause from
+                // index 0: leave it as [blocker, false_lit], the order
+                // a long clause's swap below would give it.
+                Lit *lits = clause(w.cref()).lits();
+                lits[0] = w.blocker;
+                lits[1] = false_lit;
+                confl = w.cref();
+                qhead_ = trail_.size();
+                while (i != end)
+                    *j++ = *i++;
+                break;
+            }
+
+            Clause c = clause(w.cref());
+            Lit *lits = c.lits();
             if (lits[0] == false_lit)
                 std::swap(lits[0], lits[1]);
-            i++;
 
             Lit first = lits[0];
             if (first != w.blocker && value(first) == LBool::True) {
-                ws[j++] = Watcher{w.cref, first};
+                *j++ = Watcher(w.cref(), first, false);
                 continue;
             }
 
             // Look for a new watch.
             bool found = false;
-            uint32_t sz = clause(w.cref).size();
+            uint32_t sz = c.size();
             for (uint32_t k = 2; k < sz; k++) {
                 if (value(lits[k]) != LBool::False) {
                     std::swap(lits[1], lits[k]);
                     watches_[(~lits[1]).x].push_back(
-                        Watcher{w.cref, first});
+                        Watcher(w.cref(), first, false));
                     found = true;
                     break;
                 }
@@ -173,21 +200,30 @@ Solver::propagate()
                 continue;
 
             // Unit or conflicting.
-            ws[j++] = Watcher{w.cref, first};
+            *j++ = Watcher(w.cref(), first, false);
             if (value(first) == LBool::False) {
-                confl = w.cref;
+                confl = w.cref();
                 qhead_ = trail_.size();
-                while (i < ws.size())
-                    ws[j++] = ws[i++];
+                while (i != end)
+                    *j++ = *i++;
             } else {
-                uncheckedEnqueue(first, w.cref);
+                uncheckedEnqueue(first, w.cref());
             }
         }
-        ws.resize(j);
+        ws.resize(static_cast<size_t>(j - ws.data()));
         if (confl != -1)
             break;
     }
     return confl;
+}
+
+Solver::Clause
+Solver::reasonOf(Lit implied)
+{
+    Clause c = clause(reason_[var(implied)]);
+    if (c.size() == 2 && c[0] != implied)
+        std::swap(c[0], c[1]);
+    return c;
 }
 
 void
@@ -228,7 +264,7 @@ Solver::analyze(int confl, std::vector<Lit> &out_learnt,
 
     do {
         R2U_ASSERT(confl != -1, "no reason in analyze");
-        Clause c = clause(confl);
+        Clause c = p == kLitUndef ? clause(confl) : reasonOf(p);
         if (c.learnt())
             claBumpActivity(c);
         for (uint32_t j = (p == kLitUndef) ? 0 : 1; j < c.size();
@@ -294,7 +330,7 @@ Solver::litRedundant(Lit p, uint32_t abstract_levels)
         Lit q = analyze_stack_.back();
         analyze_stack_.pop_back();
         R2U_ASSERT(reason_[var(q)] != -1, "decision in litRedundant");
-        const Clause c = clause(reason_[var(q)]);
+        const Clause c = reasonOf(~q);
         for (uint32_t i = 1; i < c.size(); i++) {
             Lit l = c[i];
             if (!seen_[var(l)] && level_[var(l)] > 0) {
@@ -334,7 +370,7 @@ Solver::analyzeFinal(Lit p)
             R2U_ASSERT(level_[x] > 0, "root decision in analyzeFinal");
             conflict_core_.push_back(~trail_[i]);
         } else {
-            const Clause c = clause(reason_[x]);
+            const Clause c = reasonOf(trail_[i]);
             for (uint32_t j = 1; j < c.size(); j++)
                 if (level_[var(c[j])] > 0)
                     seen_[var(c[j])] = 1;
@@ -352,7 +388,8 @@ Solver::cancelUntil(int level)
     for (int i = static_cast<int>(trail_.size()) - 1;
          i >= trail_lim_[level]; i--) {
         Var x = var(trail_[i]);
-        assigns_[x] = LBool::Undef;
+        assigns_[2 * x] = LBool::Undef;
+        assigns_[2 * x + 1] = LBool::Undef;
         if (heap_pos_[x] < 0)
             heapInsert(x);
     }
@@ -451,32 +488,33 @@ Solver::reduceDB()
             clause(r).setLocked(true);
     }
 
-    std::vector<int> keep, removable;
+    std::vector<int> keep;
     keep.reserve(learnts_.size());
+    std::vector<std::pair<float, int>> &removable = reduce_tmp_;
+    removable.clear();
     for (int cref : learnts_) {
         const Clause c = clause(cref);
         if (c.locked() || c.size() <= 2)
             keep.push_back(cref);
         else
-            removable.push_back(cref);
+            removable.emplace_back(c.activity(), cref);
     }
     // Victims first: low activity; tie-break on clause index for
-    // determinism.
-    std::sort(removable.begin(), removable.end(), [&](int a, int b) {
-        if (clause(a).activity() != clause(b).activity())
-            return clause(a).activity() < clause(b).activity();
-        return a < b;
-    });
+    // determinism. The keys are copied out of the arena, so the sort
+    // never dereferences a clause. A full sort, not a partial one:
+    // detachClause() swap-removes from the watch lists, so the order
+    // victims are detached in shapes every later propagation.
+    std::sort(removable.begin(), removable.end());
     size_t nremove = removable.size() / 2;
     for (size_t i = 0; i < nremove; i++) {
-        int cref = removable[i];
+        int cref = removable[i].second;
         detachClause(cref);
         clause(cref).markDeleted();
         wasted_ += kClauseHeader + clause(cref).size();
         stats_.removedClauses++;
     }
-    keep.insert(keep.end(), removable.begin() + nremove,
-                removable.end());
+    for (size_t i = nremove; i < removable.size(); i++)
+        keep.push_back(removable[i].second);
     learnts_ = std::move(keep);
 
     for (Lit l : trail_) {
@@ -624,7 +662,9 @@ Solver::search(int64_t conflicts_before_restart)
                 next = pickBranchLit();
                 if (next == kLitUndef) {
                     // All variables assigned: model found.
-                    model_.assign(assigns_.begin(), assigns_.end());
+                    model_.resize(static_cast<size_t>(numVars()));
+                    for (Var v = 0; v < numVars(); v++)
+                        model_[v] = value(v);
                     return Result::Sat;
                 }
             } else {

@@ -30,6 +30,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
+#include <utility>
 #include <vector>
 
 namespace r2u::sat
@@ -106,7 +108,7 @@ class Solver
     /** Create a fresh variable and return its index. */
     Var newVar();
 
-    int numVars() const { return static_cast<int>(assigns_.size()); }
+    int numVars() const { return static_cast<int>(level_.size()); }
 
     /**
      * Problem clauses submitted via addClause (learnt clauses are not
@@ -117,10 +119,20 @@ class Solver
     /**
      * Add a clause (disjunction of literals). Returns false if the
      * solver became trivially UNSAT (empty clause / conflicting units).
+     * The literals are normalized in a reused scratch buffer, so no
+     * call allocates once the buffer has grown.
      */
-    bool addClause(std::vector<Lit> lits);
+    bool addClause(const Lit *lits, size_t n);
 
-    bool addClause(Lit a) { return addClause(std::vector<Lit>{a}); }
+    bool addClause(const std::vector<Lit> &lits)
+    {
+        return addClause(lits.data(), lits.size());
+    }
+    bool addClause(std::initializer_list<Lit> lits)
+    {
+        return addClause(lits.begin(), lits.size());
+    }
+    bool addClause(Lit a) { return addClause(&a, 1); }
     bool addClause(Lit a, Lit b) { return addClause({a, b}); }
     bool addClause(Lit a, Lit b, Lit c) { return addClause({a, b, c}); }
 
@@ -257,15 +269,32 @@ class Solver
     int allocClause(const Lit *lits, uint32_t size, bool learnt,
                     float activity);
 
+    /**
+     * One watch of a clause, kept in the list of the negation of a
+     * watched literal. The blocker is a literal of the clause whose
+     * truth settles the visit without touching the arena. For a binary
+     * clause it is always the other literal, so propagate() settles a
+     * binary clause from the watcher alone: the flag shares the word
+     * with the cref (cref << 1 | binary) to keep a watcher 8 bytes.
+     */
     struct Watcher
     {
-        int cref;
+        uint32_t word = 0;
         Lit blocker;
+
+        Watcher() = default;
+        Watcher(int cref, Lit blocker, bool binary)
+            : word(static_cast<uint32_t>(cref) << 1 | (binary ? 1u : 0u)),
+              blocker(blocker)
+        {
+        }
+        int cref() const { return static_cast<int>(word >> 1); }
+        bool binary() const { return (word & 1) != 0; }
     };
 
     // --- search core ---
-    LBool value(Var v) const { return assigns_[v]; }
-    LBool value(Lit l) const { return assigns_[var(l)] ^ sign(l); }
+    LBool value(Var v) const { return assigns_[2 * v]; }
+    LBool value(Lit l) const { return assigns_[l.x]; }
 
     void attachClause(int cref);
     void detachClause(int cref);
@@ -275,6 +304,13 @@ class Solver
                  int &out_btlevel);
     void analyzeFinal(Lit p);
     bool litRedundant(Lit l, uint32_t abstract_levels);
+    /**
+     * The reason clause of @p implied's variable, with @p implied at
+     * index 0 where conflict analysis expects it. propagate() leaves a
+     * binary clause's literals in arena order, so a binary reason is
+     * oriented here, in the arena, when it is first read.
+     */
+    Clause reasonOf(Lit implied);
     void cancelUntil(int level);
     Lit pickBranchLit();
     Result search(int64_t conflicts_before_restart);
@@ -328,6 +364,8 @@ class Solver
     std::vector<int> crefs_;      // all clauses, allocation order
     std::vector<int> learnts_;    // learnt-clause crefs
     std::vector<std::vector<Watcher>> watches_; // indexed by Lit.x
+    /** Value of each literal, indexed by Lit.x (both polarities kept,
+     *  so value(Lit) is one load). */
     std::vector<LBool> assigns_;
     std::vector<bool> polarity_; // saved phase (true = last was false)
     std::vector<double> activity_;
@@ -342,6 +380,10 @@ class Solver
     std::vector<Lit> assumptions_;
     std::vector<Lit> conflict_core_;
     std::vector<LBool> model_;
+
+    // addClause / reduceDB scratch
+    std::vector<Lit> add_tmp_;
+    std::vector<std::pair<float, int>> reduce_tmp_;
 
     // analyze scratch
     std::vector<uint8_t> seen_;

@@ -15,6 +15,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "sat/solver.hh"
@@ -386,47 +387,97 @@ bruteForceSat(int nvars, const std::vector<std::vector<Lit>> &clauses)
 
 } // namespace
 
-/** Randomized cross-check against brute force (3-SAT near threshold). */
-class SatRandomTest : public ::testing::TestWithParam<int>
+/**
+ * Randomized cross-check against brute force: random k-CNF near the
+ * satisfiability threshold of its clause width (2, 3 or 4), solved
+ * three times on one solver under random assumption sets, with brute
+ * force under the same assumptions. At width 2 most reasons and
+ * conflicts are binary clauses, which propagate() settles from the
+ * watcher alone and conflict analysis (analyze, litRedundant,
+ * analyzeFinal) orients before reading. An Unsat answer must come with
+ * a core of assumption variables that is unsatisfiable by itself.
+ */
+class SatRandomTest
+    : public ::testing::TestWithParam<std::tuple<int, int>>
 {
 };
 
 TEST_P(SatRandomTest, AgreesWithBruteForce)
 {
-    std::mt19937 rng(777 + GetParam());
+    const auto [seed, width] = GetParam();
+    std::mt19937 rng(777 + seed + 100 * width);
+    const double ratio = width == 2 ? 1.0 : width == 3 ? 4.3 : 9.9;
     for (int round = 0; round < 60; round++) {
         int nvars = 4 + static_cast<int>(rng() % 9); // 4..12
-        int nclauses = static_cast<int>(nvars * 4.3);
+        int nclauses = static_cast<int>(nvars * ratio);
         std::vector<std::vector<Lit>> clauses;
         Solver s;
         for (int i = 0; i < nvars; i++)
             s.newVar();
         for (int i = 0; i < nclauses; i++) {
             std::vector<Lit> c;
-            for (int k = 0; k < 3; k++) {
+            for (int k = 0; k < width; k++) {
                 Var v = static_cast<Var>(rng() % nvars);
                 c.push_back(mkLit(v, rng() & 1));
             }
             clauses.push_back(c);
             s.addClause(c);
         }
-        bool expect = bruteForceSat(nvars, clauses);
-        Result got = s.solve();
-        ASSERT_EQ(got, expect ? Result::Sat : Result::Unsat)
-            << "round " << round << " nvars " << nvars;
-        if (got == Result::Sat) {
-            // The model must actually satisfy every clause.
-            for (const auto &c : clauses) {
-                bool sat = false;
-                for (Lit l : c)
-                    sat |= s.modelValue(l);
-                ASSERT_TRUE(sat);
+        for (int call = 0; call < 3; call++) {
+            std::vector<Lit> assumptions;
+            size_t nassume = rng() % 4;
+            while (assumptions.size() < nassume) {
+                Var v = static_cast<Var>(rng() % nvars);
+                bool fresh = true;
+                for (Lit a : assumptions)
+                    fresh = fresh && var(a) != v;
+                if (fresh)
+                    assumptions.push_back(mkLit(v, rng() & 1));
             }
+            // Brute force sees the assumptions as unit clauses.
+            auto with = [&clauses](const std::vector<Lit> &units) {
+                std::vector<std::vector<Lit>> all = clauses;
+                for (Lit a : units)
+                    all.push_back({a});
+                return all;
+            };
+            bool expect = bruteForceSat(nvars, with(assumptions));
+            Result got = s.solve(assumptions);
+            ASSERT_EQ(got, expect ? Result::Sat : Result::Unsat)
+                << "round " << round << " call " << call << " nvars "
+                << nvars;
+            if (got == Result::Sat) {
+                // The model must satisfy every clause and assumption.
+                for (const auto &c : with(assumptions)) {
+                    bool sat = false;
+                    for (Lit l : c)
+                        sat |= s.modelValue(l);
+                    ASSERT_TRUE(sat) << "round " << round;
+                }
+                continue;
+            }
+            // The core names assumption variables, and the assumptions
+            // on them alone are already unsatisfiable.
+            std::vector<Lit> core;
+            for (Lit l : s.conflictCore()) {
+                bool found = false;
+                for (Lit a : assumptions)
+                    if (var(a) == var(l)) {
+                        core.push_back(a);
+                        found = true;
+                    }
+                ASSERT_TRUE(found) << "core var " << var(l)
+                                   << " is not assumed, round " << round;
+            }
+            ASSERT_FALSE(bruteForceSat(nvars, with(core)))
+                << "core too weak, round " << round << " call " << call;
         }
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SatRandomTest, ::testing::Range(0, 5));
+INSTANTIATE_TEST_SUITE_P(Seeds, SatRandomTest,
+                         ::testing::Combine(::testing::Range(0, 5),
+                                            ::testing::Values(2, 3, 4)));
 
 /**
  * cloneFrom() warm-seeds sibling incremental contexts at --jobs > 1:
