@@ -135,7 +135,7 @@ PropCtx::beginQuery()
     rigids_.clear();
     watched_.clear();
     watched_mems_.clear();
-    act_ = cnf_.freshLit();
+    act_ = cnf_.beginScope();
     in_query_ = true;
 }
 
@@ -144,7 +144,7 @@ PropCtx::endQuery()
 {
     R2U_ASSERT(in_query_, "endQuery without beginQuery");
     in_query_ = false;
-    solver_.addClause(~act_);
+    cnf_.endScope();
     act_ = sat::kLitUndef;
 }
 
@@ -154,17 +154,14 @@ PropCtx::seedFrom(const PropCtx &donor)
     R2U_ASSERT(!in_query_, "seedFrom into an active query");
     R2U_ASSERT(bound_ == donor.bound_, "seedFrom across bounds");
     solver_.cloneFrom(donor.solver_);
-    cnf_.adoptState(donor.cnf_);
+    cnf_.adoptState(donor.cnf_); // retires a donor's open query here
     unroller_.adoptState(donor.unroller_);
 }
 
 void
 PropCtx::assume(Lit a)
 {
-    if (in_query_)
-        solver_.addClause(~act_, a);
-    else
-        solver_.addClause(a);
+    cnf_.assertLit(a); // guarded by the query's scope, if any
 }
 
 void
@@ -328,9 +325,10 @@ checkProperty(const nl::Netlist &netlist,
     Lit bad = prop(ctx);
     ctx.solver().addClause(bad);
     applyLimits(ctx.solver(), limits);
+    result.encodeSeconds = timer.seconds();
 
+    Timer solve_timer;
     sat::Result r = ctx.solver().solve();
-    result.seconds = timer.seconds();
     result.conflicts = ctx.solver().stats().conflicts;
     result.propagations = ctx.solver().stats().propagations;
     result.cnfVars = static_cast<size_t>(ctx.solver().numVars());
@@ -353,6 +351,8 @@ checkProperty(const nl::Netlist &netlist,
         result.trace = extractTrace(ctx);
         break;
     }
+    result.solveSeconds = solve_timer.seconds();
+    result.seconds = timer.seconds();
     return result;
 }
 

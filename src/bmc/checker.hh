@@ -136,12 +136,13 @@ class PropCtx
 
     /**
      * Begin an isolated query on a long-lived context (incremental
-     * BMC). Per-query state (rigids, watches) is reset and a fresh
-     * activation literal is allocated; until endQuery(), assume()
-     * emits clauses guarded by the activation literal instead of hard
-     * root-level facts, so the shared transition-relation CNF stays
-     * sound for later queries. Solve with
-     * solver().solve({activation()}).
+     * BMC). Per-query state (rigids, watches) is reset and a query
+     * scope opens (sat::CnfBuilder::beginScope) with a fresh
+     * activation literal act. Until endQuery(), every clause the
+     * property emits — its monitor gates and its assume()s — carries
+     * ~act and its gates and variables belong to the query; only the
+     * unrolling the property demands (at(), watch()) is permanent.
+     * Solve with solver().solve({activation()}).
      */
     void beginQuery();
 
@@ -155,22 +156,24 @@ class PropCtx
     bool inQuery() const { return in_query_; }
 
     /**
-     * Retire the current query: its activation literal is asserted
-     * false, permanently satisfying every clause it guarded.
+     * Retire the current query: ~act becomes a level-0 fact, and the
+     * solver deletes the query's clauses, every learnt clause derived
+     * from them (all contain ~act) and its variables. What the context
+     * keeps across queries is the unrolling and the learnt clauses
+     * without ~act; a query leaves nothing behind.
      */
     void endQuery();
 
     /**
      * Warm-start this context from a donor over the same netlist and
-     * bound: the donor's clause database, structural-hash caches, and
-     * unroller memo tables are copied wholesale, so wires the donor
-     * already bit-blasted are never encoded again here. This context
-     * must be outside a query; the donor may be inside one as long as
-     * its solver is idle at level 0 (CNF built, solve not started).
-     * Verdicts are unaffected — the copied clauses are the donor's
-     * transition relation plus retired or never-assumed guarded
-     * monitor clauses, all satisfiable independently of any later
-     * query.
+     * bound: the donor's clause database, shared structural-hash
+     * caches, and unroller memo tables are copied wholesale, so wires
+     * the donor already bit-blasted are never encoded again here. This
+     * context must be outside a query; the donor may be inside one as
+     * long as its solver is idle at level 0 (CNF built, solve not
+     * started), and that query is retired in the copy, which then
+     * holds the donor's unrolling and learnt clauses and none of the
+     * query's clauses or variables.
      */
     void seedFrom(const PropCtx &donor);
 
@@ -189,7 +192,7 @@ class PropCtx
     /**
      * Add an assumption. Outside a query this is a hard root-level
      * fact; inside a query it is guarded by the activation literal
-     * (additive-only, so the shared CNF prefix stays sound).
+     * and retired with the query.
      */
     void assume(sat::Lit a);
 
@@ -243,12 +246,24 @@ struct CheckResult
     Verdict verdict = Verdict::Unknown;
     /** Why the verdict is what it is (budget class for Unknowns). */
     VerdictSource source = VerdictSource::Solve;
+    /**
+     * Wall time of the whole query, the PDR pre-pass and the query's
+     * retirement from its context included; the two phases below are
+     * parts of it.
+     */
     double seconds = 0.0;
+    /** Encode phase: context build (or seed clone) plus the property's
+     *  CNF. */
+    double encodeSeconds = 0.0;
+    /** Solve phase: the primary solve() and, for a Refuted verdict,
+     *  reading its trace out of the model. */
+    double solveSeconds = 0.0;
     unsigned bound = 0;
     uint64_t conflicts = 0;
     uint64_t propagations = 0;
-    /** Solver totals when the query finished (COI-sliced contexts stay
-     *  small; --full-unroll restores the whole-design footprint). */
+    /** Live context totals when the query finished (COI-sliced
+     *  contexts stay small; --full-unroll restores the whole-design
+     *  footprint). */
     size_t cnfVars = 0;
     size_t cnfClauses = 0;
     /** What this query alone added to its (possibly shared) context. */

@@ -583,6 +583,7 @@ Engine::runIncremental(Worker &worker, const Query &query)
         }
     }
 
+    Timer phase; // encode: context build plus the property's CNF
     PropCtx &ctx = worker.contextFor(*this);
     // If contextFor made this worker the seed builder, waiters are
     // parked until the snapshot lands after CNF construction below.
@@ -602,19 +603,28 @@ Engine::runIncremental(Worker &worker, const Query &query)
         }
     } exit_guard{*this, worker};
     sat::Solver &solver = ctx.solver();
+    // Variables and clauses live in the context: a retired query's are
+    // gone, though variable indices are never reused.
+    auto live_vars = [&solver] {
+        return static_cast<size_t>(solver.numVars() -
+                                   solver.numRetiredVars());
+    };
     uint64_t conflicts_before = solver.stats().conflicts;
     uint64_t props_before = solver.stats().propagations;
-    size_t vars_before = static_cast<size_t>(solver.numVars());
+    size_t vars_before = live_vars();
     size_t clauses_before = static_cast<size_t>(solver.numClauses());
 
     ctx.beginQuery();
     Lit bad = query.prop(ctx);
     ctx.assume(bad); // guarded assertion of the violation
     // The transition relation this query demanded is now in the CNF:
-    // the snapshot point for warm-starting sibling contexts.
+    // the snapshot point for warm-starting sibling contexts (the
+    // snapshot holds no trace of this query, see PropCtx::seedFrom).
     maybePublishSeed(worker, ctx);
+    result.encodeSeconds = phase.seconds();
 
     applyLimits(solver, limits);
+    phase.reset(); // solve: the primary solve() and its trace
     switch (solver.solve({ctx.activation()})) {
       case sat::Result::Unsat:
         result.verdict = Verdict::Proven;
@@ -630,16 +640,19 @@ Engine::runIncremental(Worker &worker, const Query &query)
         result.trace = extractTrace(ctx);
         break;
     }
+    result.solveSeconds = phase.seconds();
     refineSource(result, total_binding);
 
-    result.seconds = timer.seconds();
     result.conflicts = solver.stats().conflicts - conflicts_before;
     result.propagations = solver.stats().propagations - props_before;
-    result.cnfVars = static_cast<size_t>(solver.numVars());
+    result.cnfVars = live_vars();
     result.cnfClauses = static_cast<size_t>(solver.numClauses());
     result.cnfVarsAdded = result.cnfVars - vars_before;
     result.cnfClausesAdded = result.cnfClauses - clauses_before;
+    // Retire the query: the context keeps the unrolling and the learnt
+    // clauses that do not depend on it, and nothing else.
     ctx.endQuery();
+    result.seconds = timer.seconds();
     return result;
 }
 

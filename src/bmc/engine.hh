@@ -12,11 +12,13 @@
  *  - incrementality: each worker keeps one long-lived PropCtx
  *    (solver + unroller) at the engine's bound, so the
  *    transition-relation CNF is bit-blasted once per worker and
- *    amortized across every query that worker serves. Per-query
- *    constraints are isolated behind an activation literal and solved
- *    via solve(assumptions), so queries never contaminate the shared
- *    CNF prefix — and learnt clauses carry over between queries for
- *    free.
+ *    amortized across every query that worker serves. Each query's
+ *    monitor and assumptions are guarded by its activation literal and
+ *    solved via solve(assumptions); when the query ends they are
+ *    retired with every learnt clause derived from them. What a
+ *    context keeps across queries is the unrolling and the learnt
+ *    clauses that do not depend on any query; a query leaves nothing
+ *    behind.
  *
  * Results come back in enqueue order regardless of completion order,
  * so callers see deterministic output. jobs=1 is the same path with

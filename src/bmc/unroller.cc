@@ -21,6 +21,7 @@ Unroller::Unroller(const nl::Netlist &netlist, sat::CnfBuilder &cnf,
 void
 Unroller::ensureFrames(unsigned n)
 {
+    sat::CnfBuilder::Permanent permanent(cnf_);
     while (frames() < n) {
         unsigned f = frames();
         wires_.emplace_back(nl_.numCells());
@@ -106,6 +107,9 @@ Unroller::demand(unsigned frame, int id, bool is_mem)
         return t.isMem ? mem_built_[t.frame][t.id] != 0
                        : !wires_[t.frame][t.id].empty();
     };
+    // The unrolling outlives any query scope: memoized wires are
+    // shared by every later query on this context.
+    sat::CnfBuilder::Permanent permanent(cnf_);
 
     std::vector<DemandTask> stack;
     stack.push_back({frame, id, is_mem, false});

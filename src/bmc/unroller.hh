@@ -20,6 +20,11 @@
  * nl::computeCoi for the static characterization of what can be
  * built). Options::fullUnroll restores the eager everything-at-every-
  * frame behavior for differential testing.
+ *
+ * Everything the Unroller builds is permanent (CnfBuilder::Permanent):
+ * inside a query scope its clauses stay unguarded and its gates go to
+ * the shared caches, because the memoized wires serve every later
+ * query on the context.
  */
 
 #ifndef R2U_BMC_UNROLLER_HH

@@ -1938,6 +1938,8 @@ SynthesisResult::jsonReport() const
             .set("source",
                  Value::string(bmc::verdictSourceName(r.source)))
             .set("seconds", num(r.seconds))
+            .set("encode_s", num(r.encodeSeconds))
+            .set("solve_s", num(r.solveSeconds))
             .set("conflicts", num(r.conflicts))
             .set("propagations", num(r.propagations))
             .set("cnf_vars", num(r.cnfVars))

@@ -13,10 +13,79 @@ CnfBuilder::CnfBuilder(Solver &solver) : solver_(solver)
     solver_.addClause(true_lit_);
 }
 
+void
+CnfBuilder::adoptState(const CnfBuilder &other)
+{
+    R2U_ASSERT(!inScope(), "adoptState inside a scope");
+    true_lit_ = other.true_lit_;
+    shared_ = other.shared_;
+    if (other.inScope())
+        solver_.retireScope(other.scope_act_, other.scope_vars_);
+}
+
+Lit
+CnfBuilder::beginScope()
+{
+    R2U_ASSERT(!inScope(), "beginScope inside a scope");
+    solver_.openScope();
+    scope_act_ = mkLit(solver_.newVar());
+    scope_vars_.assign(1, var(scope_act_));
+    return scope_act_;
+}
+
+void
+CnfBuilder::endScope()
+{
+    R2U_ASSERT(inScope() && permanent_ == 0, "endScope outside a scope");
+    solver_.retireScope(scope_act_, scope_vars_);
+    scope_act_ = kLitUndef;
+    scope_vars_.clear();
+    scope_ = Caches{};
+}
+
+template <class Cache, class Key>
+const Lit *
+CnfBuilder::findGate(Cache Caches::*which, const Key &key) const
+{
+    auto it = (shared_.*which).find(key);
+    if (it != (shared_.*which).end())
+        return &it->second;
+    if (!scoped())
+        return nullptr;
+    it = (scope_.*which).find(key);
+    return it != (scope_.*which).end() ? &it->second : nullptr;
+}
+
+template <class Cache, class Key>
+void
+CnfBuilder::cacheGate(Cache Caches::*which, const Key &key, Lit y)
+{
+    ((scoped() ? scope_ : shared_).*which).emplace(key, y);
+}
+
+void
+CnfBuilder::emit(std::initializer_list<Lit> lits)
+{
+    if (!scoped()) {
+        solver_.addClause(lits);
+        return;
+    }
+    Lit guarded[4];
+    R2U_ASSERT(lits.size() < 4, "clause of %zu literals", lits.size());
+    size_t n = 0;
+    for (Lit l : lits)
+        guarded[n++] = l;
+    guarded[n++] = ~scope_act_;
+    solver_.addClause(guarded, n);
+}
+
 Lit
 CnfBuilder::freshLit()
 {
-    return mkLit(solver_.newVar());
+    Lit l = mkLit(solver_.newVar());
+    if (scoped())
+        scope_vars_.push_back(var(l));
+    return l;
 }
 
 Lit
@@ -37,15 +106,14 @@ CnfBuilder::mkAnd(Lit a, Lit b)
     if (b.x < a.x)
         std::swap(a, b);
     auto key = std::make_pair(a.x, b.x);
-    auto it = and_cache_.find(key);
-    if (it != and_cache_.end())
-        return it->second;
+    if (const Lit *hit = findGate(&Caches::ands, key))
+        return *hit;
 
     Lit y = freshLit();
-    solver_.addClause(~y, a);
-    solver_.addClause(~y, b);
-    solver_.addClause(~a, ~b, y);
-    and_cache_.emplace(key, y);
+    emit({~y, a});
+    emit({~y, b});
+    emit({~a, ~b, y});
+    cacheGate(&Caches::ands, key, y);
     return y;
 }
 
@@ -78,17 +146,16 @@ CnfBuilder::mkXor(Lit a, Lit b)
     if (b.x < a.x)
         std::swap(a, b);
     auto key = std::make_pair(a.x, b.x);
-    auto it = xor_cache_.find(key);
     Lit y;
-    if (it != xor_cache_.end()) {
-        y = it->second;
+    if (const Lit *hit = findGate(&Caches::xors, key)) {
+        y = *hit;
     } else {
         y = freshLit();
-        solver_.addClause(~y, a, b);
-        solver_.addClause({~y, ~a, ~b});
-        solver_.addClause({y, ~a, b});
-        solver_.addClause({y, a, ~b});
-        xor_cache_.emplace(key, y);
+        emit({~y, a, b});
+        emit({~y, ~a, ~b});
+        emit({y, ~a, b});
+        emit({y, a, ~b});
+        cacheGate(&Caches::xors, key, y);
     }
     return invert ? ~y : y;
 }
@@ -129,18 +196,17 @@ CnfBuilder::mkMux(Lit sel, Lit t, Lit f)
         std::swap(t, f);
     }
     auto key = std::array<int, 3>{sel.x, t.x, f.x};
-    auto it = mux_cache_.find(key);
-    if (it != mux_cache_.end())
-        return it->second;
+    if (const Lit *hit = findGate(&Caches::muxes, key))
+        return *hit;
 
     Lit y = freshLit();
-    solver_.addClause({~sel, ~t, y});
-    solver_.addClause({~sel, t, ~y});
-    solver_.addClause({sel, ~f, y});
-    solver_.addClause({sel, f, ~y});
-    solver_.addClause({~t, ~f, y});
-    solver_.addClause({t, f, ~y});
-    mux_cache_.emplace(key, y);
+    emit({~sel, ~t, y});
+    emit({~sel, t, ~y});
+    emit({sel, ~f, y});
+    emit({sel, f, ~y});
+    emit({~t, ~f, y});
+    emit({t, f, ~y});
+    cacheGate(&Caches::muxes, key, y);
     return y;
 }
 
@@ -226,12 +292,12 @@ CnfBuilder::mkSelectW(const std::vector<Lit> &onehot,
                 continue;
             Lit a = i < words.size() ? words[i][b] : falseLit();
             if (isTrue(a)) {
-                solver_.addClause(~o, y);
+                emit({~o, y});
             } else if (isFalse(a)) {
-                solver_.addClause(~o, ~y);
+                emit({~o, ~y});
             } else {
-                solver_.addClause({~o, ~a, y});
-                solver_.addClause({~o, a, ~y});
+                emit({~o, ~a, y});
+                emit({~o, a, ~y});
             }
         }
         out[b] = y;

@@ -9,6 +9,13 @@
  * cone-of-influence CNFs.
  *
  * Words are little-endian vectors of literals (index 0 = LSB).
+ *
+ * A query scope (beginScope/endScope) makes everything a property
+ * builds retirable: its clauses carry the negated activation literal,
+ * its gates live in scope-local caches and its variables are recorded,
+ * so that endScope() leaves the solver as if the query had never been
+ * encoded. Construction that must outlive the query — the unrolled
+ * transition relation — runs inside a Permanent section.
  */
 
 #ifndef R2U_SAT_CNF_HH
@@ -16,6 +23,7 @@
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <unordered_map>
 #include <vector>
 
@@ -118,23 +126,55 @@ class CnfBuilder
      * literal. Only meaningful right after Solver::cloneFrom() of the
      * other builder's solver (identical variable numbering): future
      * gate constructions then hit the donor's cache instead of
-     * re-encoding shared structure.
+     * re-encoding shared structure. A donor inside a scope keeps it:
+     * here the scope is retired at once, so this copy holds none of
+     * its clauses, gates or variables.
      */
-    void adoptState(const CnfBuilder &other)
-    {
-        true_lit_ = other.true_lit_;
-        and_cache_ = other.and_cache_;
-        xor_cache_ = other.xor_cache_;
-        mux_cache_ = other.mux_cache_;
-    }
+    void adoptState(const CnfBuilder &other);
 
-    /** Assert a literal at the root level. */
-    void assertLit(Lit l) { solver_.addClause(l); }
+    /**
+     * Open a query scope and return its activation literal act. Until
+     * endScope(), every clause this builder emits outside a Permanent
+     * section carries ~act, new gates go to scope-local caches, and
+     * new variables are recorded as the scope's.
+     */
+    Lit beginScope();
+
+    /**
+     * Retire the scope (Solver::retireScope): ~act becomes a level-0
+     * fact, the scope's clauses and the learnt clauses derived from
+     * them are deleted, and its variables leave the search.
+     */
+    void endScope();
+
+    bool inScope() const { return scope_act_ != kLitUndef; }
+
+    /**
+     * While one lives, the builder emits unguarded clauses into the
+     * shared caches, as outside a scope: for the unrolling, whose
+     * gates every later query reuses. Gates built in here never read
+     * a scope-local cache entry, so nothing permanent depends on the
+     * scope.
+     */
+    class Permanent
+    {
+      public:
+        explicit Permanent(CnfBuilder &cnf) : cnf_(cnf) { cnf_.permanent_++; }
+        ~Permanent() { cnf_.permanent_--; }
+        Permanent(const Permanent &) = delete;
+        Permanent &operator=(const Permanent &) = delete;
+
+      private:
+        CnfBuilder &cnf_;
+    };
+
+    /** Assert a literal: at the root level, or guarded inside a scope. */
+    void assertLit(Lit l) { emit({l}); }
 
     /** Evaluate a word in the solver's current model. */
     Bits modelWord(const Word &w) const;
 
-    size_t numGates() const { return and_cache_.size(); }
+    size_t numGates() const { return shared_.ands.size(); }
 
   private:
     struct PairHash
@@ -162,11 +202,38 @@ class CnfBuilder
         }
     };
 
+    using PairCache = std::unordered_map<std::pair<int, int>, Lit, PairHash>;
+    using TripleCache =
+        std::unordered_map<std::array<int, 3>, Lit, TripleHash>;
+
+    /** One set of structural-hash caches. */
+    struct Caches
+    {
+        PairCache ands, xors;
+        TripleCache muxes;
+    };
+
+    /** In a scope and outside every Permanent section. */
+    bool scoped() const { return inScope() && permanent_ == 0; }
+
+    /** The cached gate for @p key, shared caches first; null if none. */
+    template <class Cache, class Key>
+    const Lit *findGate(Cache Caches::*which, const Key &key) const;
+
+    /** Cache a new gate: scope-local while scoped, else shared. */
+    template <class Cache, class Key>
+    void cacheGate(Cache Caches::*which, const Key &key, Lit y);
+
+    /** Add a clause, with ~act appended while scoped. */
+    void emit(std::initializer_list<Lit> lits);
+
     Solver &solver_;
     Lit true_lit_;
-    std::unordered_map<std::pair<int, int>, Lit, PairHash> and_cache_;
-    std::unordered_map<std::pair<int, int>, Lit, PairHash> xor_cache_;
-    std::unordered_map<std::array<int, 3>, Lit, TripleHash> mux_cache_;
+    Caches shared_;
+    Caches scope_;
+    Lit scope_act_ = kLitUndef;
+    std::vector<Var> scope_vars_;
+    int permanent_ = 0;
 };
 
 } // namespace r2u::sat

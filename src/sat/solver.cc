@@ -390,7 +390,7 @@ Solver::cancelUntil(int level)
         Var x = var(trail_[i]);
         assigns_[2 * x] = LBool::Undef;
         assigns_[2 * x + 1] = LBool::Undef;
-        if (heap_pos_[x] < 0)
+        if (heap_pos_[x] == -1)
             heapInsert(x);
     }
     qhead_ = static_cast<size_t>(trail_lim_[level]);
@@ -406,6 +406,23 @@ Solver::heapInsert(Var v)
     heap_pos_[v] = static_cast<int>(heap_.size());
     heap_.push_back(v);
     siftUp(heap_pos_[v]);
+}
+
+void
+Solver::heapRemove(Var v)
+{
+    int i = heap_pos_[v];
+    if (i < 0)
+        return;
+    heap_pos_[v] = -1;
+    Var last = heap_.back();
+    heap_.pop_back();
+    if (last == v)
+        return;
+    heap_[i] = last;
+    heap_pos_[last] = i;
+    siftUp(i);
+    siftDown(heap_pos_[last]);
 }
 
 void
@@ -550,7 +567,13 @@ Solver::garbageCollect()
     // cref) and relative cref order survives the slide.
     learnts_.clear();
     size_t out = 0, kept = 0;
-    for (int cref : crefs_) {
+    // The open scope's first clause moves to the first survivor at or
+    // after it.
+    size_t scope_start = scope_start_ == kNoScope ? kNoScope : 0;
+    for (size_t i = 0; i < crefs_.size(); i++) {
+        if (i == scope_start_)
+            scope_start = kept;
+        int cref = crefs_[i];
         Clause c = clause(cref);
         if (c.deleted())
             continue;
@@ -564,6 +587,9 @@ Solver::garbageCollect()
             learnts_.push_back(static_cast<int>(out));
         out += words;
     }
+    if (scope_start_ != kNoScope && scope_start_ >= crefs_.size())
+        scope_start = kept;
+    scope_start_ = scope_start;
     crefs_.resize(kept);
     arena_.resize(out);
     wasted_ = 0;
@@ -738,6 +764,92 @@ Solver::solve(const std::vector<Lit> &assumptions)
 }
 
 void
+Solver::openScope()
+{
+    R2U_ASSERT(!inScope(), "openScope inside an open scope");
+    scope_start_ = crefs_.size();
+}
+
+void
+Solver::retireScope(Lit act, const std::vector<Var> &vars)
+{
+    R2U_ASSERT(inScope(), "retireScope without openScope");
+    R2U_ASSERT(decisionLevel() == 0, "retireScope above root level");
+    size_t start = scope_start_;
+    scope_start_ = kNoScope;
+    addClause(~act);
+    if (!ok_)
+        return; // the whole database is UNSAT; nothing is worth keeping
+
+    // Every clause of the scope holds ~act, so it is satisfied now;
+    // clauses added since openScope() that are not (the permanent
+    // ones, learnts the scope did not feed) stay.
+    std::vector<int> &purge = purge_tmp_; // watch lists to filter
+    purge.clear();
+    bool learnt_deleted = false;
+    for (size_t i = start; i < crefs_.size(); i++) {
+        Clause c = clause(crefs_[i]);
+        if (c.deleted())
+            continue;
+        bool satisfied = false;
+        for (Lit l : c)
+            if (value(l) == LBool::True) {
+                satisfied = true;
+                break;
+            }
+        if (!satisfied)
+            continue;
+        c.markDeleted();
+        wasted_ += kClauseHeader + c.size();
+        purge.push_back((~c[0]).x);
+        purge.push_back((~c[1]).x);
+        if (c.learnt())
+            learnt_deleted = true;
+        else
+            retired_clauses_++;
+    }
+
+    // The scope's variables leave the heap for good, and their watch
+    // lists, which held only deleted clauses, are freed.
+    for (Var v : vars) {
+        if (heap_pos_[v] == kRetired)
+            continue;
+        heapRemove(v);
+        heap_pos_[v] = kRetired;
+        retired_vars_++;
+        for (int x : {2 * v, 2 * v + 1}) {
+            for (const Watcher &w : watches_[x])
+                R2U_ASSERT(clause(w.cref()).deleted(),
+                           "retired variable %d in a live clause", v);
+            std::vector<Watcher>().swap(watches_[x]);
+        }
+    }
+
+    // Only a clause at or above the scope's first offset can have been
+    // deleted here, so the filters below dereference the arena only for
+    // those; a long permanent watch list is one sequential pass.
+    int first = start < crefs_.size() ? crefs_[start]
+                                      : static_cast<int>(arena_.size());
+    auto deleted = [this, first](int cref) {
+        return cref >= first && clause(cref).deleted();
+    };
+    std::sort(purge.begin(), purge.end());
+    purge.erase(std::unique(purge.begin(), purge.end()), purge.end());
+    for (int x : purge) {
+        std::vector<Watcher> &ws = watches_[x];
+        ws.erase(std::remove_if(ws.begin(), ws.end(),
+                                [&deleted](const Watcher &w) {
+                                    return deleted(w.cref());
+                                }),
+                 ws.end());
+    }
+    if (learnt_deleted)
+        learnts_.erase(
+            std::remove_if(learnts_.begin(), learnts_.end(), deleted),
+            learnts_.end());
+}
+
+void
 Solver::exportCnf(std::vector<std::vector<Lit>> &out,
                   bool include_learnts) const
 {
@@ -782,6 +894,9 @@ Solver::cloneFrom(const Solver &other)
     var_inc_ = other.var_inc_;
     cla_inc_ = other.cla_inc_;
     added_clauses_ = other.added_clauses_;
+    scope_start_ = other.scope_start_;
+    retired_vars_ = other.retired_vars_;
+    retired_clauses_ = other.retired_clauses_;
     // Per-solve transients start fresh: budgets, deadline, interrupt
     // wiring, model, and statistics stay this solver's own.
     model_.clear();

@@ -7,12 +7,14 @@
  * bit-blasts netlist properties into CNF and asks this solver for a
  * model (a counterexample trace) or an UNSAT verdict (a proof at bound).
  *
- * Features: two-watched-literal propagation, VSIDS decision heuristic
- * with an indexed max-heap, phase saving, first-UIP conflict analysis
- * with local clause minimization, Luby restarts, activity-ranked
- * learnt-clause database reduction with in-place arena compaction, and
- * solving under assumptions (used for incremental BMC). There is one
- * search configuration; nothing tunes it per solver.
+ * Features: two-watched-literal propagation (binary clauses settled
+ * from the watcher alone), VSIDS decision heuristic with an indexed
+ * max-heap, phase saving, first-UIP conflict analysis with local clause
+ * minimization, Luby restarts, activity-ranked learnt-clause database
+ * reduction with in-place arena compaction, solving under assumptions,
+ * and query scopes whose clauses, learnt descendants and variables are
+ * deleted when the scope retires (both used for incremental BMC).
+ * There is one search configuration; nothing tunes it per solver.
  *
  * A solve() can be bounded by a conflict budget and a wall-clock
  * deadline (checked periodically), and stopped asynchronously from
@@ -108,13 +110,21 @@ class Solver
     /** Create a fresh variable and return its index. */
     Var newVar();
 
+    /** Variables created; retired ones keep their index and count. */
     int numVars() const { return static_cast<int>(level_.size()); }
 
+    /** Variables a retired scope took out of the search. */
+    int numRetiredVars() const { return retired_vars_; }
+
     /**
-     * Problem clauses submitted via addClause (learnt clauses are not
-     * counted). Used by the BMC layer to report per-query CNF growth.
+     * Problem clauses submitted via addClause, less those a retired
+     * scope deleted (learnt clauses are not counted). Used by the BMC
+     * layer to report per-query CNF growth.
      */
-    uint64_t numClauses() const { return added_clauses_; }
+    uint64_t numClauses() const
+    {
+        return added_clauses_ - retired_clauses_;
+    }
 
     /**
      * Add a clause (disjunction of literals). Returns false if the
@@ -148,7 +158,8 @@ class Solver
 
     /**
      * The complete model after a Sat result (empty otherwise): every
-     * variable has a concrete value.
+     * variable has a concrete value, except the variables of retired
+     * scopes, which no clause mentions any more and stay Undef.
      */
     const std::vector<LBool> &model() const { return model_; }
 
@@ -181,6 +192,28 @@ class Solver
     }
 
     /**
+     * Open a query scope (incremental BMC, see bmc::PropCtx): the
+     * clauses added or learnt from here on are the scope's candidates
+     * for retirement. At most one scope is open at a time.
+     */
+    void openScope();
+
+    /**
+     * Retire the open scope, at level 0: assert ~@p act, delete every
+     * clause added or learnt since openScope() that is now satisfied
+     * at level 0 — the clauses the scope guarded with ~act and every
+     * learnt clause derived from them, which all contain ~act — purge
+     * them from the watch lists they sat on, and take @p vars, the
+     * scope's own variables, out of the search for good. The caller
+     * guarantees that only clauses containing ~act mention @p vars.
+     * The scan costs the clauses added since openScope(), not the
+     * database.
+     */
+    void retireScope(Lit act, const std::vector<Var> &vars);
+
+    bool inScope() const { return scope_start_ != kNoScope; }
+
+    /**
      * Copy the clause database — level-0 facts, problem clauses, and
      * (optionally) learnt clauses — into `out` as one clause per
      * entry, in this solver's variable numbering.
@@ -198,6 +231,8 @@ class Solver
      * of rebuilt. `other` must be idle at decision level 0 (between
      * solve() calls). The BMC engine uses this to warm-start sibling
      * incremental contexts from one bit-blasted transition relation.
+     * An open scope is copied open: retireScope() then retires it in
+     * the copy alone.
      */
     void cloneFrom(const Solver &other);
 
@@ -323,7 +358,10 @@ class Solver
     void garbageCollect();
 
     // --- VSIDS heap ---
+    /** heap_pos_ of a retired variable: never (re)inserted. */
+    static constexpr int kRetired = -2;
     void heapInsert(Var v);
+    void heapRemove(Var v);
     void heapDecrease(Var v); // activity increased -> sift up
     Var heapRemoveMax();
     bool heapEmpty() const { return heap_.empty(); }
@@ -370,7 +408,8 @@ class Solver
     std::vector<bool> polarity_; // saved phase (true = last was false)
     std::vector<double> activity_;
     std::vector<int> heap_;     // binary max-heap of vars
-    std::vector<int> heap_pos_; // var -> index in heap_, -1 if absent
+    /** var -> index in heap_; -1 if absent, kRetired if retired. */
+    std::vector<int> heap_pos_;
     std::vector<Lit> trail_;
     std::vector<int> trail_lim_;
     std::vector<int> reason_; // var -> clause ref or -1
@@ -381,9 +420,16 @@ class Solver
     std::vector<Lit> conflict_core_;
     std::vector<LBool> model_;
 
-    // addClause / reduceDB scratch
+    // addClause / reduceDB / retireScope scratch
     std::vector<Lit> add_tmp_;
     std::vector<std::pair<float, int>> reduce_tmp_;
+    std::vector<int> purge_tmp_;
+
+    /** Index in crefs_ of the open scope's first clause. */
+    static constexpr size_t kNoScope = static_cast<size_t>(-1);
+    size_t scope_start_ = kNoScope;
+    int retired_vars_ = 0;
+    uint64_t retired_clauses_ = 0;
 
     // analyze scratch
     std::vector<uint8_t> seen_;

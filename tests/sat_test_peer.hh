@@ -1,8 +1,9 @@
 /**
  * @file
  * White-box access to sat::Solver for the solver tests: the clause
- * arena, the in-place compaction and the learnt-clause cap that
- * production code sizes from the problem.
+ * arena, the in-place compaction, the learnt-clause cap that
+ * production code sizes from the problem, and what a retired query
+ * scope leaves in the database.
  */
 
 #ifndef R2U_TESTS_SAT_TEST_PEER_HH
@@ -36,6 +37,43 @@ struct SolverTestPeer
     static const uint32_t *arenaData(const Solver &s)
     {
         return s.arena_.data();
+    }
+
+    /** Clauses in the database, problem and learnt, tombstones not. */
+    static size_t
+    liveClauses(const Solver &s)
+    {
+        size_t n = 0;
+        for (int cref : s.crefs_)
+            n += !s.clause(cref).deleted();
+        return n;
+    }
+
+    /** Live clauses that mention variable @p v. */
+    static size_t
+    liveClausesOn(const Solver &s, Var v)
+    {
+        size_t n = 0;
+        for (int cref : s.crefs_) {
+            const Solver::Clause c = s.clause(cref);
+            if (c.deleted())
+                continue;
+            for (Lit l : c)
+                if (var(l) == v) {
+                    n++;
+                    break;
+                }
+        }
+        return n;
+    }
+
+    /** Variables the search may still decide (not retired). */
+    static size_t
+    decisionVars(const Solver &s)
+    {
+        return static_cast<size_t>(
+            std::count_if(s.heap_pos_.begin(), s.heap_pos_.end(),
+                          [](int pos) { return pos != Solver::kRetired; }));
     }
 
     static bool

@@ -21,6 +21,7 @@
 #include "bmc/engine.hh"
 #include "random_netlist.hh"
 #include "rtl2uspec/metadata_io.hh"
+#include "sat_test_peer.hh"
 #include "rtl2uspec/synthesis.hh"
 #include "sim/simulator.hh"
 #include "verilog/elaborate.hh"
@@ -407,6 +408,86 @@ TEST(BmcEngine, ThrowingPropertySurfacesFromDrain)
                                               : bmc::Verdict::Proven)
                 << "jobs " << jobs << " value " << v;
     }
+}
+
+namespace
+{
+
+/** bad: the counter equals, at some frame, a rigid word pinned to
+ *  @p value. Every run builds its monitor over fresh rigid bits. */
+bmc::PropertyFn
+counterMeetsRigid(uint64_t value)
+{
+    return [value](bmc::PropCtx &ctx) {
+        auto &cnf = ctx.cnf();
+        const sat::Word &v = ctx.rigid("v", 4);
+        ctx.assume(cnf.mkEqW(v, cnf.constWord(4, value)));
+        sat::Lit bad = cnf.falseLit();
+        for (unsigned f = 0; f < ctx.bound(); f++)
+            bad = cnf.mkOr(bad, ctx.eqRigid(f, "q", v));
+        return bad;
+    };
+}
+
+} // namespace
+
+/**
+ * Query retirement: the same query five times on one context returns
+ * the same verdict each time, and every endQuery() leaves the context
+ * as the first one left it — none of a retired query's clauses, learnt
+ * or problem, and none of its variables stay in the search. Without
+ * retirement both counts grow, since each run's monitor is built over
+ * new rigid variables. A context seeded from a donor in mid-query
+ * holds none of that query either.
+ */
+TEST(BmcEngine, RetiredQueriesLeaveNothingBehind)
+{
+    using sat::SolverTestPeer;
+    vlog::Design src = vlog::parseString(kCounter, "counter.v");
+    vlog::ElabOptions eo;
+    eo.top = "top";
+    vlog::ElabResult r = vlog::elaborate(src, eo);
+    const unsigned kBound = 6; // values 0..5 reachable
+
+    for (uint64_t value : {3u, 9u}) {
+        sat::Result expect =
+            value < kBound ? sat::Result::Sat : sat::Result::Unsat;
+        bmc::PropCtx ctx(*r.netlist, r.signalMap, {}, kBound);
+        size_t clauses = 0, vars = 0;
+        for (int run = 0; run < 5; run++) {
+            ctx.beginQuery();
+            ctx.assume(counterMeetsRigid(value)(ctx));
+            EXPECT_EQ(ctx.solver().solve({ctx.activation()}), expect)
+                << "value " << value << " run " << run;
+            ctx.endQuery();
+            size_t c = SolverTestPeer::liveClauses(ctx.solver());
+            size_t v = SolverTestPeer::decisionVars(ctx.solver());
+            if (run == 0) {
+                clauses = c;
+                vars = v;
+            }
+            EXPECT_EQ(c, clauses) << "value " << value << " run " << run;
+            EXPECT_EQ(v, vars) << "value " << value << " run " << run;
+        }
+    }
+
+    bmc::PropCtx donor(*r.netlist, r.signalMap, {}, kBound);
+    donor.beginQuery();
+    sat::Var act = sat::var(donor.activation());
+    donor.assume(counterMeetsRigid(3)(donor));
+    ASSERT_GT(SolverTestPeer::liveClausesOn(donor.solver(), act), 0u);
+    bmc::PropCtx copy(*r.netlist, r.signalMap, {}, kBound);
+    copy.seedFrom(donor);
+    EXPECT_EQ(SolverTestPeer::liveClausesOn(copy.solver(), act), 0u);
+    donor.endQuery();
+    EXPECT_EQ(SolverTestPeer::liveClauses(copy.solver()),
+              SolverTestPeer::liveClauses(donor.solver()));
+    EXPECT_EQ(SolverTestPeer::decisionVars(copy.solver()),
+              SolverTestPeer::decisionVars(donor.solver()));
+    copy.beginQuery();
+    copy.assume(counterMeetsRigid(3)(copy));
+    EXPECT_EQ(copy.solver().solve({copy.activation()}), sat::Result::Sat);
+    copy.endQuery();
 }
 
 TEST(BmcEngine, TightBudgetYieldsUnknownNotWrongVerdict)
