@@ -133,6 +133,8 @@ Solver::uncheckedEnqueue(Lit l, int reason)
     reason_[var(l)] = reason;
     level_[var(l)] = decisionLevel();
     trail_.push_back(l);
+    // propagate() will walk l's watch list: start loading its header.
+    __builtin_prefetch(&watches_[l.x]);
 }
 
 int
@@ -141,6 +143,11 @@ Solver::propagate()
     int confl = -1;
     while (qhead_ < trail_.size()) {
         Lit p = trail_[qhead_++];
+        // Each watch list is a separate allocation, so reaching one
+        // costs a cache miss; load the next literal's list while this
+        // one is walked. (Search-identical: a hint only.)
+        if (qhead_ < trail_.size())
+            __builtin_prefetch(watches_[trail_[qhead_].x].data());
         Lit false_lit = ~p;
         stats_.propagations++;
         std::vector<Watcher> &ws = watches_[p.x];
