@@ -131,27 +131,24 @@ PropCtx::rigid(const std::string &name, unsigned width)
 void
 PropCtx::beginQuery()
 {
-    R2U_ASSERT(!in_query_, "beginQuery inside an active query");
+    R2U_ASSERT(!inQuery(), "beginQuery inside an active query");
     rigids_.clear();
     watched_.clear();
     watched_mems_.clear();
-    act_ = cnf_.beginScope();
-    in_query_ = true;
+    cnf_.beginScope();
 }
 
 void
 PropCtx::endQuery()
 {
-    R2U_ASSERT(in_query_, "endQuery without beginQuery");
-    in_query_ = false;
+    R2U_ASSERT(inQuery(), "endQuery without beginQuery");
     cnf_.endScope();
-    act_ = sat::kLitUndef;
 }
 
 void
 PropCtx::seedFrom(const PropCtx &donor)
 {
-    R2U_ASSERT(!in_query_, "seedFrom into an active query");
+    R2U_ASSERT(!inQuery(), "seedFrom into an active query");
     R2U_ASSERT(bound_ == donor.bound_, "seedFrom across bounds");
     solver_.cloneFrom(donor.solver_);
     cnf_.adoptState(donor.cnf_); // retires a donor's open query here

@@ -149,11 +149,11 @@ class PropCtx
     /** The current query's activation literal. */
     sat::Lit activation() const
     {
-        R2U_ASSERT(in_query_, "activation() outside a query");
-        return act_;
+        R2U_ASSERT(inQuery(), "activation() outside a query");
+        return cnf_.activation();
     }
 
-    bool inQuery() const { return in_query_; }
+    bool inQuery() const { return cnf_.inScope(); }
 
     /**
      * Retire the current query: ~act becomes a level-0 fact, and the
@@ -237,8 +237,6 @@ class PropCtx
     std::map<std::string, sat::Word> rigids_;
     std::vector<std::string> watched_;
     std::vector<nl::MemId> watched_mems_;
-    sat::Lit act_ = sat::kLitUndef;
-    bool in_query_ = false;
 };
 
 struct CheckResult

@@ -83,8 +83,11 @@ struct Engine::Worker
         // dies before publishing hands the role to a waiter. A lone
         // worker has no sibling to serve, so jobs 1 encodes each
         // batch's context from the netlist: on the formal V-scale
-        // (4-CPU host) a snapshot held next to its context raised
-        // peak RSS from 53 to 75 MB for a run about 12% faster.
+        // (4-CPU host, Release) a snapshot held next to its context
+        // raised peak RSS from 49 to 66 MB for a run about 6% faster
+        // (6 alternating CLI pairs). Without a snapshot the jobs-1
+        // proof re-checks encode from the netlist too, so they check
+        // query retirement against contexts that never held a query.
         if (engine.jobs_ > 1) {
             std::unique_lock<std::mutex> lk(engine.seed_mu_);
             SeedSlot &slot = engine.seed_;

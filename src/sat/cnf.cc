@@ -23,14 +23,13 @@ CnfBuilder::adoptState(const CnfBuilder &other)
         solver_.retireScope(other.scope_act_, other.scope_vars_);
 }
 
-Lit
+void
 CnfBuilder::beginScope()
 {
     R2U_ASSERT(!inScope(), "beginScope inside a scope");
     solver_.openScope();
     scope_act_ = mkLit(solver_.newVar());
     scope_vars_.assign(1, var(scope_act_));
-    return scope_act_;
 }
 
 void

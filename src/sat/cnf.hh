@@ -126,19 +126,19 @@ class CnfBuilder
      * literal. Only meaningful right after Solver::cloneFrom() of the
      * other builder's solver (identical variable numbering): future
      * gate constructions then hit the donor's cache instead of
-     * re-encoding shared structure. A donor inside a scope keeps it:
-     * here the scope is retired at once, so this copy holds none of
-     * its clauses, gates or variables.
+     * re-encoding shared structure. A donor's open scope is retired
+     * here at once, so this copy holds none of its clauses, gates or
+     * variables.
      */
     void adoptState(const CnfBuilder &other);
 
     /**
-     * Open a query scope and return its activation literal act. Until
+     * Open a query scope with a fresh activation literal act. Until
      * endScope(), every clause this builder emits outside a Permanent
      * section carries ~act, new gates go to scope-local caches, and
      * new variables are recorded as the scope's.
      */
-    Lit beginScope();
+    void beginScope();
 
     /**
      * Retire the scope (Solver::retireScope): ~act becomes a level-0
@@ -148,6 +148,9 @@ class CnfBuilder
     void endScope();
 
     bool inScope() const { return scope_act_ != kLitUndef; }
+
+    /** The open scope's activation literal (kLitUndef outside one). */
+    Lit activation() const { return scope_act_; }
 
     /**
      * While one lives, the builder emits unguarded clauses into the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -514,8 +515,7 @@ Solver::reduceDB()
 
     std::vector<int> keep;
     keep.reserve(learnts_.size());
-    std::vector<std::pair<float, int>> &removable = reduce_tmp_;
-    removable.clear();
+    std::vector<std::pair<float, int>> removable;
     for (int cref : learnts_) {
         const Clause c = clause(cref);
         if (c.locked() || c.size() <= 2)
@@ -791,8 +791,7 @@ Solver::retireScope(Lit act, const std::vector<Var> &vars)
     // Every clause of the scope holds ~act, so it is satisfied now;
     // clauses added since openScope() that are not (the permanent
     // ones, learnts the scope did not feed) stay.
-    std::vector<int> &purge = purge_tmp_; // watch lists to filter
-    purge.clear();
+    std::vector<int> purge; // watch lists to filter
     bool learnt_deleted = false;
     for (size_t i = start; i < crefs_.size(); i++) {
         Clause c = clause(crefs_[i]);

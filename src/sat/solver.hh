@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
-#include <utility>
 #include <vector>
 
 namespace r2u::sat
@@ -159,7 +158,9 @@ class Solver
     /**
      * The complete model after a Sat result (empty otherwise): every
      * variable has a concrete value, except the variables of retired
-     * scopes, which no clause mentions any more and stay Undef.
+     * scopes: no clause mentions them any more, so the search never
+     * decides them, and they stay Undef unless a level-0 fact assigned
+     * them before retirement (the scope's own act is False).
      */
     const std::vector<LBool> &model() const { return model_; }
 
@@ -210,8 +211,6 @@ class Solver
      * database.
      */
     void retireScope(Lit act, const std::vector<Var> &vars);
-
-    bool inScope() const { return scope_start_ != kNoScope; }
 
     /**
      * Copy the clause database — level-0 facts, problem clauses, and
@@ -420,14 +419,13 @@ class Solver
     std::vector<Lit> conflict_core_;
     std::vector<LBool> model_;
 
-    // addClause / reduceDB / retireScope scratch
+    // addClause scratch
     std::vector<Lit> add_tmp_;
-    std::vector<std::pair<float, int>> reduce_tmp_;
-    std::vector<int> purge_tmp_;
 
     /** Index in crefs_ of the open scope's first clause. */
     static constexpr size_t kNoScope = static_cast<size_t>(-1);
     size_t scope_start_ = kNoScope;
+    bool inScope() const { return scope_start_ != kNoScope; }
     int retired_vars_ = 0;
     uint64_t retired_clauses_ = 0;
 

@@ -67,6 +67,24 @@ struct SolverTestPeer
         return n;
     }
 
+    /** Live clauses that mention a retired variable (should be 0). */
+    static size_t
+    liveClausesOnRetired(const Solver &s)
+    {
+        size_t n = 0;
+        for (int cref : s.crefs_) {
+            const Solver::Clause c = s.clause(cref);
+            if (c.deleted())
+                continue;
+            for (Lit l : c)
+                if (s.heap_pos_[var(l)] == Solver::kRetired) {
+                    n++;
+                    break;
+                }
+        }
+        return n;
+    }
+
     /** Variables the search may still decide (not retired). */
     static size_t
     decisionVars(const Solver &s)

@@ -6,8 +6,9 @@
  * with a fresh checkProperty() solve per query; on the multi-V-scale,
  * a jobs-1 synthesis under full validation must reproduce the parallel
  * run's SVA records and µspec model exactly and repeat its solver
- * counts run to run; and a throwing property callback must surface
- * from drain() without taking the engine down.
+ * counts run to run; a throwing property callback must surface from
+ * drain() without taking the engine down; and a retired query must
+ * leave nothing in its context.
  */
 
 #include <gtest/gtest.h>
@@ -21,8 +22,8 @@
 #include "bmc/engine.hh"
 #include "random_netlist.hh"
 #include "rtl2uspec/metadata_io.hh"
-#include "sat_test_peer.hh"
 #include "rtl2uspec/synthesis.hh"
+#include "sat_test_peer.hh"
 #include "sim/simulator.hh"
 #include "verilog/elaborate.hh"
 #include "verilog/parser.hh"
@@ -460,6 +461,9 @@ TEST(BmcEngine, RetiredQueriesLeaveNothingBehind)
             EXPECT_EQ(ctx.solver().solve({ctx.activation()}), expect)
                 << "value " << value << " run " << run;
             ctx.endQuery();
+            EXPECT_EQ(SolverTestPeer::liveClausesOnRetired(ctx.solver()),
+                      0u)
+                << "value " << value << " run " << run;
             size_t c = SolverTestPeer::liveClauses(ctx.solver());
             size_t v = SolverTestPeer::decisionVars(ctx.solver());
             if (run == 0) {
@@ -479,6 +483,7 @@ TEST(BmcEngine, RetiredQueriesLeaveNothingBehind)
     bmc::PropCtx copy(*r.netlist, r.signalMap, {}, kBound);
     copy.seedFrom(donor);
     EXPECT_EQ(SolverTestPeer::liveClausesOn(copy.solver(), act), 0u);
+    EXPECT_EQ(SolverTestPeer::liveClausesOnRetired(copy.solver()), 0u);
     donor.endQuery();
     EXPECT_EQ(SolverTestPeer::liveClauses(copy.solver()),
               SolverTestPeer::liveClauses(donor.solver()));
