@@ -196,7 +196,15 @@ class PropCtx
      */
     void assume(sat::Lit a);
 
-    /** Constrain an input to a constant value in every frame. */
+    /**
+     * Constrain an input to a constant value in every frame, as a
+     * guarded assumption of the current query. An environment that
+     * every query on a context shares belongs in
+     * Unroller::Options::heldInputs instead: a held input is a
+     * constant word, so the unrolling folds it, and pinning it here
+     * too costs nothing (each equality folds to a satisfied clause,
+     * which the solver drops).
+     */
     void pinInput(const std::string &name, uint64_t value);
 
     /** Constrain an input at one frame. */

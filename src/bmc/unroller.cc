@@ -38,7 +38,8 @@ Unroller::adoptState(const Unroller &other)
     R2U_ASSERT(&nl_ == &other.nl_,
                "adoptState across different netlists");
     R2U_ASSERT(options_.fullUnroll == other.options_.fullUnroll &&
-                   options_.concreteInit == other.options_.concreteInit,
+                   options_.concreteInit == other.options_.concreteInit &&
+                   options_.heldInputs == other.options_.heldInputs,
                "adoptState across different unroll options");
     wires_ = other.wires_;
     mems_ = other.mems_;
@@ -268,12 +269,21 @@ Unroller::buildWire(unsigned f, CellId id)
         out = cnf_.constWord(c.value);
         break;
       case CellKind::Input: {
+        // A replay's per-frame pin first, then the held environment.
         const Bits *pin = nullptr;
         if (f < options_.inputValues.size()) {
             auto it = options_.inputValues[f].find(id);
             if (it != options_.inputValues[f].end())
                 pin = &it->second;
         }
+        if (!pin) {
+            auto it = options_.heldInputs.find(id);
+            if (it != options_.heldInputs.end())
+                pin = &it->second;
+        }
+        R2U_ASSERT(!pin || pin->width() == c.width,
+                   "input cell %d fixed at %u bits, not %u", id,
+                   pin ? pin->width() : 0u, c.width);
         out = pin ? cnf_.constWord(*pin) : cnf_.freshWord(c.width);
         break;
       }

@@ -4,7 +4,10 @@
  *
  * The Unroller bit-blasts a synchronous netlist over k clock frames
  * through a CnfBuilder: inputs become fresh variables per frame,
- * registers follow Q' = EN ? D : Q, and memories are modeled as
+ * except those the environment holds at one value (Options::
+ * heldInputs), which are constant words in every frame, so their
+ * fan-out constant-folds through every frame; registers follow
+ * Q' = EN ? D : Q, and memories are modeled as
  * per-frame arrays of words with read-before-write semantics matching
  * sim::Simulator. Initial state is either concrete (power-on values,
  * with selected memories made symbolic) or fully free (used by
@@ -58,6 +61,18 @@ class Unroller
         /** Concrete initial contents overriding the netlist defaults. */
         std::map<nl::MemId, std::vector<Bits>> memInit;
         /**
+         * Inputs the environment holds at one value in every frame
+         * (rtl2uspec: reset deasserted). Each is built as a constant
+         * word, so the CnfBuilder folds it through every frame of the
+         * shared unrolling: a register's reset mux costs nothing, and
+         * no query needs to pin the input again. Stating the
+         * environment here, once, also hands it to everything built
+         * from these options: the PDR transition relation,
+         * counterexample replay and proof re-checks. An inputValues
+         * entry for the same input and frame takes precedence.
+         */
+        std::map<nl::CellId, Bits> heldInputs;
+        /**
          * Concrete per-frame input overrides: inputValues[frame][cell]
          * builds that input as a constant word instead of fresh
          * variables. Used by counterexample replay (bmc/validate): a
@@ -97,10 +112,10 @@ class Unroller
     /**
      * Adopt another unroller's memo tables (built wires, memory
      * arrays, construction stats). Only meaningful over the same
-     * netlist right after Solver::cloneFrom() of the other unroller's
-     * solver, so the adopted Words refer to live variables. Wires the
-     * donor built are then served from the memo instead of being
-     * bit-blasted again.
+     * netlist and options (the same held inputs included) right after
+     * Solver::cloneFrom() of the other unroller's solver, so the
+     * adopted Words refer to live variables. Wires the donor built are
+     * then served from the memo instead of being bit-blasted again.
      */
     void adoptState(const Unroller &other);
 

@@ -240,6 +240,14 @@ class Synthesizer
     // ------------------------------------------------------------------
     // SVA plumbing.
     // ------------------------------------------------------------------
+    /**
+     * The environment of every SVA, stated once for the engine's
+     * shared unrolling: memories start symbolic, and reset stays
+     * deasserted from power-on. Reset is a held input, so the
+     * unrolling folds every reset mux away and no property pins it;
+     * PDR, counterexample replay and proof re-checks read the same
+     * options.
+     */
     bmc::Unroller::Options
     unrollOptions() const
     {
@@ -247,6 +255,12 @@ class Synthesizer
         opts.fullUnroll = full_unroll_;
         for (size_t m = 0; m < nl_.numMemories(); m++)
             opts.symbolicMems.insert(static_cast<nl::MemId>(m));
+        auto reset = design_.signalMap.find("reset");
+        if (reset == design_.signalMap.end() ||
+            nl_.cell(reset->second).kind != nl::CellKind::Input)
+            fatal("rtl2uspec: the design has no 'reset' input");
+        opts.heldInputs[reset->second] =
+            Bits(nl_.cell(reset->second).width, 0);
         return opts;
     }
 
@@ -729,7 +743,6 @@ class Synthesizer
                            op.name.c_str()),
                     static_cast<unsigned>(remote_nodes.size()), true);
                 deferSva(idx, [this, &op](PropCtx &ctx) {
-                    ctx.pinInput("reset", 0);
                     watchDefaults(ctx);
                     EventVec occ0 = bindInstr(ctx, "0", &op);
                     return sva::eventDuring(ctx, occ0,
@@ -757,7 +770,6 @@ class Synthesizer
                                op.name.c_str()),
                         1, false);
                     deferSva(idx, [this, &op, &e](PropCtx &ctx) {
-                        ctx.pinInput("reset", 0);
                         watchDefaults(ctx);
                         ctx.watch(e.name);
                         bindInstr(ctx, "0", &op);
@@ -779,7 +791,6 @@ class Synthesizer
                                op.name.c_str()),
                         1, false);
                     deferSva(idx, [this, &op, &e](PropCtx &ctx) {
-                        ctx.pinInput("reset", 0);
                         watchDefaults(ctx);
                         bindInstr(ctx, "0", &op);
                         EventVec wr =
@@ -799,7 +810,6 @@ class Synthesizer
                                op.name.c_str(), e.name.c_str()),
                         1, true);
                     deferSva(idx, [this, &op, &e](PropCtx &ctx) {
-                        ctx.pinInput("reset", 0);
                         watchDefaults(ctx);
                         bindInstr(ctx, "0", &op);
                         return sva::occurs(
@@ -853,7 +863,6 @@ class Synthesizer
                            stage, stage, op.name.c_str()),
                     1, false);
                 deferSva(idx, [this, &op, stage](PropCtx &ctx) {
-                    ctx.pinInput("reset", 0);
                     watchDefaults(ctx);
                     EventVec occ0 = bindInstr(ctx, "0", &op);
                     // Assume the instruction is fetched early enough.
@@ -948,7 +957,6 @@ class Synthesizer
             deferSva(
                 chk.idx,
                 [this, frame_bad](PropCtx &ctx) {
-                    ctx.pinInput("reset", 0);
                     watchDefaults(ctx);
                     auto &cnf = ctx.cnf();
                     Lit bad = cnf.falseLit();
@@ -958,12 +966,10 @@ class Synthesizer
                 },
                 {},
                 [this, frame_bad](PropCtx &ctx, unsigned f) {
-                    // Environment once per context (frame 0 is always
-                    // built first); pinInput covers every frame.
-                    if (f == 0) {
-                        ctx.pinInput("reset", 0);
+                    // Watches once per context (frame 0 is always
+                    // built first); watch() covers every frame.
+                    if (f == 0)
                         watchDefaults(ctx);
-                    }
                     return frame_bad(ctx, f);
                 });
         }
@@ -1010,7 +1016,6 @@ class Synthesizer
     {
         deferSva(idx, [this, op0, op1,
                        events = std::move(events)](PropCtx &ctx) {
-            ctx.pinInput("reset", 0);
             watchDefaults(ctx);
             EventVec occ_a = bindInstr(ctx, "0", op0);
             EventVec occ_b = bindInstr(ctx, "1", op1);
@@ -1231,7 +1236,6 @@ class Synthesizer
             "(req_valid_q && req_core_q == 0));",
             1, true);
         deferSva(plan.rec, [this](PropCtx &ctx) {
-            ctx.pinInput("reset", 0);
             watchDefaults(ctx);
             auto &cnf = ctx.cnf();
             Lit bad = cnf.falseLit();
@@ -1278,7 +1282,6 @@ class Synthesizer
         deferSva(
             plan.proc,
             [this, proc_bad](PropCtx &ctx) {
-                ctx.pinInput("reset", 0);
                 watchDefaults(ctx);
                 auto &cnf = ctx.cnf();
                 Lit bad = cnf.falseLit();
@@ -1288,10 +1291,8 @@ class Synthesizer
             },
             pipeSeeds(true, mem),
             [this, proc_bad](PropCtx &ctx, unsigned f) {
-                if (f == 0) {
-                    ctx.pinInput("reset", 0);
+                if (f == 0)
                     watchDefaults(ctx);
-                }
                 return proc_bad(ctx, f);
             });
         return plan;

@@ -43,30 +43,66 @@ TEST(BmcEngine, ResolveJobs)
 namespace
 {
 
+/** Random input stimulus of a design and the interpreter's probe
+ *  values under it, per frame. */
+struct Stimulus
+{
+    std::vector<std::vector<Bits>> stim, expect;
+};
+
+/** Simulate @p d on random inputs; with @p hold_in0, input 0 keeps
+ *  its frame-0 value in every frame. */
+Stimulus
+simulate(const RandomDesign &d, std::mt19937 &rng, unsigned frames,
+         bool hold_in0)
+{
+    sim::Simulator sim(d.netlist);
+    Stimulus s;
+    s.stim.resize(frames);
+    s.expect.resize(frames);
+    for (unsigned f = 0; f < frames; f++) {
+        for (size_t i = 0; i < d.inputs.size(); i++) {
+            Bits v(d.netlist.cell(d.inputs[i]).width,
+                   static_cast<uint64_t>(rng()));
+            if (hold_in0 && i == 0 && f > 0)
+                v = s.stim[0][0];
+            sim.setInput(d.inputs[i], v);
+            s.stim[f].push_back(v);
+        }
+        for (nl::CellId p : d.probes)
+            s.expect[f].push_back(sim.value(p));
+        sim.step();
+    }
+    return s;
+}
+
 /**
  * Build a batch of properties for a simulated random design: one
  * "probes cannot deviate from the interpreter" query per frame prefix
  * (all Proven) and one corrupted-expectation query per probe (all
- * Refuted). Returns the queries with their expected verdicts.
+ * Refuted). Each property pins inputs first_pinned.. to the stimulus;
+ * the ones before are left to the unroll options. Returns the queries
+ * with their expected verdicts.
  */
 std::vector<std::pair<bmc::Query, bmc::Verdict>>
-makeQueries(const RandomDesign &d, const std::vector<std::vector<Bits>> &stim,
-            const std::vector<std::vector<Bits>> &expect, unsigned frames)
+makeQueries(const RandomDesign &d, const Stimulus &s, unsigned frames,
+            size_t first_pinned = 0)
 {
     std::vector<std::pair<bmc::Query, bmc::Verdict>> out;
-    auto pin_inputs = [&d, &stim](bmc::PropCtx &ctx, unsigned upto) {
+    auto pin_inputs = [&d, &s, first_pinned](bmc::PropCtx &ctx,
+                                             unsigned upto) {
         auto &cnf = ctx.cnf();
         for (unsigned f = 0; f < upto; f++)
-            for (size_t i = 0; i < d.inputs.size(); i++)
+            for (size_t i = first_pinned; i < d.inputs.size(); i++)
                 ctx.assume(cnf.mkEqW(
                     ctx.unroller().wire(f, d.inputs[i]),
-                    cnf.constWord(stim[f][i])));
+                    cnf.constWord(s.stim[f][i])));
     };
 
     for (unsigned upto = 1; upto <= frames; upto++) {
         bmc::Query q;
         q.name = "agree_upto_" + std::to_string(upto);
-        q.prop = [&d, &expect, pin_inputs, upto](bmc::PropCtx &ctx) {
+        q.prop = [&d, &s, pin_inputs, upto](bmc::PropCtx &ctx) {
             auto &cnf = ctx.cnf();
             pin_inputs(ctx, upto);
             sat::Lit bad = cnf.falseLit();
@@ -75,7 +111,7 @@ makeQueries(const RandomDesign &d, const std::vector<std::vector<Bits>> &stim,
                     bad = cnf.mkOr(
                         bad, ~cnf.mkEqW(
                                  ctx.unroller().wire(f, d.probes[i]),
-                                 cnf.constWord(expect[f][i])));
+                                 cnf.constWord(s.expect[f][i])));
             return bad;
         };
         out.emplace_back(std::move(q), bmc::Verdict::Proven);
@@ -84,10 +120,10 @@ makeQueries(const RandomDesign &d, const std::vector<std::vector<Bits>> &stim,
     for (size_t p = 0; p < d.probes.size(); p++) {
         bmc::Query q;
         q.name = "corrupt_probe_" + std::to_string(p);
-        q.prop = [&d, &expect, pin_inputs, frames, p](bmc::PropCtx &ctx) {
+        q.prop = [&d, &s, pin_inputs, frames, p](bmc::PropCtx &ctx) {
             auto &cnf = ctx.cnf();
             pin_inputs(ctx, frames);
-            Bits wrong = ~expect[frames - 1][p];
+            Bits wrong = ~s.expect[frames - 1][p];
             return ~cnf.mkEqW(
                 ctx.unroller().wire(frames - 1, d.probes[p]),
                 cnf.constWord(wrong));
@@ -108,54 +144,45 @@ TEST_P(EngineRandomTest, IncrementalMatchesFresh)
     std::mt19937 rng(4242 + GetParam());
     RandomDesign d = makeRandom(rng);
     const unsigned kFrames = 6;
-
-    sim::Simulator sim(d.netlist);
-    std::vector<std::vector<Bits>> stim(kFrames), expect(kFrames);
-    for (unsigned f = 0; f < kFrames; f++) {
-        for (nl::CellId in : d.inputs) {
-            Bits v(d.netlist.cell(in).width,
-                       static_cast<uint64_t>(rng()));
-            sim.setInput(in, v);
-            stim[f].push_back(v);
-        }
-        for (nl::CellId p : d.probes)
-            expect[f].push_back(sim.value(p));
-        sim.step();
-    }
-
     std::unordered_map<std::string, nl::CellId> empty_map;
-    auto queries = makeQueries(d, stim, expect, kFrames);
+    using QueryList = std::vector<std::pair<bmc::Query, bmc::Verdict>>;
 
-    // The independent reference: one fresh solver per query.
-    for (size_t i = 0; i < queries.size(); i++) {
-        bmc::CheckResult ref =
-            bmc::checkProperty(d.netlist, empty_map, {}, kFrames,
-                               queries[i].first.prop);
-        ASSERT_EQ(ref.verdict, queries[i].second) << "query " << i;
-    }
-
-    for (unsigned jobs : {1u, 3u}) {
+    // Run two batches of @p queries on one engine under full
+    // validation; every verdict must be the expected one, every
+    // counterexample must replay and every proof re-check agree.
+    // Returns the first batch's results.
+    auto runEngine = [&](const QueryList &queries,
+                         const bmc::Unroller::Options &options,
+                         unsigned jobs, const char *form) {
         bmc::EngineOptions opts;
         opts.jobs = jobs;
-        bmc::Engine engine(d.netlist, empty_map, {}, kFrames, opts);
+        opts.validate = bmc::ValidateMode::Full;
+        bmc::Engine engine(d.netlist, empty_map, options, kFrames, opts);
         EXPECT_EQ(engine.jobs(), jobs);
+        std::vector<bmc::CheckResult> first;
         // Two batches: the second runs on contexts warm-started from
         // the seed the first one published.
         for (int batch = 0; batch < 2; batch++) {
             for (const auto &entry : queries)
                 engine.enqueue(entry.first);
             auto results = engine.drain();
-            ASSERT_EQ(results.size(), queries.size());
-            for (size_t i = 0; i < queries.size(); i++) {
+            EXPECT_EQ(results.size(), queries.size());
+            for (size_t i = 0; i < results.size(); i++) {
                 EXPECT_EQ(results[i].verdict, queries[i].second)
-                    << "jobs " << jobs << " batch " << batch
+                    << form << " jobs " << jobs << " batch " << batch
                     << " query " << i;
+                EXPECT_TRUE(results[i].validated) << form << " " << i;
                 if (queries[i].second == bmc::Verdict::Refuted) {
                     EXPECT_FALSE(results[i].trace.toString().empty());
+                    EXPECT_GE(results[i].replays, 1u);
                 }
             }
+            if (batch == 0)
+                first = std::move(results);
         }
         EXPECT_EQ(engine.stats().queries, 2 * queries.size());
+        EXPECT_EQ(engine.stats().validationMismatches, 0u) << form;
+        EXPECT_EQ(engine.stats().validationFailures, 0u) << form;
         // Contexts are shared across a batch's queries and live for
         // one batch: at most one per worker per batch here (single
         // bound), never one per query — exactly one per batch at
@@ -165,6 +192,50 @@ TEST_P(EngineRandomTest, IncrementalMatchesFresh)
         if (jobs == 1) {
             EXPECT_EQ(engine.stats().unrollContexts, 2u);
             EXPECT_EQ(engine.stats().contextsSeeded, 0u);
+        }
+        return first;
+    };
+
+    // Two stimuli: every input random in every frame, then in0 with
+    // one value in every frame. The second also runs in a held form:
+    // in0 is held through the engine's unroll options instead of
+    // being pinned by each property. It must reach the same verdicts
+    // and replay every counterexample, and the constant it folds
+    // through the shared unrolling must never make a query's CNF
+    // larger than the pinned form's.
+    for (bool hold_in0 : {false, true}) {
+        Stimulus s = simulate(d, rng, kFrames, hold_in0);
+        QueryList pinned = makeQueries(d, s, kFrames);
+        bmc::Unroller::Options held_opts;
+        held_opts.heldInputs[d.inputs[0]] = s.stim[0][0];
+        QueryList held = makeQueries(d, s, kFrames, /*first_pinned=*/1);
+
+        // The independent reference: one fresh solver per query.
+        for (size_t i = 0; i < pinned.size(); i++) {
+            bmc::CheckResult ref = bmc::checkProperty(
+                d.netlist, empty_map, {}, kFrames, pinned[i].first.prop);
+            ASSERT_EQ(ref.verdict, pinned[i].second) << "query " << i;
+            if (!hold_in0)
+                continue;
+            bmc::CheckResult ref_held =
+                bmc::checkProperty(d.netlist, empty_map, held_opts,
+                                   kFrames, held[i].first.prop);
+            ASSERT_EQ(ref_held.verdict, held[i].second) << "query " << i;
+            EXPECT_LE(ref_held.cnfVars, ref.cnfVars) << "query " << i;
+        }
+
+        for (unsigned jobs : {1u, 3u}) {
+            auto by_pin = runEngine(pinned, {}, jobs, "pinned");
+            if (!hold_in0)
+                continue;
+            auto by_hold = runEngine(held, held_opts, jobs, "held");
+            // At jobs 1 both forms see the same queries in the same
+            // order on one context per batch, so sizes compare.
+            if (jobs != 1 || by_hold.size() != by_pin.size())
+                continue;
+            for (size_t i = 0; i < by_hold.size(); i++)
+                EXPECT_LE(by_hold[i].cnfVars, by_pin[i].cnfVars)
+                    << "query " << i;
         }
     }
 }

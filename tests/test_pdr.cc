@@ -68,10 +68,11 @@ const char *kStickyZero = R"(
  *  the exact BMC property the PDR verdict must match. */
 CheckResult
 bmcOverFrames(const vlog::ElabResult &r, unsigned bound,
-              const FramePropertyFn &frame_prop)
+              const FramePropertyFn &frame_prop,
+              Unroller::Options options = {})
 {
-    return checkProperty(*r.netlist, r.signalMap, {}, bound,
-                         [&](PropCtx &ctx) {
+    return checkProperty(*r.netlist, r.signalMap, std::move(options),
+                         bound, [&](PropCtx &ctx) {
                              Lit bad = ctx.cnf().falseLit();
                              for (unsigned f = 0; f < bound; f++)
                                  bad = ctx.cnf().mkOr(
@@ -82,12 +83,22 @@ bmcOverFrames(const vlog::ElabResult &r, unsigned bound,
 
 PdrResult
 pdrAt(const vlog::ElabResult &r, unsigned bound,
-      const FramePropertyFn &frame_prop)
+      const FramePropertyFn &frame_prop, Unroller::Options options = {})
 {
     PdrOptions popts;
     popts.bound = bound;
-    return checkPdr(*r.netlist, r.signalMap, {}, {}, frame_prop,
-                    popts);
+    return checkPdr(*r.netlist, r.signalMap, std::move(options), {},
+                    frame_prop, popts);
+}
+
+/** Unroll options holding kCounter's `en` at @p value in every
+ *  frame. */
+Unroller::Options
+holdEn(const vlog::ElabResult &r, uint64_t value)
+{
+    Unroller::Options options;
+    options.heldInputs[r.signalMap.at("en")] = Bits(1, value);
+    return options;
 }
 
 } // namespace
@@ -133,18 +144,49 @@ TEST(Pdr, StickyZeroConvergesUnbounded)
 TEST(Pdr, KnownReachableBugIsRefutedAtItsDepth)
 {
     auto r = elab(kCounter, "top");
-    // Frame-local env: en pinned high at every frame makes q == 3
-    // reachable at exactly frame 3 and unavoidable there.
-    FramePropertyFn bad = [](PropCtx &ctx, unsigned f) {
+    // en high at every frame makes q == 3 reachable at exactly frame
+    // 3 and unavoidable there: pinned by the property as a
+    // frame-local environment, or held by the unroll options.
+    FramePropertyFn pinned = [](PropCtx &ctx, unsigned f) {
         if (f == 0)
             ctx.pinInput("en", 1);
         return ctx.eqConst(f, "q", 3);
     };
-    CheckResult bmc = bmcOverFrames(r, 6, bad);
-    PdrResult pdr = pdrAt(r, 6, bad);
-    EXPECT_EQ(bmc.verdict, Verdict::Refuted);
-    EXPECT_EQ(pdr.verdict, Verdict::Refuted);
-    EXPECT_EQ(pdr.cexFrame, 3u);
+    FramePropertyFn bad = [](PropCtx &ctx, unsigned f) {
+        return ctx.eqConst(f, "q", 3);
+    };
+    for (bool held : {false, true}) {
+        const FramePropertyFn &prop = held ? bad : pinned;
+        Unroller::Options options =
+            held ? holdEn(r, 1) : Unroller::Options{};
+        CheckResult bmc = bmcOverFrames(r, 6, prop, options);
+        PdrResult pdr = pdrAt(r, 6, prop, options);
+        EXPECT_EQ(bmc.verdict, Verdict::Refuted) << "held " << held;
+        EXPECT_EQ(pdr.verdict, Verdict::Refuted) << "held " << held;
+        EXPECT_EQ(pdr.cexFrame, 3u) << "held " << held;
+    }
+}
+
+/**
+ * PDR's transition relation keeps the inputs the unroll options hold:
+ * with en held low the counter never leaves 0, so q == 3 is
+ * unreachable at every bound. With en free it is reachable, so a PDR
+ * that dropped held inputs would refute here.
+ */
+TEST(Pdr, HeldInputReachesTheTransitionRelation)
+{
+    auto r = elab(kCounter, "top");
+    FramePropertyFn bad = [](PropCtx &ctx, unsigned f) {
+        return ctx.eqConst(f, "q", 3);
+    };
+    ASSERT_EQ(bmcOverFrames(r, 6, bad).verdict, Verdict::Refuted);
+    ASSERT_EQ(pdrAt(r, 6, bad).verdict, Verdict::Refuted);
+
+    PdrResult pdr = pdrAt(r, 6, bad, holdEn(r, 0));
+    EXPECT_EQ(pdr.verdict, Verdict::Proven);
+    EXPECT_TRUE(pdr.unbounded);
+    EXPECT_EQ(bmcOverFrames(r, 6, bad, holdEn(r, 0)).verdict,
+              Verdict::Proven);
 }
 
 /**
