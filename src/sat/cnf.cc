@@ -7,6 +7,77 @@
 namespace r2u::sat
 {
 
+template <size_t N>
+size_t
+CnfBuilder::GateTable<N>::home(const Key &key) const
+{
+    // Fibonacci hashing: the top bits of the product mix every input.
+    uint64_t h = 0;
+    for (int v : key)
+        h = (h + static_cast<uint32_t>(v)) * 0x9e3779b97f4a7c15ull;
+    return static_cast<size_t>(h >> shift_);
+}
+
+template <size_t N>
+const Lit *
+CnfBuilder::GateTable<N>::find(const Key &key) const
+{
+    if (size_ == 0)
+        return nullptr;
+    size_t mask = slots_.size() - 1;
+    for (size_t i = home(key);; i = (i + 1) & mask) {
+        const Slot &s = slots_[i];
+        if (s.y == kLitUndef)
+            return nullptr;
+        if (s.key == key)
+            return &s.y;
+    }
+}
+
+template <size_t N>
+void
+CnfBuilder::GateTable<N>::insert(const Key &key, Lit y)
+{
+    if (2 * (size_ + 1) > slots_.size())
+        grow();
+    size_t mask = slots_.size() - 1;
+    for (size_t i = home(key);; i = (i + 1) & mask) {
+        Slot &s = slots_[i];
+        if (s.y == kLitUndef) {
+            s = Slot{key, y};
+            size_++;
+            return;
+        }
+        if (s.key == key)
+            return;
+    }
+}
+
+template <size_t N>
+void
+CnfBuilder::GateTable<N>::clear()
+{
+    if (size_ == 0)
+        return;
+    for (Slot &s : slots_)
+        s.y = kLitUndef;
+    size_ = 0;
+}
+
+template <size_t N>
+void
+CnfBuilder::GateTable<N>::grow()
+{
+    std::vector<Slot> old = std::move(slots_);
+    size_t capacity = old.empty() ? 64 : 2 * old.size();
+    slots_.assign(capacity, Slot{Key{}, kLitUndef});
+    shift_ = 64 - static_cast<unsigned>(__builtin_ctzll(capacity));
+    size_ = 0;
+    for (const Slot &s : old)
+        if (s.y != kLitUndef)
+            insert(s.key, s.y);
+}
+
 CnfBuilder::CnfBuilder(Solver &solver) : solver_(solver)
 {
     true_lit_ = mkLit(solver_.newVar());
@@ -39,27 +110,25 @@ CnfBuilder::endScope()
     solver_.retireScope(scope_act_, scope_vars_);
     scope_act_ = kLitUndef;
     scope_vars_.clear();
-    scope_ = Caches{};
+    scope_.ands.clear();
+    scope_.xors.clear();
+    scope_.muxes.clear();
 }
 
 template <class Cache, class Key>
 const Lit *
 CnfBuilder::findGate(Cache Caches::*which, const Key &key) const
 {
-    auto it = (shared_.*which).find(key);
-    if (it != (shared_.*which).end())
-        return &it->second;
-    if (!scoped())
-        return nullptr;
-    it = (scope_.*which).find(key);
-    return it != (scope_.*which).end() ? &it->second : nullptr;
+    if (const Lit *hit = (shared_.*which).find(key))
+        return hit;
+    return scoped() ? (scope_.*which).find(key) : nullptr;
 }
 
 template <class Cache, class Key>
 void
 CnfBuilder::cacheGate(Cache Caches::*which, const Key &key, Lit y)
 {
-    ((scoped() ? scope_ : shared_).*which).emplace(key, y);
+    ((scoped() ? scope_ : shared_).*which).insert(key, y);
 }
 
 void
@@ -104,7 +173,7 @@ CnfBuilder::mkAnd(Lit a, Lit b)
 
     if (b.x < a.x)
         std::swap(a, b);
-    auto key = std::make_pair(a.x, b.x);
+    GateTable<2>::Key key{a.x, b.x};
     if (const Lit *hit = findGate(&Caches::ands, key))
         return *hit;
 
@@ -144,7 +213,7 @@ CnfBuilder::mkXor(Lit a, Lit b)
     }
     if (b.x < a.x)
         std::swap(a, b);
-    auto key = std::make_pair(a.x, b.x);
+    GateTable<2>::Key key{a.x, b.x};
     Lit y;
     if (const Lit *hit = findGate(&Caches::xors, key)) {
         y = *hit;
@@ -194,7 +263,7 @@ CnfBuilder::mkMux(Lit sel, Lit t, Lit f)
         sel = ~sel;
         std::swap(t, f);
     }
-    auto key = std::array<int, 3>{sel.x, t.x, f.x};
+    GateTable<3>::Key key{sel.x, t.x, f.x};
     if (const Lit *hit = findGate(&Caches::muxes, key))
         return *hit;
 

@@ -24,7 +24,6 @@
 #include <array>
 #include <cstdint>
 #include <initializer_list>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bits.hh"
@@ -180,40 +179,48 @@ class CnfBuilder
     size_t numGates() const { return shared_.ands.size(); }
 
   private:
-    struct PairHash
+    /**
+     * Structural-hash cache of one gate kind: the gate's N input
+     * literals to its output literal, in one open-addressing array
+     * (linear probing, power-of-two size, at most half full). Gates
+     * are only ever added, and a scope's table is emptied whole, so
+     * there are no tombstones; copying or freeing a table is one
+     * array copy or free.
+     */
+    template <size_t N>
+    class GateTable
     {
-        size_t
-        operator()(const std::pair<int, int> &p) const
-        {
-            return std::hash<int64_t>{}(
-                (static_cast<int64_t>(p.first) << 32) ^
-                static_cast<uint32_t>(p.second));
-        }
-    };
+      public:
+        using Key = std::array<int, N>;
 
-    struct TripleHash
-    {
-        size_t
-        operator()(const std::array<int, 3> &k) const
-        {
-            uint64_t h = 1469598103934665603ull;
-            for (int v : k) {
-                h ^= static_cast<uint32_t>(v);
-                h *= 1099511628211ull;
-            }
-            return static_cast<size_t>(h);
-        }
-    };
+        /** The cached output for @p key, or null. */
+        const Lit *find(const Key &key) const;
+        /** Cache @p y for @p key (an existing entry stays). */
+        void insert(const Key &key, Lit y);
+        /** Drop every entry and keep the array for the next scope. */
+        void clear();
+        size_t size() const { return size_; }
 
-    using PairCache = std::unordered_map<std::pair<int, int>, Lit, PairHash>;
-    using TripleCache =
-        std::unordered_map<std::array<int, 3>, Lit, TripleHash>;
+      private:
+        struct Slot
+        {
+            Key key;
+            Lit y; ///< kLitUndef: empty
+        };
+
+        size_t home(const Key &key) const;
+        void grow();
+
+        std::vector<Slot> slots_;
+        size_t size_ = 0;
+        unsigned shift_ = 64; ///< 64 - log2(slots_.size())
+    };
 
     /** One set of structural-hash caches. */
     struct Caches
     {
-        PairCache ands, xors;
-        TripleCache muxes;
+        GateTable<2> ands, xors;
+        GateTable<3> muxes;
     };
 
     /** In a scope and outside every Permanent section. */
