@@ -255,7 +255,8 @@ struct CheckResult
     /**
      * Wall time of the whole query, the PDR pre-pass and the query's
      * retirement from its context included; the two phases below are
-     * parts of it.
+     * parts of it. It ends before validation starts, so seconds +
+     * validateSeconds is the query's time on its worker.
      */
     double seconds = 0.0;
     /** Encode phase: context build (or seed clone) plus the property's
@@ -313,6 +314,8 @@ struct CheckResult
     unsigned validationMismatches = 0;
     double replaySeconds = 0.0;
     double recheckSeconds = 0.0;
+    /** Validation wall time: replays, re-checks and the policy
+     *  around them. */
     double validateSeconds = 0.0;
     /** Diagnostic bundle on mismatch (trace + CNF stats) or recovery
      *  note; empty when validation passed cleanly. */

@@ -1941,6 +1941,7 @@ SynthesisResult::jsonReport() const
             .set("seconds", num(r.seconds))
             .set("encode_s", num(r.encodeSeconds))
             .set("solve_s", num(r.solveSeconds))
+            .set("validate_s", num(r.validateSeconds))
             .set("conflicts", num(r.conflicts))
             .set("propagations", num(r.propagations))
             .set("cnf_vars", num(r.cnfVars))
