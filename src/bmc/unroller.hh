@@ -3,15 +3,13 @@
  * Time-frame expansion of a netlist into CNF.
  *
  * The Unroller bit-blasts a synchronous netlist over k clock frames
- * through a CnfBuilder: inputs become fresh variables per frame,
- * except those the environment holds at one value (Options::
- * heldInputs), which are constant words in every frame, so their
- * fan-out constant-folds through every frame; registers follow
- * Q' = EN ? D : Q, and memories are modeled as
- * per-frame arrays of words with read-before-write semantics matching
- * sim::Simulator. Initial state is either concrete (power-on values,
- * with selected memories made symbolic) or fully free (used by
- * induction-style reasoning).
+ * through a CnfBuilder: inputs become fresh variables per frame
+ * (except held ones, Options::heldInputs: constant words whose fan-out
+ * folds in every frame), registers follow Q' = EN ? D : Q, and
+ * memories are modeled as per-frame arrays of words with
+ * read-before-write semantics matching sim::Simulator. Initial state
+ * is either concrete (power-on values, with selected memories made
+ * symbolic) or fully free (used by induction-style reasoning).
  *
  * Construction is demand-driven by default: wire(frame, cell) builds
  * only the transitive fan-in of the requested wire (per-cell memoized,
